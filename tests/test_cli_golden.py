@@ -1,0 +1,75 @@
+"""Byte-for-byte golden outputs of the command-line interface.
+
+Every subcommand is run through `cli.run` in each output format, and its
+stdout and exit status are compared with the files under tests/golden/
+(named `<case>.<format>`).  A change to any rendered byte fails here.
+
+To re-record after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from kreckstolz.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("text", "tsv", "json")
+R19513 = ("-r", "19513", "--s1=-5/14", "--s2=-204887/234156", "--s3=-58543/117078")
+
+# case name -> (argv without --format, expected exit status)
+CASES = {
+    "invariants_sphere": (("invariants", "sphere:2,-1"), 0),
+    "invariants_circle_flags": (("invariants", "--family", "circle", "-t", "1", "-a", "1", "-b", "1"), 0),
+    "classify_fixture_circle": (("classify", "eschenburg:1,1,-2|0,0,0", "circle:1,1,1"), 0),
+    "ediffeo_r3": (("ediffeo", "-r", "3", "--s1", "1/112", "--s2=-1/36", "--s3", "1/18"), 0),
+    "ediffeo_r19513": (("ediffeo",) + R19513, 0),
+    "ediffeo_r19513_reversing": (("ediffeo",) + R19513 + ("--orientation", "reversing"), 0),
+    "match_sphere_period_r41": (("match", "--left", "fixtures", "--right", "sphere:r=41,start=0,stop=6888"), 0),
+    "match_empty": (("match", "--left", "fixtures", "--right", "sphere:r=3,start=0,stop=2", "--ignore-pi4"), 0),
+    "tables_A": (("tables", "A"), 0),
+    "tables_B": (("tables", "B"), 0),
+    "enumerate_r12": (("enumerate", "--r-max", "12"), 0),
+}
+
+
+def _golden_path(case: str, fmt: str) -> Path:
+    return GOLDEN / f"{case}.{fmt}"
+
+
+def _argv(case: str, fmt: str) -> list[str]:
+    return list(CASES[case][0]) + ["--format", fmt]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, fmt, capsys):
+    code = run(_argv(case, fmt))
+    out = capsys.readouterr().out
+    assert code == CASES[case][1]
+    assert out == _golden_path(case, fmt).read_text(encoding="utf-8")
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for case, (_, expected) in sorted(CASES.items()):
+        for fmt in FORMATS:
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                code = run(_argv(case, fmt))
+            if code != expected:
+                raise SystemExit(f"{case} ({fmt}) exited {code}, expected {expected}")
+            _golden_path(case, fmt).write_text(buffer.getvalue(), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record")
+    _record()
