@@ -285,6 +285,35 @@ class TestChooseMn:
             choose_mn(BundleSpec(Family.SPHERE, 2, 1))
 
 
+class TestExplicitMn:
+    """Validation of a caller-supplied auxiliary pair (m, n)."""
+
+    def test_circle_pair_off_the_relation(self):
+        with pytest.raises(DomainError, match=r"does not satisfy am - bn = 1"):
+            profile_circle(1, 2, 1, mn=(1, 0))
+
+    def test_spin_circle_pair_off_the_relation(self):
+        with pytest.raises(DomainError, match=r"does not satisfy am \+ bn = 1"):
+            profile_spin_circle(1, 3, 1, mn=(1, 0))
+
+    def test_spin_circle_even_m_with_odd_b(self):
+        # (0, 1) satisfies 3m + n = 1; only the parity rule rejects it.
+        with pytest.raises(DomainError, match=r"needs odd m when b is odd"):
+            profile_spin_circle(1, 3, 1, mn=(0, 1))
+
+    def test_not_coprime_comes_first(self):
+        with pytest.raises(NotCoprime):
+            profile_circle(1, 2, 4, mn=(1, 0))
+        with pytest.raises(NotCoprime):
+            profile_spin_circle(1, 2, 4, mn=(0, 1))
+
+    def test_valid_non_default_pair(self):
+        m, n = choose_mn(BundleSpec(Family.CIRCLE, 2, 1, t=1))
+        assert profile_circle(1, 2, 1, mn=(m + 3, n + 6)) == profile_circle(1, 2, 1)
+        m, n = choose_mn(BundleSpec(Family.SPIN_CIRCLE, 3, 1, t=1))
+        assert profile_spin_circle(1, 3, 1, mn=(m + 2, n - 6)) == profile_spin_circle(1, 3, 1)
+
+
 class TestCircle:
     def test_w11(self):
         p = profile_circle(1, 1, 1)
