@@ -30,18 +30,18 @@ from .bundle_families import (
     profile_circle,
     profile_sphere,
 )
-from .classification import EdiffeoProblem, Orientation, ediffeo_solve, ks_diffeomorphic
+from .classification import EdiffeoProblem, Orientation, _orient, ediffeo_solve, ks_diffeomorphic
 from .errors import (
     CongruenceFailure,
     DivisibilityFailure,
     DomainError,
     InconsistentFixture,
-    MissingFixture,
     ParityFailure,
 )
 from .eschenburg import (
     EschenburgFixture,
     EschenburgSpace,
+    find_fixture,
     fixture_profile,
     invariants,
     load_fixtures,
@@ -53,7 +53,6 @@ from .profiles import (
     lk_compatible,
     negated_s_triple,
     pi4_compatible,
-    reversed_profile,
 )
 
 __all__ = [
@@ -176,39 +175,33 @@ class MatchRecord:
     evidence: tuple[int, ModOneValue, ModOneValue, ModOneValue]
 
 
-def _oriented_match(
-    left: InvariantProfile, right: InvariantProfile, require_pi4_compat: bool
-) -> Optional[Orientation]:
-    """Orientation identifying the two profiles, or None.
+def _s_triple_agree(right: InvariantProfile):
+    """The `agree` of match_all for one right-hand profile.
 
-    On an s-triple match the remaining invariants (linking classes up to
-    the fixture sign ambiguity, and p1 mod r) must cohere; they are
-    determined by the s-values for genuine spaces, so a conflict means
+    Equal s-triples decide.  The remaining invariants (linking classes up
+    to the fixture sign ambiguity, and p1 mod r) are determined by the
+    s-values for genuine spaces, so a conflict on equal s-triples means
     corrupted input data and raises InconsistentFixture rather than
     silently dropping the pair.
     """
-    if left.cohomology_type is not right.cohomology_type or left.r != right.r:
-        return None
-    if require_pi4_compat and not pi4_compatible(left.pi4, right.pi4):
-        return None
-    for orientation, candidate in (
-        (Orientation.PRESERVING, right),
-        (Orientation.REVERSING, reversed_profile(right)),
-    ):
+
+    def agree(left: InvariantProfile, candidate: InvariantProfile) -> bool:
         if left.s_triple != candidate.s_triple:
-            continue
+            return False
+        orientation = (Orientation.PRESERVING if candidate is right else Orientation.REVERSING).value
         if not lk_compatible(left.lk, candidate.lk):
             raise InconsistentFixture(
-                f"s-values match ({orientation.value}) but linking classes differ: "
+                f"s-values match ({orientation}) but linking classes differ: "
                 f"{left.lk} vs {candidate.lk}"
             )
         if left.p1 != candidate.p1:
             raise InconsistentFixture(
-                f"s-values match ({orientation.value}) but p1 differs: "
+                f"s-values match ({orientation}) but p1 differs: "
                 f"{left.p1} vs {candidate.p1}"
             )
-        return orientation
-    return None
+        return True
+
+    return agree
 
 
 def match_all(
@@ -229,13 +222,14 @@ def match_all(
         if not right_entries:
             continue
         for left_entry in left_entries:
+            profile = left_entry.profile
             for right_entry in right_entries:
-                orientation = _oriented_match(
-                    left_entry.profile, right_entry.profile, require_pi4_compat
-                )
+                other = right_entry.profile
+                if require_pi4_compat and not pi4_compatible(profile.pi4, other.pi4):
+                    continue
+                orientation = _orient(profile, other, _s_triple_agree(other))
                 if orientation is None:
                     continue
-                profile = left_entry.profile
                 records.append(
                     MatchRecord(
                         left=left_entry.descriptor,
@@ -393,20 +387,6 @@ class TableReport:
         return all(row.passed for row in self.rows)
 
 
-def _find_fixture(fixtures: Sequence[EschenburgFixture], row: TableRow) -> EschenburgFixture:
-    target_s1 = mod_one(row.s[0])
-    for fixture in fixtures:
-        if (
-            tuple(fixture.space.k) == row.k
-            and tuple(fixture.space.l) == row.l
-            and fixture.s1 == target_s1
-        ):
-            return fixture
-    raise MissingFixture(
-        f"no fixture with k={row.k}, l={row.l} and s1 = {row.s[0]} mod 1"
-    )
-
-
 def _check_space(row: TableRow, inv, problems: list[str], require_standard_lk: bool) -> None:
     if inv.r != row.r:
         problems.append(f"recomputed |H^4| = {inv.r}, row says {row.r}")
@@ -422,7 +402,7 @@ def _check_space(row: TableRow, inv, problems: list[str], require_standard_lk: b
 
 def _verify_sphere_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
     problems: list[str] = []
-    fixture = _find_fixture(fixtures, row)
+    fixture = find_fixture(fixtures, row.k, row.l, s1=row.s[0])
     inv = invariants(fixture.space)
     _check_space(row, inv, problems, require_standard_lk=True)
 
@@ -493,7 +473,7 @@ def _verify_sphere_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> 
 
 def _verify_circle_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
     problems: list[str] = []
-    fixture = _find_fixture(fixtures, row)
+    fixture = find_fixture(fixtures, row.k, row.l, s1=row.s[0])
     inv = invariants(fixture.space)
     _check_space(row, inv, problems, require_standard_lk=False)
 

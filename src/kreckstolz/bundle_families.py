@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
 from .exact_arith import ResidueClass, mod_one
-from .profiles import CohomologyType, InvariantProfile, Pi4, reversed_profile
+from .profiles import CohomologyType, InvariantProfile, Pi4
 
 
 class Family(Enum):
@@ -183,26 +183,17 @@ def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     )
 
 
-def _checked_mn_circle(a: int, b: int, mn: Optional[tuple[int, int]]) -> MnPair:
+def _checked_mn(family: Family, a: int, b: int, mn: Optional[tuple[int, int]]) -> MnPair:
+    """choose_mn's pair for a coprime (a, b), or the given pair once validated."""
+    if mn is None:
+        return choose_mn(BundleSpec(family, a, b, t=0))
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
-    if mn is None:
-        return choose_mn(BundleSpec(Family.CIRCLE, a, b, t=0))
     m, n = mn
-    if a * m - b * n != 1:
-        raise DomainError(f"(m, n) = {mn} does not satisfy am - bn = 1")
-    return MnPair(m, n)
-
-
-def _checked_mn_spin_circle(a: int, b: int, mn: Optional[tuple[int, int]]) -> MnPair:
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
-    if mn is None:
-        return choose_mn(BundleSpec(Family.SPIN_CIRCLE, a, b, t=0))
-    m, n = mn
-    if a * m + b * n != 1:
-        raise DomainError(f"(m, n) = {mn} does not satisfy am + bn = 1")
-    if b % 2 == 1 and m % 2 == 0:
+    sign = -1 if family is Family.CIRCLE else 1
+    if a * m + sign * b * n != 1:
+        raise DomainError(f"(m, n) = {mn} does not satisfy am {'-' if sign < 0 else '+'} bn = 1")
+    if family is Family.SPIN_CIRCLE and b % 2 == 1 and m % 2 == 0:
         raise DomainError(f"(m, n) = {mn} needs odd m when b is odd")
     return MnPair(m, n)
 
@@ -213,7 +204,7 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
     The optional mn pins the auxiliary pair with am - bn = 1; the result
     does not depend on the admissible choice.
     """
-    m, n = _checked_mn_circle(a, b, mn)
+    m, n = _checked_mn(Family.CIRCLE, a, b, mn)
     s = t * (a + b) ** 2 - a * b
     if s == 0:
         raise DegenerateOrder(f"parameters (t={t}, {a}, {b}) give |H^4| = 0")
@@ -223,7 +214,8 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         sw = 0
     else:
         border = b + (1 - t) * (a + b)
-        assert border != 0, "impossible: s < 0 forces a nonzero border term"
+        if border == 0:
+            raise AssertionError("impossible: s < 0 forces a nonzero border term")
         sw = 2 if border > 0 else -2
     A, M = a + b, m + n
     x = 3 * a * b + (t - 1) * (8 + A * A)
@@ -299,7 +291,7 @@ def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = 
     Spin (type Ebar) exactly when b is odd. The optional mn pins the
     auxiliary pair with am + bn = 1 (m odd whenever b is odd).
     """
-    m, n = _checked_mn_spin_circle(a, b, mn)
+    m, n = _checked_mn(Family.SPIN_CIRCLE, a, b, mn)
     s = a * a - t * b * b
     if s == 0:
         raise DegenerateOrder(f"parameters (t={t}, {a}, {b}) give |H^4| = 0")
@@ -309,7 +301,8 @@ def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = 
         sw = 0
     else:
         border = b * (t + 1)
-        assert border != 0, "impossible: s < 0 forces b(t+1) nonzero"
+        if border == 0:
+            raise AssertionError("impossible: s < 0 forces b(t+1) nonzero")
         sw = 2 if border > 0 else -2
     q = n * n + t * m * m
     g = b * q - 2 * a * n * m
@@ -362,11 +355,6 @@ def profile(spec: BundleSpec, mn: Optional[tuple[int, int]] = None) -> Invariant
     if spec.family is Family.CIRCLE:
         return profile_circle(spec.t, spec.a, spec.b, mn=mn)
     return profile_spin_circle(spec.t, spec.a, spec.b, mn=mn)
-
-
-def reverse_orientation(p: InvariantProfile) -> InvariantProfile:
-    """Profile of the same space with the opposite orientation."""
-    return reversed_profile(p)
 
 
 def natural_partner(spec: BundleSpec) -> Optional[BundleSpec]:

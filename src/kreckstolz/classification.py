@@ -62,27 +62,37 @@ def _homeo_triple(p: InvariantProfile) -> _Triple:
     return (mod_one(28 * p.s1), p.s2, p.s3)
 
 
-def _decide(
+def _orient(
     p: InvariantProfile,
     q: InvariantProfile,
-    triple: Callable[[InvariantProfile], _Triple],
+    agree: Callable[[InvariantProfile, InvariantProfile], bool],
 ) -> Optional[Orientation]:
-    """Shared protocol: compare invariant triples in both orientations.
+    """The orientation in which `agree` identifies the two spaces, or None.
 
-    An identification needs equal cohomology type and order; a proven pi4
-    conflict rules it out, while an open pi4 never blocks.  The linking
-    classes are compared up to the sign ambiguity a candidate set carries.
+    An identification needs equal cohomology type and order.  Preserving
+    is tried first and wins when both hold; the reversal of q is built
+    only when the preserving comparison fails.
     """
     if p.cohomology_type is not q.cohomology_type or p.r != q.r:
         return None
-    if not pi4_compatible(p.pi4, q.pi4):
-        return None
-    if triple(p) == triple(q) and lk_compatible(p.lk, q.lk):
+    if agree(p, q):
         return Orientation.PRESERVING
-    rq = reversed_profile(q)
-    if triple(p) == triple(rq) and lk_compatible(p.lk, rq.lk):
+    if agree(p, reversed_profile(q)):
         return Orientation.REVERSING
     return None
+
+
+def _decide(
+    p: InvariantProfile,
+    q: InvariantProfile,
+    project: Callable[[InvariantProfile], tuple],
+) -> Optional[Orientation]:
+    """Compare projected invariants and linking classes in both orientations.
+
+    The linking classes are compared up to the sign ambiguity a candidate
+    set carries.
+    """
+    return _orient(p, q, lambda x, y: project(x) == project(y) and lk_compatible(x.lk, y.lk))
 
 
 def ks_diffeomorphic(
@@ -93,16 +103,18 @@ def ks_diffeomorphic(
     Two spaces of the same cohomology type and order are orientation
     preserving diffeomorphic exactly when all three s-invariants agree
     modulo 1, and orientation reversing diffeomorphic exactly when they
-    agree after a sign flip.  Preserving is reported when both hold.
+    agree after a sign flip.  Preserving is reported when both hold.  A
+    proven pi4 conflict rules an identification out; an open pi4 never
+    blocks.
     """
-    return _decide(p, q, lambda pr: pr.s_triple)
+    return _decide(p, q, lambda pr: pr.s_triple) if pi4_compatible(p.pi4, q.pi4) else None
 
 
 def ks_homeomorphic(
     p: InvariantProfile, q: InvariantProfile
 ) -> Optional[Orientation]:
     """Orientation of a homeomorphism, using (28·s1, s2, s3) modulo 1."""
-    return _decide(p, q, _homeo_triple)
+    return _decide(p, q, _homeo_triple) if pi4_compatible(p.pi4, q.pi4) else None
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +185,7 @@ def lk_diffeomorphic(
     (see lk_homeomorphic).
     """
     _require_substitution_applies(p, q)
-    return _decide_substituted(p, q, lambda pr: (pr.s1, pr.s2))
+    return _decide(p, q, lambda pr: (pr.s1, pr.s2))
 
 
 def lk_homeomorphic(
@@ -194,19 +206,8 @@ def lk_homeomorphic(
                 raise DomainError("the p1 substitution applies only to non-spin type")
         if p.r == q.r and p.p1 != q.p1:
             return None
-        return _decide_substituted(p, q, lambda pr: (pr.s2,))
-    return _decide_substituted(p, q, lambda pr: (mod_one(28 * pr.s1), pr.s2))
-
-
-def _decide_substituted(p, q, partial):
-    if p.cohomology_type is not q.cohomology_type or p.r != q.r:
-        return None
-    if partial(p) == partial(q) and lk_compatible(p.lk, q.lk):
-        return Orientation.PRESERVING
-    rq = reversed_profile(q)
-    if partial(p) == partial(rq) and lk_compatible(p.lk, rq.lk):
-        return Orientation.REVERSING
-    return None
+        return _decide(p, q, lambda pr: (pr.s2,))
+    return _decide(p, q, lambda pr: (mod_one(28 * pr.s1), pr.s2))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +358,8 @@ def ediffeo_solve(
             witness[residue] = (s, signed)
     target = (mod_one(base.s1), mod_one(base.s2), mod_one(base.s3))
     for residue in witness:
-        assert profile_sphere(residue, residue - r).s_triple == target
+        if profile_sphere(residue, residue - r).s_triple != target:
+            raise AssertionError(f"residue {residue} mod {168 * r} does not round-trip")
     return EdiffeoSolution(
         residues=tuple(ResidueClass(a, 168 * r) for a in sorted(witness)),
         orientation=orientation,

@@ -57,11 +57,11 @@ from .errors import (
     CongruenceFailure,
     DivisibilityFailure,
     DomainError,
-    MissingFixture,
     ParityFailure,
 )
 from .eschenburg import (
     enumerate_positively_curved,
+    find_fixture,
     fixture_profile,
     invariants,
     load_fixtures,
@@ -77,6 +77,20 @@ class _UsageError(Exception):
 
 def _emit_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _fields(pairs, fmt: str) -> str:
+    """One 'label: value' line per pair, or 'label<TAB>value' for tsv."""
+    sep = "\t" if fmt == "tsv" else ": "
+    return "".join(f"{label}{sep}{value}\n" for label, value in pairs)
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for an exact fraction; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _get_fixtures(args):
@@ -112,10 +126,8 @@ def _parse_space(text: str, args) -> tuple[str, InvariantProfile]:
             raise DomainError(f"cannot parse {text!r}: expected eschenburg:k1,k2,k3|l1,l2,l3")
         k = _parse_int_tuple(k_text, "parameters")
         l = _parse_int_tuple(l_text, "parameters")
-        for fixture in _get_fixtures(args):
-            if tuple(fixture.space.k) == k and tuple(fixture.space.l) == l:
-                return eschenburg_descriptor(fixture.space), fixture_profile(fixture)
-        raise MissingFixture(f"no fixture with k={k}, l={l}")
+        fixture = find_fixture(_get_fixtures(args), k, l)
+        return eschenburg_descriptor(fixture.space), fixture_profile(fixture)
     spec = parse_bundle_spec(text)
     return describe_bundle_spec(spec), profile(spec)
 
@@ -179,8 +191,7 @@ def _cmd_invariants(args) -> tuple[int, str]:
     payload = _profile_payload(descriptor, prof)
     if args.format == "json":
         return 0, _emit_json(payload)
-    sep = "\t" if args.format == "tsv" else ": "
-    return 0, "".join(f"{key}{sep}{value}\n" for key, value in _profile_lines(payload))
+    return 0, _fields(_profile_lines(payload), args.format)
 
 
 def _cmd_classify(args) -> tuple[int, str]:
@@ -198,15 +209,7 @@ def _cmd_classify(args) -> tuple[int, str]:
     }
     if args.format == "json":
         return 0, _emit_json(payload)
-    sep = "\t" if args.format == "tsv" else ": "
-    lines = [
-        f"left{sep}{payload['left']}",
-        f"right{sep}{payload['right']}",
-        f"diffeomorphic{sep}{payload['diffeomorphic'] or 'none'}",
-        f"homeomorphic{sep}{payload['homeomorphic'] or 'none'}",
-        f"homotopy{sep}{payload['homotopy']}",
-    ]
-    return 0, "".join(line + "\n" for line in lines)
+    return 0, _fields(((label, value or "none") for label, value in payload.items()), args.format)
 
 
 def _cmd_ediffeo(args) -> tuple[int, str]:
@@ -231,18 +234,14 @@ def _cmd_ediffeo(args) -> tuple[int, str]:
             }
     if args.format == "json":
         return 0, _emit_json(payload)
-    lines = []
+    pairs = []
     for orientation in wanted:
         entry = payload[orientation.value]
         if entry["residues"] is None:
-            value = f"no solution ({entry['reason']})"
+            pairs.append((orientation.value, f"no solution ({entry['reason']})"))
         else:
-            value = ", ".join(entry["residues"])
-        if args.format == "tsv":
-            lines.append(f"{orientation.value}\t{value}")
-        else:
-            lines.append(f"{orientation.value}: {value}")
-    return 0, "".join(line + "\n" for line in lines)
+            pairs.append((orientation.value, ", ".join(entry["residues"])))
+    return 0, _fields(pairs, args.format)
 
 
 def _cmd_enumerate(args) -> tuple[int, str]:
@@ -420,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_ed.add_argument("-r", type=int, required=True)
-    p_ed.add_argument("--s1", type=Fraction, required=True)
-    p_ed.add_argument("--s2", type=Fraction, required=True)
-    p_ed.add_argument("--s3", type=Fraction, required=True)
+    p_ed.add_argument("--s1", type=_fraction, required=True)
+    p_ed.add_argument("--s2", type=_fraction, required=True)
+    p_ed.add_argument("--s3", type=_fraction, required=True)
     p_ed.add_argument(
         "--orientation",
         choices=("preserving", "reversing", "both"),
@@ -487,3 +486,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -15,12 +15,13 @@ from fractions import Fraction
 from importlib import resources
 from itertools import permutations
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import (
     DegenerateOrder,
     DomainError,
     InconsistentFixture,
+    MissingFixture,
     ParseError,
     UnequalSums,
 )
@@ -266,6 +267,26 @@ def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixtu
                 )
         fixtures.append(EschenburgFixture(space, *(mod_one(s) for s in s_values)))
     return fixtures
+
+
+def find_fixture(
+    fixtures: Iterable[EschenburgFixture],
+    k: tuple[int, ...],
+    l: tuple[int, ...],
+    s1: Optional[Fraction] = None,
+) -> EschenburgFixture:
+    """The first fixture in catalog order with parameters (k, l).
+
+    Two lines may record the same space in opposite orientations; passing
+    `s1` (compared modulo 1) selects one of them.  Raises MissingFixture
+    when no fixture matches.
+    """
+    target = None if s1 is None else mod_one(s1)
+    for fixture in fixtures:
+        if fixture.space.k == k and fixture.space.l == l and (target is None or fixture.s1 == target):
+            return fixture
+    detail = "" if s1 is None else f" and s1 = {s1} mod 1"
+    raise MissingFixture(f"no fixture with k={k}, l={l}{detail}")
 
 
 def fixture_profile(fixture: EschenburgFixture) -> InvariantProfile:

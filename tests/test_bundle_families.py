@@ -27,7 +27,6 @@ from kreckstolz.bundle_families import (
     profile_sphere,
     profile_spin_circle,
     profile_spin_sphere,
-    reverse_orientation,
 )
 from kreckstolz.errors import DegenerateOrder, DomainError, NotCoprime
 from kreckstolz.exact_arith import ResidueClass, mod_one
@@ -580,14 +579,9 @@ class TestSpecPlumbing:
         with pytest.raises(DomainError):
             BundleSpec(Family.SPHERE, 1, 0, t=2)
 
-    def test_reverse_orientation_function(self):
-        p = profile_sphere(2, -1)
-        assert reverse_orientation(p) == reversed_profile(p)
-        assert reverse_orientation(reverse_orientation(p)) == p
-
     @given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60))
     def test_reversal_involution(self, a, b):
         if a == b:
             return
         p = profile_sphere(a, b)
-        assert reverse_orientation(reverse_orientation(p)) == p
+        assert reversed_profile(reversed_profile(p)) == p

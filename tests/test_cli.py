@@ -9,8 +9,14 @@ and its sphere-bundle partners, and the bundled catalog tables).
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kreckstolz
 
 from kreckstolz.cli import run
 
@@ -169,6 +175,16 @@ def test_ediffeo_json(capsys):
     assert "CongruenceFailure" in data["reversing"]["reason"]
 
 
+@pytest.mark.parametrize("flag", ["--s1", "--s2", "--s3"])
+def test_ediffeo_zero_denominator_is_usage_error(flag, capsys):
+    argv = ["ediffeo", "-r", "3", "--s1", "0", "--s2", "0", "--s3", "0"]
+    argv[argv.index(flag) + 1] = "1/0"
+    code = run(argv)
+    _, err = out_err(capsys)
+    assert code == 2
+    assert f"argument {flag}: invalid Fraction value: '1/0'" in err
+
+
 def test_ediffeo_divisibility_error(capsys):
     code = run(["ediffeo", "-r", "3", "--s1", "1/5", "--s2", "0", "--s3", "0"])
     _, err = out_err(capsys)
@@ -296,3 +312,17 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert run(["--help"]) == 0
+
+
+def test_module_entry_point():
+    src = str(Path(kreckstolz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "kreckstolz.cli", "tables", "B"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "5/5 rows verified" in done.stdout
