@@ -37,6 +37,7 @@ CASES = {
     "tables_A": (("tables", "A"), 0),
     "tables_B": (("tables", "B"), 0),
     "enumerate_r12": (("enumerate", "--r-max", "12"), 0),
+    "enumerate_r40": (("enumerate", "--r-max", "40"), 0),
 }
 
 
