@@ -29,7 +29,7 @@ from kreckstolz import (
 # ---------------------------------------------------------------------------
 
 spaces = enumerate_positively_curved(30)
-print(f"positively curved parameter spaces with r <= 30: {len(spaces)}")
+print(f"positively curved parameter spaces with r < 30: {len(spaces)}")
 for space in spaces:
     inv = invariants(space)
     print(f"  {eschenburg_descriptor(space)}  r={inv.r}  s={inv.s_signed}  p1={inv.p1}")

@@ -400,6 +400,12 @@ def _check_space(row: TableRow, inv, problems: list[str], require_standard_lk: b
         )
 
 
+def _row_s(row: TableRow, orientation: Orientation) -> tuple[ModOneValue, ...]:
+    """The row's s-values modulo 1: as printed when preserving, negated when reversing."""
+    sign = 1 if orientation is Orientation.PRESERVING else -1
+    return tuple(mod_one(sign * s) for s in row.s)
+
+
 def _verify_sphere_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
     problems: list[str] = []
     fixture = find_fixture(fixtures, row.k, row.l, s1=row.s[0])
@@ -436,11 +442,7 @@ def _verify_sphere_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> 
             )
 
     if orientation is not None:
-        expected = (
-            tuple(mod_one(s) for s in row.s)
-            if orientation is Orientation.PRESERVING
-            else tuple(mod_one(-s) for s in row.s)
-        )
+        expected = _row_s(row, orientation)
         for a in row.residues:
             partner_profile = profile_sphere(a, a - row.r)
             if partner_profile.s_triple != expected:
@@ -485,12 +487,8 @@ def _verify_circle_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> 
         partner_profile = profile_circle(t, a, b)
         if partner_profile.r != row.r:
             problems.append(f"bundle |H^4| = {partner_profile.r}, row says {row.r}")
-        printed = tuple(mod_one(s) for s in row.s)
-        if partner_profile.s_triple == printed:
-            orientation = Orientation.PRESERVING
-        elif partner_profile.s_triple == tuple(mod_one(-s) for s in row.s):
-            orientation = Orientation.REVERSING
-        else:
+        orientation = next((o for o in Orientation if partner_profile.s_triple == _row_s(row, o)), None)
+        if orientation is None:
             problems.append(
                 f"bundle s-values {partner_profile.s_triple} match neither sign "
                 f"of the tabulated values"

@@ -434,7 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="positively curved parameter pairs up to a bound on r",
     )
-    p_enum.add_argument("--r-max", type=int, required=True)
+    p_enum.add_argument(
+        "--r-max",
+        type=int,
+        required=True,
+        help="list the spaces with 1 <= r < R_MAX; parameter entries are bounded by 3*R_MAX",
+    )
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_match = sub.add_parser(

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from kreckstolz.errors import (
     DegenerateOrder,
+    DomainError,
     InconsistentFixture,
     ParseError,
     UnequalSums,
 )
 from kreckstolz.eschenburg import (
     EschenburgSpace,
+    _representatives,
     enumerate_positively_curved,
     fixture_profile,
     invariants,
@@ -47,6 +49,36 @@ def balanced_spaces(max_entry=30):
         return EschenburgSpace((k1, k2, k3), (l1, l2, l3))
 
     return st.builds(build, ints, ints, ints, ints, ints)
+
+
+def box_scan(r_max):
+    """enumerate_positively_curved by brute force over the whole box.
+
+    It visits every (l1, l2, k1, k2) in the box of side 3*r_max and
+    filters, so it is slow but plainly complete: the oracle for the
+    interval scan of the library.
+    """
+    if r_max < 1:
+        raise DomainError(f"r_max must be positive, got {r_max}")
+    bound = 3 * r_max
+    found: set[EschenburgSpace] = set()
+    for l1 in range(bound + 1):
+        for l2 in range(l1 + 1):
+            total = l1 + l2
+            sig2_l = l1 * l2
+            for k1 in range(-(-total // 3), bound + 1):
+                rest = total - k1
+                k2_lo = max(-(-rest // 2), rest - bound)  # k2 >= k3 and k3 <= bound
+                k2_hi = min(k1, rest + bound)
+                for k2 in range(k2_lo, k2_hi + 1):
+                    k3 = rest - k2
+                    r = abs(k1 * k2 + k3 * (k1 + k2) - sig2_l)
+                    if r < 1 or r >= r_max:
+                        continue
+                    space = EschenburgSpace((k1, k2, k3), (l1, l2, 0))
+                    if is_positively_curved(space) and is_free(space):
+                        found.add(normalize(space))
+    return sorted(found, key=lambda s: (invariants(s).r, s.k, s.l))
 
 
 class TestConstruction:
@@ -272,6 +304,31 @@ class TestEnumerate:
         # The two-parameter family (p,1,1),(p+2,0,0) realizes every odd
         # order 2p+1 >= 3, and those representatives are free and curved.
         assert {3, 5, 7, 9} <= orders
+
+    @pytest.mark.parametrize("r_max", range(1, 17))
+    def test_matches_box_scan(self, r_max):
+        # The interval scan prunes by proven bounds only: same spaces, same order.
+        assert enumerate_positively_curved(r_max) == box_scan(r_max)
+
+    @pytest.mark.parametrize("r_max", range(1, 13))
+    def test_scan_visits_every_box_point(self, r_max):
+        # Each space has several representatives in the box, so a pruning
+        # error can hide behind another one in the list above; compare the
+        # representatives themselves.
+        bound = 3 * r_max
+        expected = set()
+        for l1 in range(bound + 1):
+            for l2 in range(l1 + 1):
+                for k1 in range(-bound, bound + 1):
+                    for k2 in range(-bound, k1 + 1):
+                        k3 = l1 + l2 - k1 - k2
+                        if not -bound <= k3 <= k2:
+                            continue
+                        space = EschenburgSpace((k1, k2, k3), (l1, l2, 0))
+                        r = abs(sigma(space.k)[1] - sigma(space.l)[1])
+                        if 1 <= r < r_max and is_positively_curved(space) and is_free(space):
+                            expected.add((space, r))
+        assert set(_representatives(r_max)) == expected
 
 
 class TestFixtures:
