@@ -17,10 +17,9 @@ by the partner bundle) and reports it per row.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bundle_families import (
@@ -100,24 +99,43 @@ class ProfileKey:
     s_canonical: tuple[ModOneValue, ModOneValue, ModOneValue]
     flipped: bool
 
+    def __hash__(self) -> int:
+        # Equal keys hold equal reduced fractions, hence equal numerators and
+        # denominators; hashing those integers skips Fraction.__hash__.
+        s1, s2, s3 = self.s_canonical
+        s_ints = (s1.numerator, s1.denominator, s2.numerator, s2.denominator, s3.numerator, s3.denominator)
+        return hash((self.cohomology_type, self.r, s_ints, self.flipped))
+
     @property
     def bucket(self) -> "ProfileKey":
         """The key with the orientation bit cleared."""
         if not self.flipped:
             return self
-        return dataclasses.replace(self, flipped=False)
+        return ProfileKey(self.cohomology_type, self.r, self.s_canonical, False)
+
+
+def _canonical(profile: InvariantProfile) -> tuple[tuple[ModOneValue, ...], bool]:
+    """(s_canonical, flipped) of a profile, decided on integers.
+
+    An s-value n/d in [0, 1) and its negation (d - n)/d share the
+    denominator d, so the cross-multiplied comparison of the two reduces
+    to n against d - n: they tie when n = 0 or 2n = d, and otherwise the
+    first entry that does not tie decides the lexicographic order.
+    """
+    s_triple = profile.s_triple
+    for s in s_triple:
+        n, d = s.numerator, s.denominator
+        if n and 2 * n != d:
+            if 2 * n < d:
+                return s_triple, False
+            return negated_s_triple(profile), True
+    return s_triple, False
 
 
 def profile_key(profile: InvariantProfile) -> ProfileKey:
     """The lookup key of a profile."""
-    negated = negated_s_triple(profile)
-    canonical = min(profile.s_triple, negated)
-    return ProfileKey(
-        cohomology_type=profile.cohomology_type,
-        r=profile.r,
-        s_canonical=canonical,
-        flipped=canonical != profile.s_triple,
-    )
+    canonical, flipped = _canonical(profile)
+    return ProfileKey(profile.cohomology_type, profile.r, canonical, flipped)
 
 
 class IndexEntry(NamedTuple):
@@ -150,9 +168,9 @@ def build_index(profiles: Iterable[tuple[str, InvariantProfile]]) -> AtlasIndex:
     """Index (descriptor, profile) pairs by their orientation-cleared key."""
     buckets: dict[ProfileKey, list[IndexEntry]] = {}
     for descriptor, profile in profiles:
-        key = profile_key(profile)
-        entry = IndexEntry(descriptor, profile, key.flipped)
-        buckets.setdefault(key.bucket, []).append(entry)
+        canonical, flipped = _canonical(profile)
+        bucket = ProfileKey(profile.cohomology_type, profile.r, canonical, False)
+        buckets.setdefault(bucket, []).append(IndexEntry(descriptor, profile, flipped))
     return AtlasIndex({key: tuple(entries) for key, entries in buckets.items()})
 
 
@@ -271,30 +289,64 @@ def sphere_grid(r: int, start: int, stop: int) -> list[tuple[str, InvariantProfi
     return entries
 
 
+def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
+    """The a that circle_grid tests on the diagonal a + b = s != 0.
+
+    With |a|, |b| <= bound, a runs over [lo, hi], and a hit needs
+    ab = t*s^2 + o for an integer t and o = r or -r.  Walking a costs
+    hi - lo + 1 steps.  Walking t costs about (bound - |s|/2)^2 / s^2
+    steps, far fewer once |s| grows: ab = a*(s - a) lies between its
+    value at the ends of [lo, hi] and s^2 // 4 (taken at a = s/2, inside
+    [lo, hi]), which bounds t; and for each t, a is a root of
+    a^2 - s*a + (t*s^2 + o) = 0, an integer exactly when the discriminant
+    s^2 - 4*(t*s^2 + o) >= 0 is a square q^2 (then q = s mod 2, as q^2 =
+    s^2 mod 4, and a = (s - q)/2 or (s + q)/2).  The cheaper walk is taken.
+    """
+    lo, hi = max(-bound, s - bound), min(bound, s + bound)
+    square = s * s
+    ab_min, ab_max = lo * (s - lo), square // 4
+    if hi - lo + 1 <= 2 * ((ab_max - ab_min + 2 * r) // square + 1):
+        return range(lo, hi + 1)
+    found = set()
+    for offset in (r, -r):
+        for t in range(-((offset - ab_min) // square), (ab_max - offset) // square + 1):
+            disc = square - 4 * (t * square + offset)
+            q = isqrt(disc)
+            if q * q == disc:
+                found.update(a for a in ((s - q) // 2, (s + q) // 2) if lo <= a <= hi)
+    return found
+
+
 def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:
     """Entries for all circle bundles with the given r and |a|, |b| <= bound.
 
     The twisting parameter is not bounded: for each coprime (a, b) both
     integers t with |t (a+b)^2 - ab| = r are admitted when they exist,
-    however large.
+    however large.  Entries come ordered by a, then b, then t with
+    ab - r = t (a+b)^2 before ab + r = t (a+b)^2.  Each diagonal a + b = s
+    is searched output-sensitively (see _circle_candidates), and every
+    candidate passes the same divisibility, coprimality and bound tests.
     """
     if r < 1:
         raise DomainError(f"|H^4| must be positive, got {r}")
     if bound < 0:
         raise DomainError(f"bound must be nonnegative, got {bound}")
-    entries = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            s = a + b
-            if s == 0:
-                continue
-            square = s * s
+    hits = []
+    for s in range(-2 * bound, 2 * bound + 1):
+        if s == 0:
+            continue
+        square = s * s
+        for a in _circle_candidates(r, s, bound):
+            b = s - a
             ab = a * b
             for shifted in (ab - r, ab + r):
-                if shifted % square == 0 and gcd(a, b) == 1:
-                    t = shifted // square
-                    spec = BundleSpec(Family.CIRCLE, a, b, t=t)
-                    entries.append((describe_bundle_spec(spec), profile_circle(t, a, b)))
+                if shifted % square == 0 and gcd(a, b) == 1 and abs(a) <= bound and abs(b) <= bound:
+                    hits.append((a, b, shifted // square))
+    hits.sort()  # by (a, b, t); ab - r = t (a+b)^2 has the smaller t
+    entries = []
+    for a, b, t in hits:
+        spec = BundleSpec(Family.CIRCLE, a, b, t=t)
+        entries.append((describe_bundle_spec(spec), profile_circle(t, a, b)))
     return entries
 
 

@@ -28,11 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, mod_one
+from .exact_arith import ResidueClass, ratio_mod_one
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 
@@ -154,9 +153,9 @@ def profile_sphere(a: int, b: int) -> InvariantProfile:
     return InvariantProfile(
         cohomology_type=CohomologyType.E,
         r=r,
-        s1=mod_one(Fraction((a + b + 2) ** 2 - r, 224 * d)),
-        s2=mod_one(Fraction(-(a + b + 1), 24 * d)),
-        s3=mod_one(Fraction(-(a + b - 2), 6 * d)),
+        s1=ratio_mod_one((a + b + 2) ** 2 - r, 224 * d),
+        s2=ratio_mod_one(-(a + b + 1), 24 * d),
+        s3=ratio_mod_one(-(a + b - 2), 6 * d),
         p1=ResidueClass((2 * a + 2 * b + 4) % r, r),
         lk=_lk_set(sgn, r),
         pi4=_pi4_sphere(r),
@@ -174,9 +173,9 @@ def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     return InvariantProfile(
         cohomology_type=CohomologyType.EBAR,
         r=r,
-        s1=mod_one(Fraction(s1_num, 2688 * d)),
-        s2=mod_one(Fraction(-(a + b - 1), 12 * d)),
-        s3=mod_one(Fraction(-(a + b - 5), 4 * d)),
+        s1=ratio_mod_one(s1_num, 2688 * d),
+        s2=ratio_mod_one(-(a + b - 1), 12 * d),
+        s3=ratio_mod_one(-(a + b - 5), 4 * d),
         p1=ResidueClass((2 * a + 2 * b + 3) % r, r),
         lk=_lk_set(sgn, r),
         pi4=Pi4.UNKNOWN,
@@ -219,7 +218,7 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         sw = 2 if border > 0 else -2
     A, M = a + b, m + n
     x = 3 * a * b + (t - 1) * (8 + A * A)
-    s1 = Fraction(-3 * s * sw - 12 * A * (t - 1) ** 2 + A * x * s, 672 * s)
+    s1 = ratio_mod_one(-3 * s * sw - 12 * A * (t - 1) ** 2 + A * x * s, 672 * s)
     brace1 = (
         (t - 1) * M * (2 - A * M - 2 * M * M)
         - a * m * (m + 2 * n)
@@ -240,7 +239,7 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         - 6 * m * m * n * n * A
         - 4 * m * n * (a * n * n + b * m * m)
     )
-    s2 = Fraction(brace1 * s + brace2, 24 * s)
+    s2 = ratio_mod_one(brace1 * s + brace2, 24 * s)
     brace1p = (
         (t - 1) * M * (1 - A * M - 4 * M * M)
         - a * m * (m + 2 * n)
@@ -260,7 +259,7 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         - 12 * m * m * n * n * A
         - 8 * m * n * (a * n * n + b * m * m)
     )
-    s3 = Fraction(brace1p * s + 2 * brace2p, 6 * s)
+    s3 = ratio_mod_one(brace1p * s + 2 * brace2p, 6 * s)
     lk_bracket = (
         -(t * t) * A * M**4
         + t * (m**4 * (3 * a + b) + n**4 * (a + 3 * b) + 4 * n * m * (a * m * m + b * n * n))
@@ -276,9 +275,9 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
     return InvariantProfile(
         cohomology_type=CohomologyType.E,
         r=r,
-        s1=mod_one(s1),
-        s2=mod_one(s2),
-        s3=mod_one(s3),
+        s1=s1,
+        s2=s2,
+        s3=s3,
         p1=ResidueClass((4 * (1 - t) * A * A) % r, r),
         lk=_lk_set(sgn * lk_bracket, r),
         pi4=pi4,
@@ -312,12 +311,12 @@ def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = 
     square = b * (3 + 4 * t) ** 2
     if b % 2 == 0:
         ctype = CohomologyType.E
-        s1 = Fraction(-4 * s * sw + body * s - square, 896 * s)
-        s2 = Fraction(-g * s - (4 * n * m * alpha - (3 + 4 * t - 2 * q) * beta), 48 * s)
-        s3 = Fraction(-g * s - (16 * n * m * alpha - (3 + 4 * t - 8 * q) * beta), 12 * s)
+        s1 = ratio_mod_one(-4 * s * sw + body * s - square, 896 * s)
+        s2 = ratio_mod_one(-g * s - (4 * n * m * alpha - (3 + 4 * t - 2 * q) * beta), 48 * s)
+        s3 = ratio_mod_one(-g * s - (16 * n * m * alpha - (3 + 4 * t - 8 * q) * beta), 12 * s)
     else:
         ctype = CohomologyType.EBAR
-        s1 = Fraction(
+        s1 = ratio_mod_one(
             -12 * s * sw
             + 3 * body * s
             - 3 * square
@@ -325,8 +324,8 @@ def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = 
             + 7 * (-2 * n * m * alpha + (6 + 8 * t - q) * beta),
             2688 * s,
         )
-        s2 = Fraction(-g * s - (10 * n * m * alpha - (3 + 4 * t - 5 * q) * beta), 24 * s)
-        s3 = Fraction(-g * s - (26 * n * m * alpha - (3 + 4 * t - 13 * q) * beta), 8 * s)
+        s2 = ratio_mod_one(-g * s - (10 * n * m * alpha - (3 + 4 * t - 5 * q) * beta), 24 * s)
+        s3 = ratio_mod_one(-g * s - (26 * n * m * alpha - (3 + 4 * t - 13 * q) * beta), 8 * s)
     lk_bracket = (
         b * n**4
         + 6 * b * t * n * n * m * m
@@ -337,9 +336,9 @@ def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = 
     return InvariantProfile(
         cohomology_type=ctype,
         r=r,
-        s1=mod_one(s1),
-        s2=mod_one(s2),
-        s3=mod_one(s3),
+        s1=s1,
+        s2=s2,
+        s3=s3,
         p1=ResidueClass(((3 + 4 * t) * b * b) % r, r),
         lk=_lk_set(-sgn * lk_bracket, r),
         pi4=Pi4.Z2 if t == 0 else Pi4.UNKNOWN,

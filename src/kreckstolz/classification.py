@@ -215,8 +215,7 @@ def lk_homeomorphic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereCongruences:
+class SphereCongruences(NamedTuple):
     """The four relations between S_{a,b} and S_{a',b'} of equal order."""
 
     homeo_preserving: bool
@@ -326,9 +325,14 @@ def ediffeo_solve(
 
     The reversing variant runs the identical procedure on the negated
     invariants and labels its results as orientation-reversing
-    identifications.  Raises ParityFailure when e1, e2, e3+1 are not all
-    even, CongruenceFailure when e3 - e2 - 3 is not divisible by 3r; when
-    the admissibility filter leaves no square root the residue set is empty.
+    identifications.  With u = 2a - r + 2, the bundle S_{a,a-r} has
+    e1 = u^2 - r mod 224r, e2 = 1 - u mod 24r and e3 = 4 - u mod 6r, so u
+    has the parity of r and e3 - e2 = 3 mod 6r.  Raises ParityFailure
+    when e1, e2 + r + 1 and e3 + r are not all even (for odd r: e1, e2 and
+    e3 + 1; for even r: e1, e2 + 1 and e3), CongruenceFailure when
+    e3 - e2 - 3 is not divisible by 6r (for odd r the parities make this
+    divisibility by 3r, and the message names 3r); when the
+    admissibility filter leaves no square root the residue set is empty.
     Every returned residue round-trips: the bundle's s-invariants equal the
     (possibly negated) inputs modulo 1.
     """
@@ -337,14 +341,18 @@ def ediffeo_solve(
     else:
         base = problem
     r = base.r
-    if base.e1 % 2 or base.e2 % 2 or (base.e3 + 1) % 2:
+    odd = r % 2
+    e2_name, e2_even = ("e2", base.e2) if odd else ("e2 + 1", base.e2 + 1)
+    e3_name, e3_even = ("e3 + 1", base.e3 + 1) if odd else ("e3", base.e3)
+    if base.e1 % 2 or e2_even % 2 or e3_even % 2:
         raise ParityFailure(
-            f"e1 = {base.e1}, e2 = {base.e2} and e3 + 1 = {base.e3 + 1} "
+            f"e1 = {base.e1}, {e2_name} = {e2_even} and {e3_name} = {e3_even} "
             "must all be even"
         )
-    if (base.e3 - base.e2 - 3) % (3 * r):
+    step, label = (3 * r, "3r") if odd else (6 * r, "6r")
+    if (base.e3 - base.e2 - 3) % step:
         raise CongruenceFailure(
-            f"e3 - e2 - 3 = {base.e3 - base.e2 - 3} is not divisible by 3r = {3 * r}"
+            f"e3 - e2 - 3 = {base.e3 - base.e2 - 3} is not divisible by {label} = {step}"
         )
     modulus = 224 * r
     roots = sqrt_mod((r + base.e1) % modulus, modulus)

@@ -63,8 +63,8 @@ from .eschenburg import (
     enumerate_positively_curved,
     find_fixture,
     fixture_profile,
-    invariants,
     load_fixtures,
+    order_invariants,
 )
 from .profiles import InvariantProfile
 
@@ -247,15 +247,8 @@ def _cmd_ediffeo(args) -> tuple[int, str]:
 def _cmd_enumerate(args) -> tuple[int, str]:
     rows = []
     for space in enumerate_positively_curved(args.r_max):
-        inv = invariants(space)
-        rows.append(
-            {
-                "space": eschenburg_descriptor(space),
-                "r": inv.r,
-                "s_signed": inv.s_signed,
-                "p1": str(inv.p1),
-            }
-        )
+        r, s_signed, p1 = order_invariants(space)
+        rows.append({"space": eschenburg_descriptor(space), "r": r, "s_signed": s_signed, "p1": str(p1)})
     if args.format == "json":
         return 0, _emit_json(rows)
     if args.format == "tsv":

@@ -57,7 +57,7 @@ class ParityFailure(DomainError):
 
 
 class CongruenceFailure(DomainError):
-    """The congruence E3 - E2 - 3 = 0 mod 3r fails, so no sphere bundle matches."""
+    """The congruence E3 - E2 - 3 = 0 mod 6r fails, so no sphere bundle matches."""
 
 
 class MismatchedOrder(DomainError):

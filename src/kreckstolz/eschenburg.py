@@ -126,12 +126,11 @@ def is_positively_curved(space: EschenburgSpace) -> bool:
     )
 
 
-def invariants(space: EschenburgSpace) -> EschenburgInvariants:
-    """The order r, signed linking number, p1 mod r, and linking classes.
+def order_invariants(space: EschenburgSpace) -> tuple[int, int, ResidueClass]:
+    """The order r, the signed linking number s and p1 mod r.
 
-    lk_pair is the sign-ambiguous pair {s^-1, -s^-1} mod r; it is None
-    when r = 1 (trivial group) and also when gcd(s, r) > 1, which only
-    happens for parameters that do not act freely.
+    These come from the parameters by arithmetic alone; unlike
+    invariants(), nothing here tests freeness or curvature.
     """
     sig_k = _sigma(space.k)
     sig_l = _sigma(space.l)
@@ -140,8 +139,17 @@ def invariants(space: EschenburgSpace) -> EschenburgInvariants:
     if r_signed == 0:
         raise DegenerateOrder(f"sigma2 coincide for {space.k}, {space.l}")
     r = abs(r_signed)
-    s_signed = sig_k[2] - sig_l[2]
-    p1 = ResidueClass((2 * sig_k[0] ** 2 - 6 * sig_k[1]) % r, r)
+    return r, sig_k[2] - sig_l[2], ResidueClass((2 * sig_k[0] ** 2 - 6 * sig_k[1]) % r, r)
+
+
+def invariants(space: EschenburgSpace) -> EschenburgInvariants:
+    """The order r, signed linking number, p1 mod r, and linking classes.
+
+    lk_pair is the sign-ambiguous pair {s^-1, -s^-1} mod r; it is None
+    when r = 1 (trivial group) and also when gcd(s, r) > 1, which only
+    happens for parameters that do not act freely.
+    """
+    r, s_signed, p1 = order_invariants(space)
     lk_pair = None
     if r > 1 and math.gcd(s_signed, r) == 1:
         u = inv_mod(s_signed, r)

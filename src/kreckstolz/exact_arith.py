@@ -26,9 +26,20 @@ _TRIAL_DIVISION_BOUND = 10**6
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def ratio_mod_one(n: int, d: int) -> ModOneValue:
+    """The rational n/d reduced modulo 1 into [0, 1), for integers n and d != 0.
+
+    The numerator is reduced with an integer % before the single Fraction
+    is built, which is several times cheaper than Fraction(n, d) % 1.
+    n % d has the sign of d and is smaller in size, so the quotient lies
+    in [0, 1) for either sign of d.
+    """
+    return Fraction(n % d, d)
+
+
 def mod_one(q: Union[Rational, int]) -> ModOneValue:
     """Reduce a rational number modulo 1 into [0, 1)."""
-    return Fraction(q) % 1
+    return ratio_mod_one(q.numerator, q.denominator)
 
 
 def inv_mod(a: int, m: int) -> int:

@@ -8,13 +8,13 @@ p1 mod r, the linking-form class(es) mod r, and what is known about pi4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
-from .exact_arith import ModOneValue, ResidueClass, mod_one
+from .exact_arith import ModOneValue, ResidueClass, ratio_mod_one
 
 
 class CohomologyType(Enum):
@@ -49,7 +49,7 @@ class InvariantProfile:
         if self.r < 1:
             raise DomainError(f"|H^4| must be positive, got {self.r}")
         for s in (self.s1, self.s2, self.s3):
-            if not 0 <= s < 1:
+            if not 0 <= s.numerator < s.denominator:
                 raise DomainError(f"s-value {s} not reduced modulo 1")
         if self.p1.modulus != self.r:
             raise DomainError("p1 must be a residue modulo r")
@@ -71,12 +71,13 @@ def reversed_profile(profile: InvariantProfile) -> InvariantProfile:
     lk = profile.lk
     if lk is not None:
         lk = frozenset(ResidueClass((-c.value) % profile.r, profile.r) for c in lk)
-    return replace(
-        profile,
-        s1=mod_one(-profile.s1),
-        s2=mod_one(-profile.s2),
-        s3=mod_one(-profile.s3),
-        lk=lk,
+    return InvariantProfile(
+        profile.cohomology_type,
+        profile.r,
+        *negated_s_triple(profile),
+        profile.p1,
+        lk,
+        profile.pi4,
     )
 
 
@@ -116,4 +117,9 @@ def same_invariants(p: InvariantProfile, q: InvariantProfile) -> bool:
 
 def negated_s_triple(p: InvariantProfile) -> tuple[Fraction, Fraction, Fraction]:
     """The s-triple of the orientation reversal, reduced modulo 1."""
-    return (mod_one(-p.s1), mod_one(-p.s2), mod_one(-p.s3))
+    return (_negated(p.s1), _negated(p.s2), _negated(p.s3))
+
+
+def _negated(s: ModOneValue) -> ModOneValue:
+    """-s modulo 1: (-n) % d over the same denominator d > 0."""
+    return ratio_mod_one(-s.numerator, s.denominator)

@@ -17,6 +17,8 @@ from fractions import Fraction as Fr
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kreckstolz.atlas_search import (
     TABLE_A,
@@ -47,7 +49,7 @@ from kreckstolz.classification import Orientation, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
 from kreckstolz.eschenburg import fixture_profile, load_fixtures
 from kreckstolz.exact_arith import ResidueClass, mod_one
-from kreckstolz.profiles import Pi4, reversed_profile
+from kreckstolz.profiles import CohomologyType, InvariantProfile, Pi4, negated_s_triple, reversed_profile
 
 PRESERVING = Orientation.PRESERVING
 REVERSING = Orientation.REVERSING
@@ -96,6 +98,39 @@ def test_profile_key_self_negating_triple():
     key = profile_key(p)
     assert key.flipped is False
     assert profile_key(reversed_profile(p)) == key
+
+
+# Reduced s-values, with 0 and 1/2 (the values equal to their own negation)
+# drawn often, so that leading entries of a triple and its negation tie.
+s_values = st.one_of(st.sampled_from([Fr(0), Fr(1, 2)]), st.fractions().map(lambda q: q % 1))
+
+
+def profile_with(s_triple, r=5):
+    return InvariantProfile(
+        CohomologyType.E, r, *s_triple, ResidueClass(1, r), frozenset({ResidueClass(2, r)}), Pi4.UNKNOWN
+    )
+
+
+@given(st.tuples(s_values, s_values, s_values))
+def test_negation_agrees_with_fraction_mod_one(s_triple):
+    p = profile_with(s_triple)
+    negated = tuple((-s) % 1 for s in s_triple)
+    assert negated_s_triple(p) == negated
+    q = reversed_profile(p)
+    assert q.s_triple == negated
+    assert q.lk == frozenset({ResidueClass(3, 5)})
+    assert (q.cohomology_type, q.r, q.p1, q.pi4) == (p.cohomology_type, p.r, p.p1, p.pi4)
+
+
+@given(st.tuples(s_values, s_values, s_values))
+def test_profile_key_is_fraction_lexicographic_minimum(s_triple):
+    p = profile_with(s_triple)
+    canonical = min(s_triple, tuple((-s) % 1 for s in s_triple))
+    key = profile_key(p)
+    assert key.s_canonical == canonical
+    assert key.flipped == (canonical != s_triple)
+    reversed_bucket = profile_key(reversed_profile(p)).bucket
+    assert reversed_bucket == key.bucket and hash(reversed_bucket) == hash(key.bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +276,31 @@ def test_circle_grid_contents():
     for _, prof in entries:
         assert prof.r == 17
     assert entries == circle_grid(17, 40)
+
+
+def reference_circle_grid(r, bound):
+    """The (2*bound + 1)^2 scan circle_grid once ran, kept as its oracle."""
+    entries = []
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            s = a + b
+            if s == 0:
+                continue
+            square = s * s
+            ab = a * b
+            for shifted in (ab - r, ab + r):
+                if shifted % square == 0 and gcd(a, b) == 1:
+                    t = shifted // square
+                    spec = BundleSpec(Family.CIRCLE, a, b, t=t)
+                    entries.append((describe_bundle_spec(spec), profile_circle(t, a, b)))
+    return entries
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 17, 25])
+def test_circle_grid_matches_full_scan(r):
+    # r = 1 and r = 2 have diagonals where both ab - r and ab + r are hits.
+    for bound in range(61):
+        assert circle_grid(r, bound) == reference_circle_grid(r, bound), bound
 
 
 def test_circle_grid_rejects_nonpositive_order():

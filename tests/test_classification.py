@@ -406,6 +406,66 @@ def test_congruence_failure_for_circle_bundle_row():
         ediffeo_solve(problem, orientation=Orientation.REVERSING)
 
 
+def _period_classes(r: int) -> dict[tuple[int, int, int], set[int]]:
+    """The e-values (e1, e2, e3) of every S_{a,a-r} with 0 <= a < 168r,
+    mapped to the a that carry them, by direct scan with integers only.
+
+    With u = 2a - r + 2, profile_sphere gives s1 = (u^2 - r)/(224r),
+    s2 = -(u - 1)/(24r) and s3 = -(u - 4)/(6r); the triple depends only on
+    a mod 168r, so one period holds every class."""
+    classes: dict[tuple[int, int, int], set[int]] = {}
+    for a in range(168 * r):
+        u = 2 * a - r + 2
+        key = ((u * u - r) % (224 * r), (1 - u) % (24 * r), (4 - u) % (6 * r))
+        classes.setdefault(key, set()).add(a)
+    return classes
+
+
+@pytest.mark.parametrize("r", [2, 4, 6, 8, 10, 12, 16, 30])
+def test_even_order_solver_agrees_with_period_scan(r):
+    # Every triple realized in one period, posed in both orientations: the
+    # solver must return exactly the scanned classes, and may refuse an
+    # orientation only when the scan finds none.  For even r the bundles
+    # have e2 odd and e3 even, the opposite of odd r.
+    classes = _period_classes(r)
+    weights = (224 * r, 24 * r, 6 * r)
+    for key, hits in classes.items():
+        problem = EdiffeoProblem(r, *(Fraction(e, w) for e, w in zip(key, weights)))
+        negated = tuple((-e) % w for e, w in zip(key, weights))
+        for orientation, wanted in (
+            (Orientation.PRESERVING, hits),
+            (Orientation.REVERSING, classes.get(negated, set())),
+        ):
+            try:
+                solution = ediffeo_solve(problem, orientation)
+            except (ParityFailure, CongruenceFailure):
+                assert not wanted, (r, key, orientation)
+                continue
+            assert {c.value for c in solution.residues} == wanted, (r, key, orientation)
+            assert all(c.modulus == 168 * r for c in solution.residues)
+
+
+def test_even_order_parity_and_congruence_messages():
+    # e2 = 24·2·(13/16) = 39 is odd, as it must be for even r.
+    problem = EdiffeoProblem(2, Fraction(7, 32), Fraction(13, 16), Fraction(1, 2))
+    assert [c.value for c in ediffeo_solve(problem).residues] == [5, 149, 173, 317]
+    with pytest.raises(CongruenceFailure, match=r"not divisible by 6r = 12"):
+        ediffeo_solve(problem, Orientation.REVERSING)
+    # An odd-order pattern (e2 even, e3 odd) is refused for even r.
+    wrong = EdiffeoProblem(2, Fraction(0), Fraction(1, 48), Fraction(1, 12))
+    with pytest.raises(ParityFailure, match=r"^e1 = 0, e2 \+ 1 = 2 and e3 = 1 must all be even$"):
+        ediffeo_solve(wrong)
+
+
+def test_odd_order_obstruction_messages_unchanged():
+    problem = EdiffeoProblem(3, Fraction(1, 224), Fraction(-1, 36), Fraction(1, 18))
+    with pytest.raises(ParityFailure, match=r"^e1 = 3, e2 = -2 and e3 \+ 1 = 2 must all be even$"):
+        ediffeo_solve(problem)
+    problem = EdiffeoProblem(3, Fraction(1, 112), Fraction(-1, 36), Fraction(1, 18))
+    with pytest.raises(CongruenceFailure, match=r"^e3 - e2 - 3 = -6 is not divisible by 3r = 9$"):
+        ediffeo_solve(problem, Orientation.REVERSING)
+
+
 def test_no_square_root_means_no_solutions():
     # 153 is not a square mod 672 (it is 6 mod 7); conditions (b) hold.
     problem = EdiffeoProblem(3, Fraction(25, 112), Fraction(-1, 36), Fraction(1, 18))

@@ -175,6 +175,16 @@ def test_ediffeo_json(capsys):
     assert "CongruenceFailure" in data["reversing"]["reason"]
 
 
+def test_ediffeo_solves_even_order(capsys):
+    code = run(["ediffeo", "-r", "2", "--s1=7/32", "--s2=13/16", "--s3=1/2"])
+    out, _ = out_err(capsys)
+    assert code == 0
+    assert out == (
+        "preserving: 5 mod 336, 149 mod 336, 173 mod 336, 317 mod 336\n"
+        "reversing: no solution (CongruenceFailure: e3 - e2 - 3 = 30 is not divisible by 6r = 12)\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--s1", "--s2", "--s3"])
 def test_ediffeo_zero_denominator_is_usage_error(flag, capsys):
     argv = ["ediffeo", "-r", "3", "--s1", "0", "--s2", "0", "--s3", "0"]

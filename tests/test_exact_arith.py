@@ -23,6 +23,7 @@ from kreckstolz.exact_arith import (
     factorize,
     inv_mod,
     mod_one,
+    ratio_mod_one,
     sqrt_mod,
 )
 
@@ -68,6 +69,26 @@ class TestModOne:
     @given(st.fractions(), st.fractions())
     def test_additivity(self, q1, q2):
         assert mod_one(q1 + q2) == mod_one(mod_one(q1) + mod_one(q2))
+
+    @given(st.one_of(st.fractions(), st.integers()))
+    def test_agrees_with_fraction_mod_one(self, q):
+        v = mod_one(q)
+        assert v == Fraction(q) % 1
+        assert type(v) is Fraction
+
+
+class TestRatioModOne:
+    @given(st.integers(), st.integers().filter(bool))
+    def test_agrees_with_fraction_mod_one(self, n, d):
+        v = ratio_mod_one(n, d)
+        assert v == Fraction(n, d) % 1
+        assert type(v) is Fraction and 0 <= v.numerator < v.denominator
+
+    def test_negative_denominator_and_integer_values(self):
+        assert ratio_mod_one(1, -4) == Fraction(3, 4)
+        assert ratio_mod_one(-8, 4) == 0
+        assert ratio_mod_one(0, -3) == 0
+        assert ratio_mod_one(-201, 952) == Fraction(751, 952)
 
 
 class TestInvMod:
