@@ -13,6 +13,7 @@ orientation disagree there (see `test_rows_where_star_and_solve_disagree`).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from fractions import Fraction as Fr
 from math import gcd
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kreckstolz import atlas_search
 from kreckstolz.atlas_search import (
     TABLE_A,
     TABLE_B,
@@ -44,12 +46,21 @@ from kreckstolz.bundle_families import (
     describe_bundle_spec,
     profile_circle,
     profile_sphere,
+    profile_spin_sphere,
 )
 from kreckstolz.classification import Orientation, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
 from kreckstolz.eschenburg import fixture_profile, load_fixtures
 from kreckstolz.exact_arith import ResidueClass, mod_one
-from kreckstolz.profiles import CohomologyType, InvariantProfile, Pi4, negated_s_triple, reversed_profile
+from kreckstolz.profiles import (
+    CohomologyType,
+    InvariantProfile,
+    Pi4,
+    lk_compatible,
+    negated_s_triple,
+    pi4_compatible,
+    reversed_profile,
+)
 
 PRESERVING = Orientation.PRESERVING
 REVERSING = Orientation.REVERSING
@@ -246,6 +257,175 @@ def test_match_rejects_incoherent_linking_class():
     q = dataclasses.replace(p, lk=frozenset({ResidueClass(2, 5)}))
     with pytest.raises(InconsistentFixture):
         match_all(build_index([("a", p)]), build_index([("b", q)]))
+
+
+# Reference pair loop: match_all as it was when it decided each pair's
+# orientation by comparing s-triples, first as given and then against the
+# reversal of the right-hand profile.  The differential tests below hold
+# the flip-bit loop of match_all to it, records and error messages alike.
+
+
+def _reference_orient(p, q, agree):
+    if p.cohomology_type is not q.cohomology_type or p.r != q.r:
+        return None
+    if agree(p, q):
+        return Orientation.PRESERVING
+    if agree(p, reversed_profile(q)):
+        return Orientation.REVERSING
+    return None
+
+
+def _reference_s_triple_agree(right):
+    def agree(left, candidate):
+        if left.s_triple != candidate.s_triple:
+            return False
+        orientation = (Orientation.PRESERVING if candidate is right else Orientation.REVERSING).value
+        if not lk_compatible(left.lk, candidate.lk):
+            raise InconsistentFixture(
+                f"s-values match ({orientation}) but linking classes differ: "
+                f"{left.lk} vs {candidate.lk}"
+            )
+        if left.p1 != candidate.p1:
+            raise InconsistentFixture(
+                f"s-values match ({orientation}) but p1 differs: "
+                f"{left.p1} vs {candidate.p1}"
+            )
+        return True
+
+    return agree
+
+
+def reference_match_all(left, right, require_pi4_compat=True):
+    records = []
+    for key, left_entries in left.buckets.items():
+        right_entries = right.buckets.get(key)
+        if not right_entries:
+            continue
+        for left_entry in left_entries:
+            profile = left_entry.profile
+            for right_entry in right_entries:
+                other = right_entry.profile
+                if require_pi4_compat and not pi4_compatible(profile.pi4, other.pi4):
+                    continue
+                orientation = _reference_orient(profile, other, _reference_s_triple_agree(other))
+                if orientation is None:
+                    continue
+                records.append(
+                    MatchRecord(
+                        left=left_entry.descriptor,
+                        right=right_entry.descriptor,
+                        orientation=orientation,
+                        evidence=(profile.r, profile.s1, profile.s2, profile.s3),
+                    )
+                )
+    return tuple(records)
+
+
+def match_outcome(match, left, right, require_pi4_compat):
+    """("ok", records) or ("inconsistent", message) of one match call."""
+    try:
+        return "ok", match(left, right, require_pi4_compat)
+    except InconsistentFixture as exc:
+        return "inconsistent", str(exc)
+
+
+def _shift_p1(p):
+    return dataclasses.replace(p, p1=ResidueClass((p.p1.value + 1) % p.r, p.r))
+
+
+def _shift_lk(p):
+    if p.lk is None:
+        return dataclasses.replace(p, lk=frozenset({ResidueClass(0, p.r)}))
+    return dataclasses.replace(p, lk=frozenset(ResidueClass((c.value + 1) % p.r, p.r) for c in p.lk))
+
+
+def _swap_pi4(p):
+    return dataclasses.replace(p, pi4=Pi4.Z2 if p.pi4 is Pi4.ZERO else Pi4.ZERO)
+
+
+CORRUPTIONS = {"p1": _shift_p1, "lk": _shift_lk, "pi4": _swap_pi4}
+
+
+def corrupted(entries, corrupt, every=7):
+    """The entries with every `every`-th profile passed through `corrupt`."""
+    return [(d, corrupt(p) if i % every == 3 else p) for i, (d, p) in enumerate(entries)]
+
+
+@pytest.fixture(scope="module")
+def match_sources(fixtures):
+    return {
+        "sphere r=3 period": sphere_grid(3, 0, 504),
+        "sphere r=3 next period": sphere_grid(3, 504, 1008),
+        "sphere r=4 period": sphere_grid(4, -336, 336),
+        "sphere r=1 period": sphere_grid(1, -84, 84),
+        "spin-sphere r=5 run": [
+            (describe_bundle_spec(BundleSpec(Family.SPIN_SPHERE, a, a - 5)), profile_spin_sphere(a, a - 5))
+            for a in range(-150, 150)
+        ],
+        "circle grid": circle_grid(3, 40) + circle_grid(4, 30),
+        "fixtures": fixture_entries(fixtures),
+    }
+
+
+def test_match_all_agrees_with_reference_loop(match_sources):
+    indexes = {}
+    for name, entries in match_sources.items():
+        indexes[name] = build_index(entries)
+        for kind, corrupt in CORRUPTIONS.items():
+            indexes[f"{name} [{kind}]"] = build_index(corrupted(entries, corrupt))
+    seen = {"records": 0, "reversing": 0, "messages": set()}
+    for left_name, right_name in itertools.product(indexes, repeat=2):
+        if "[" in left_name and "[" in right_name:
+            continue
+        for require_pi4_compat in (True, False):
+            left, right = indexes[left_name], indexes[right_name]
+            got = match_outcome(match_all, left, right, require_pi4_compat)
+            want = match_outcome(reference_match_all, left, right, require_pi4_compat)
+            assert got == want, (left_name, right_name, require_pi4_compat)
+            if got[0] == "ok":
+                seen["records"] += len(got[1])
+                seen["reversing"] += sum(rec.orientation is REVERSING for rec in got[1])
+            else:
+                seen["messages"].add(got[1].split(":")[0])
+    # The sources must reach both orientations and every kind of conflict.
+    assert seen["reversing"] > 1000 and seen["records"] > seen["reversing"]
+    assert seen["messages"] == {
+        "s-values match (preserving) but linking classes differ",
+        "s-values match (reversing) but linking classes differ",
+        "s-values match (preserving) but p1 differs",
+        "s-values match (reversing) but p1 differs",
+    }
+
+
+def test_match_all_self_negating_triple_is_preserving():
+    p = profile_sphere(0, -1)
+    assert negated_s_triple(p) == p.s_triple
+    left, right = build_index([("a", p)]), build_index([("b", reversed_profile(p))])
+    records = match_all(left, right)
+    assert [(rec.left, rec.right, rec.orientation) for rec in records] == [("a", "b", PRESERVING)]
+    assert records == reference_match_all(left, right)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            _shift_lk,
+            "s-values match (reversing) but linking classes differ: "
+            "frozenset({ResidueClass(value=1, modulus=5)}) vs frozenset({ResidueClass(value=0, modulus=5)})",
+        ),
+        (_shift_p1, "s-values match (reversing) but p1 differs: 2 mod 5 vs 3 mod 5"),
+    ],
+    ids=["lk", "p1"],
+)
+def test_match_all_rejects_incoherent_reversing_pair(corrupt, message):
+    p = profile_sphere(7, 2)
+    q = corrupt(profile_sphere(2, 7))  # the same bundle, opposite orientation
+    left, right = build_index([("a", p)]), build_index([("b", q)])
+    with pytest.raises(InconsistentFixture) as excinfo:
+        match_all(left, right)
+    assert str(excinfo.value) == message
+    assert match_outcome(reference_match_all, left, right, True) == ("inconsistent", message)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +657,109 @@ def test_reproduce_table_rejects_unknown_table():
 
 def test_reproduce_table_defaults_to_packaged_fixtures(fixtures):
     assert reproduce_table("B") == reproduce_table("B", fixtures)
+
+
+# Corrupted catalog rows with the orientation, partner, solved residues and
+# the exact problems, in order, that the verifier reports for them.  A41, A127 and B17 are the first rows of their tables.
+A41, A127, B17 = TABLE_A[0], TABLE_A[1], TABLE_B[0]
+CORRUPTED_ROWS = {
+    "A wrong r": (
+        "A",
+        dataclasses.replace(A41, r=42),
+        None,
+        "sphere:2285,2243",
+        (),
+        (
+            "recomputed |H^4| = 41, row says 42",
+            "linking form is not standard: sigma3(k) - sigma3(l) is not ±1 mod r",
+            "DivisibilityFailure: 224·42·(115/287) is not an integer; the denominator must divide 224·r",
+        ),
+    ),
+    "A residue no orientation reproduces": (
+        "A",
+        dataclasses.replace(A127, residues=(17231,)),
+        None,
+        "sphere:17231,17104",
+        (),
+        (
+            "tabulated residues reproduced by neither orientation: preserving: solves to {17230}; "
+            "reversing: CongruenceFailure: e3 - e2 - 3 = -768 is not divisible by 3r = 381",
+        ),
+    ),
+    "A s-values fail divisibility": (
+        "A",
+        dataclasses.replace(A41, s=(A41.s[0], Fr(1, 7), A41.s[2])),
+        None,
+        "sphere:2285,2244",
+        (),
+        ("DivisibilityFailure: 24·41·(1/7) is not an integer; the denominator must divide 24·r",),
+    ),
+    "A flipped star": ("A", dataclasses.replace(A41, starred=False), PRESERVING, "sphere:2285,2244", (2285, 5237), ()),
+    "B wrong r": (
+        "B",
+        dataclasses.replace(B17, r=19),
+        None,
+        "circle:-403,638,-607",
+        (),
+        ("recomputed |H^4| = 17, row says 19", "|t(a+b)^2 - ab| = 17, row says 19"),
+    ),
+    "B bundle of another order": (
+        "B",
+        dataclasses.replace(B17, bundle=(638, -607, -402)),
+        None,
+        "circle:-402,638,-607",
+        (),
+        ("|t(a+b)^2 - ab| = 944, row says 17",),
+    ),
+    "B s-values match neither sign": (
+        "B",
+        dataclasses.replace(B17, s=(B17.s[0], B17.s[1] + Fr(1, 2), B17.s[2])),
+        None,
+        "circle:-403,638,-607",
+        (),
+        (
+            "bundle s-values (Fraction(751, 952), Fraction(55, 204), Fraction(23, 102)) "
+            "match neither sign of the tabulated values",
+        ),
+    ),
+    "B flipped star": (
+        "B",
+        dataclasses.replace(B17, starred=True),
+        PRESERVING,
+        "circle:-403,638,-607",
+        (),
+        ("orientation mark on the row disagrees with the computed identification",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTED_ROWS))
+def test_reproduce_table_reports_corrupted_row(case, monkeypatch, fixtures):
+    table, row, orientation, partner, residues, problems = CORRUPTED_ROWS[case]
+    monkeypatch.setattr(atlas_search, f"TABLE_{table}", (row,))
+    (result,) = reproduce_table(table, fixtures).rows
+    assert result.row == row
+    assert result.orientation is orientation
+    assert result.partner == partner
+    assert tuple(c.value for c in result.residues) == residues
+    assert result.problems == problems
+
+
+@pytest.mark.parametrize(
+    "table, row, message",
+    [
+        ("A", A41, "full-profile verdict None disagrees with solver orientation"),
+        ("B", B17, "full-profile verdict None disagrees with the s-value match"),
+    ],
+)
+def test_reproduce_table_reports_fixture_that_contradicts_the_row(table, row, message, monkeypatch, fixtures):
+    # find_fixture selects by (k, l) and s1 only, so a fixture whose s3 is
+    # off by 1/2 is found, and only the full-profile verdict notices.
+    doctored = [dataclasses.replace(fx, s3=mod_one(fx.s3 + Fr(1, 2))) for fx in fixtures]
+    monkeypatch.setattr(atlas_search, f"TABLE_{table}", (row,))
+    (result,) = reproduce_table(table, doctored).rows
+    assert result.orientation is PRESERVING
+    assert result.problems == (message,)
 
 
 # ---------------------------------------------------------------------------
