@@ -1,7 +1,7 @@
 """Invariant profiles across the five families.
 
 Every space handled by the library is summarized by the same record: its
-cohomology type (spin "E" or non-spin "Ebar"), the order r of H^4, the
+cohomology type (non-spin "E" or spin "Ebar"), the order r of H^4, the
 three classifying rationals s1, s2, s3 modulo 1, the first Pontryagin
 class modulo r, the linking class(es), and what is known about pi4.
 This script computes one profile per family and prints it.

@@ -20,16 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bundle_families import (
     BundleSpec,
     Family,
     describe_bundle_spec,
+    profile as bundle_profile,
     profile_circle,
     profile_sphere,
 )
-from .classification import EdiffeoProblem, Orientation, _orient, ediffeo_solve, ks_diffeomorphic
+from .classification import EdiffeoProblem, Orientation, ediffeo_solve, ks_diffeomorphic
 from .errors import (
     CongruenceFailure,
     DivisibilityFailure,
@@ -52,6 +53,7 @@ from .profiles import (
     lk_compatible,
     negated_s_triple,
     pi4_compatible,
+    reversed_profile,
 )
 
 __all__ = [
@@ -159,10 +161,6 @@ class AtlasIndex:
     def __len__(self) -> int:
         return sum(len(entries) for entries in self.buckets.values())
 
-    def entries(self) -> Iterator[IndexEntry]:
-        for bucket in self.buckets.values():
-            yield from bucket
-
 
 def build_index(profiles: Iterable[tuple[str, InvariantProfile]]) -> AtlasIndex:
     """Index (descriptor, profile) pairs by their orientation-cleared key."""
@@ -193,46 +191,24 @@ class MatchRecord:
     evidence: tuple[int, ModOneValue, ModOneValue, ModOneValue]
 
 
-def _s_triple_agree(right: InvariantProfile):
-    """The `agree` of match_all for one right-hand profile.
-
-    Equal s-triples decide.  The remaining invariants (linking classes up
-    to the fixture sign ambiguity, and p1 mod r) are determined by the
-    s-values for genuine spaces, so a conflict on equal s-triples means
-    corrupted input data and raises InconsistentFixture rather than
-    silently dropping the pair.
-    """
-
-    def agree(left: InvariantProfile, candidate: InvariantProfile) -> bool:
-        if left.s_triple != candidate.s_triple:
-            return False
-        orientation = (Orientation.PRESERVING if candidate is right else Orientation.REVERSING).value
-        if not lk_compatible(left.lk, candidate.lk):
-            raise InconsistentFixture(
-                f"s-values match ({orientation}) but linking classes differ: "
-                f"{left.lk} vs {candidate.lk}"
-            )
-        if left.p1 != candidate.p1:
-            raise InconsistentFixture(
-                f"s-values match ({orientation}) but p1 differs: "
-                f"{left.p1} vs {candidate.p1}"
-            )
-        return True
-
-    return agree
-
-
 def match_all(
     left: AtlasIndex, right: AtlasIndex, require_pi4_compat: bool = True
 ) -> tuple[MatchRecord, ...]:
     """All diffeomorphic pairs between two indexes, both orientations.
 
-    Pairs are screened bucket by bucket and then verified on the full
-    profiles, so every emitted record survives re-checking with
-    ks_diffeomorphic.  With `require_pi4_compat` (the default) a proven
-    pi4 = 0 on one side and a proven pi4 = Z/2 on the other blocks the
-    pair; passing False drops that gate, for surveys over families whose
-    pi4 is the only obstruction.
+    Pairs are screened bucket by bucket.  The orientation comes from the
+    entries' flip bits: a bucket holds one canonical s-triple, so equal
+    bits mean equal s-triples (preserving) and unequal bits mean negated
+    ones (reversing); a self-negating triple has both bits clear.  The
+    remaining invariants (linking classes up to the fixture sign
+    ambiguity, and p1 mod r) are determined by the s-values for genuine
+    spaces, so a conflict there means corrupted input data and raises
+    InconsistentFixture rather than silently dropping the pair; every
+    emitted record thus survives re-checking with ks_diffeomorphic.
+    With `require_pi4_compat` (the default) a proven pi4 = 0 on one side
+    and a proven pi4 = Z/2 on the other blocks the pair; passing False
+    drops that gate, for surveys over families whose pi4 is the only
+    obstruction.
     """
     records: list[MatchRecord] = []
     for key, left_entries in left.buckets.items():
@@ -245,9 +221,21 @@ def match_all(
                 other = right_entry.profile
                 if require_pi4_compat and not pi4_compatible(profile.pi4, other.pi4):
                     continue
-                orientation = _orient(profile, other, _s_triple_agree(other))
-                if orientation is None:
-                    continue
+                if left_entry.flipped == right_entry.flipped:
+                    orientation = Orientation.PRESERVING
+                else:
+                    orientation = Orientation.REVERSING
+                    other = reversed_profile(other)
+                if not lk_compatible(profile.lk, other.lk):
+                    raise InconsistentFixture(
+                        f"s-values match ({orientation.value}) but linking classes differ: "
+                        f"{profile.lk} vs {other.lk}"
+                    )
+                if profile.p1 != other.p1:
+                    raise InconsistentFixture(
+                        f"s-values match ({orientation.value}) but p1 differs: "
+                        f"{profile.p1} vs {other.p1}"
+                    )
                 records.append(
                     MatchRecord(
                         left=left_entry.descriptor,
@@ -439,14 +427,15 @@ class TableReport:
         return all(row.passed for row in self.rows)
 
 
-def _check_space(row: TableRow, inv, problems: list[str], require_standard_lk: bool) -> None:
+def _check_space(row: TableRow, inv, problems: list[str]) -> None:
     if inv.r != row.r:
         problems.append(f"recomputed |H^4| = {inv.r}, row says {row.r}")
     if not inv.free:
         problems.append("parameters do not define a free action")
     if not inv.positively_curved:
         problems.append("space is not positively curved")
-    if require_standard_lk and inv.s_signed % row.r not in (1 % row.r, (-1) % row.r):
+    # The residue solver presupposes the standard linking form; circle rows do not.
+    if row.bundle is None and inv.s_signed % row.r not in (1 % row.r, (-1) % row.r):
         problems.append(
             "linking form is not standard: sigma3(k) - sigma3(l) is not ±1 mod r"
         )
@@ -458,16 +447,14 @@ def _row_s(row: TableRow, orientation: Orientation) -> tuple[ModOneValue, ...]:
     return tuple(mod_one(sign * s) for s in row.s)
 
 
-def _verify_sphere_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
-    problems: list[str] = []
-    fixture = find_fixture(fixtures, row.k, row.l, s1=row.s[0])
-    inv = invariants(fixture.space)
-    _check_space(row, inv, problems, require_standard_lk=True)
+_Partner = tuple[Optional[Orientation], tuple[ResidueClass, ...], BundleSpec]
 
+
+def _sphere_partner(row: TableRow, p1: ResidueClass, problems: list[str]) -> _Partner:
+    """Solve a sphere row's s-values in both orientations against its residue list."""
     orientation: Optional[Orientation] = None
     solved: tuple[ResidueClass, ...] = ()
-    modulus = 168 * row.r
-    target = {value % modulus for value in row.residues}
+    target = {value % (168 * row.r) for value in row.residues}
     try:
         problem = EdiffeoProblem(row.r, *row.s)
     except DivisibilityFailure as exc:
@@ -481,8 +468,7 @@ def _verify_sphere_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> 
                 outcomes[candidate] = f"{type(exc).__name__}: {exc}"
                 continue
             if {c.value for c in solution.residues} == target:
-                orientation = candidate
-                solved = solution.residues
+                orientation, solved = candidate, solution.residues
             else:
                 outcomes[candidate] = "solves to {%s}" % ", ".join(
                     str(c.value) for c in solution.residues
@@ -492,45 +478,20 @@ def _verify_sphere_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> 
                 "tabulated residues reproduced by neither orientation: "
                 + "; ".join(f"{c.value}: {msg}" for c, msg in outcomes.items())
             )
-
-    if orientation is not None:
-        expected = _row_s(row, orientation)
-        for a in row.residues:
-            partner_profile = profile_sphere(a, a - row.r)
-            if partner_profile.s_triple != expected:
-                problems.append(f"bundle at a={a} has s-values {partner_profile.s_triple}")
-            if partner_profile.p1 != inv.p1:
-                problems.append(
-                    f"p1 mismatch at a={a}: {partner_profile.p1} vs {inv.p1}"
-                )
-        anchor = min(row.residues)
-        verdict = ks_diffeomorphic(
-            fixture_profile(fixture), profile_sphere(anchor, anchor - row.r)
-        )
-        if verdict is not orientation:
-            problems.append(
-                f"full-profile verdict {verdict} disagrees with solver orientation"
-            )
-
+        else:
+            expected = _row_s(row, orientation)
+            for a in row.residues:
+                partner_profile = profile_sphere(a, a - row.r)
+                if partner_profile.s_triple != expected:
+                    problems.append(f"bundle at a={a} has s-values {partner_profile.s_triple}")
+                if partner_profile.p1 != p1:
+                    problems.append(f"p1 mismatch at a={a}: {partner_profile.p1} vs {p1}")
     anchor = min(row.residues)
-    partner = describe_bundle_spec(BundleSpec(Family.SPHERE, anchor, anchor - row.r))
-    return RowResult(
-        row=row,
-        space=eschenburg_descriptor(fixture.space),
-        partner=partner,
-        orientation=orientation,
-        residues=solved,
-        p1=inv.p1,
-        problems=tuple(problems),
-    )
+    return orientation, solved, BundleSpec(Family.SPHERE, anchor, anchor - row.r)
 
 
-def _verify_circle_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
-    problems: list[str] = []
-    fixture = find_fixture(fixtures, row.k, row.l, s1=row.s[0])
-    inv = invariants(fixture.space)
-    _check_space(row, inv, problems, require_standard_lk=False)
-
+def _circle_partner(row: TableRow, p1: ResidueClass, problems: list[str]) -> _Partner:
+    """Match a circle row's bundle against its s-values up to sign."""
     a, b, t = row.bundle
     orientation: Optional[Orientation] = None
     if abs(t * (a + b) ** 2 - a * b) != row.r:
@@ -545,26 +506,35 @@ def _verify_circle_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> 
                 f"bundle s-values {partner_profile.s_triple} match neither sign "
                 f"of the tabulated values"
             )
-        if orientation is not None:
+        else:
             if row.starred != (orientation is Orientation.REVERSING):
                 problems.append(
                     "orientation mark on the row disagrees with the computed identification"
                 )
-            if partner_profile.p1 != inv.p1:
-                problems.append(f"p1 mismatch: {partner_profile.p1} vs {inv.p1}")
-            verdict = ks_diffeomorphic(fixture_profile(fixture), partner_profile)
-            if verdict is not orientation:
-                problems.append(
-                    f"full-profile verdict {verdict} disagrees with the s-value match"
-                )
+            if partner_profile.p1 != p1:
+                problems.append(f"p1 mismatch: {partner_profile.p1} vs {p1}")
+    return orientation, (), BundleSpec(Family.CIRCLE, a, b, t=t)
 
-    partner = describe_bundle_spec(BundleSpec(Family.CIRCLE, a, b, t=t))
+
+def _verify_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
+    """Check the row's space, then its partner, then the full-profile verdict."""
+    problems: list[str] = []
+    fixture = find_fixture(fixtures, row.k, row.l, s1=row.s[0])
+    inv = invariants(fixture.space)
+    _check_space(row, inv, problems)
+    partner_step = _sphere_partner if row.bundle is None else _circle_partner
+    orientation, residues, partner = partner_step(row, inv.p1, problems)
+    if orientation is not None:
+        verdict = ks_diffeomorphic(fixture_profile(fixture), bundle_profile(partner))
+        if verdict is not orientation:
+            basis = "solver orientation" if row.bundle is None else "the s-value match"
+            problems.append(f"full-profile verdict {verdict} disagrees with {basis}")
     return RowResult(
         row=row,
         space=eschenburg_descriptor(fixture.space),
-        partner=partner,
+        partner=describe_bundle_spec(partner),
         orientation=orientation,
-        residues=(),
+        residues=residues,
         p1=inv.p1,
         problems=tuple(problems),
     )
@@ -593,11 +563,8 @@ def reproduce_table(
         raise DomainError(f"unknown table {which!r}: expected 'A' or 'B'")
     if fixtures is None:
         fixtures = load_fixtures()
-    if table == "A":
-        rows = tuple(_verify_sphere_row(row, fixtures) for row in TABLE_A)
-    else:
-        rows = tuple(_verify_circle_row(row, fixtures) for row in TABLE_B)
-    return TableReport(table=table, rows=rows)
+    rows = TABLE_A if table == "A" else TABLE_B
+    return TableReport(table=table, rows=tuple(_verify_row(row, fixtures) for row in rows))
 
 
 # ---------------------------------------------------------------------------

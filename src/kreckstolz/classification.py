@@ -62,26 +62,6 @@ def _homeo_triple(p: InvariantProfile) -> _Triple:
     return (mod_one(28 * p.s1), p.s2, p.s3)
 
 
-def _orient(
-    p: InvariantProfile,
-    q: InvariantProfile,
-    agree: Callable[[InvariantProfile, InvariantProfile], bool],
-) -> Optional[Orientation]:
-    """The orientation in which `agree` identifies the two spaces, or None.
-
-    An identification needs equal cohomology type and order.  Preserving
-    is tried first and wins when both hold; the reversal of q is built
-    only when the preserving comparison fails.
-    """
-    if p.cohomology_type is not q.cohomology_type or p.r != q.r:
-        return None
-    if agree(p, q):
-        return Orientation.PRESERVING
-    if agree(p, reversed_profile(q)):
-        return Orientation.REVERSING
-    return None
-
-
 def _decide(
     p: InvariantProfile,
     q: InvariantProfile,
@@ -89,10 +69,20 @@ def _decide(
 ) -> Optional[Orientation]:
     """Compare projected invariants and linking classes in both orientations.
 
-    The linking classes are compared up to the sign ambiguity a candidate
-    set carries.
+    An identification needs equal cohomology type and order.  Preserving
+    is tried first and wins when both hold; the reversal of q is built
+    only when the preserving comparison fails.  The linking classes are
+    compared up to the sign ambiguity a candidate set carries.
     """
-    return _orient(p, q, lambda x, y: project(x) == project(y) and lk_compatible(x.lk, y.lk))
+    if p.cohomology_type is not q.cohomology_type or p.r != q.r:
+        return None
+    target = project(p)
+    if target == project(q) and lk_compatible(p.lk, q.lk):
+        return Orientation.PRESERVING
+    q = reversed_profile(q)
+    if target == project(q) and lk_compatible(p.lk, q.lk):
+        return Orientation.REVERSING
+    return None
 
 
 def ks_diffeomorphic(

@@ -260,6 +260,15 @@ def _cmd_enumerate(args) -> tuple[int, str]:
     )
 
 
+def _require_keys(head: str, params: dict[str, int], keys: tuple[str, ...]) -> None:
+    missing = set(keys) - params.keys()
+    if missing:
+        raise DomainError(f"{head} source needs {', '.join(keys)} (missing {sorted(missing)})")
+    unknown = params.keys() - set(keys)
+    if unknown:
+        raise DomainError(f"unknown {head} source parameter {sorted(unknown)[0]!r}")
+
+
 def _parse_source(text: str, args) -> list[tuple[str, InvariantProfile]]:
     head, _, rest = text.partition(":")
     params = {}
@@ -268,6 +277,8 @@ def _parse_source(text: str, args) -> list[tuple[str, InvariantProfile]]:
             key, sep, value = pair.partition("=")
             if not sep:
                 raise DomainError(f"cannot parse source parameter {pair!r}: expected key=value")
+            if key in params:
+                raise DomainError(f"source parameter {key!r} given twice")
             try:
                 params[key] = int(value)
             except ValueError as exc:
@@ -277,14 +288,10 @@ def _parse_source(text: str, args) -> list[tuple[str, InvariantProfile]]:
             raise DomainError("source 'fixtures' takes no parameters")
         return fixture_entries(_get_fixtures(args))
     if head == "sphere":
-        missing = {"r", "start", "stop"} - params.keys()
-        if missing:
-            raise DomainError(f"sphere source needs r, start, stop (missing {sorted(missing)})")
+        _require_keys(head, params, ("r", "start", "stop"))
         return sphere_grid(params["r"], params["start"], params["stop"])
     if head == "circle":
-        missing = {"r", "bound"} - params.keys()
-        if missing:
-            raise DomainError(f"circle source needs r, bound (missing {sorted(missing)})")
+        _require_keys(head, params, ("r", "bound"))
         return circle_grid(params["r"], params["bound"])
     raise DomainError(
         f"unknown source {head!r}: expected fixtures, sphere:r=..,start=..,stop=.., or circle:r=..,bound=.."

@@ -338,9 +338,15 @@ def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixtu
     raised. Without a source argument the packaged registry is loaded.
     """
     if source is None:
-        text = resources.files("kreckstolz.data").joinpath(_DEFAULT_FIXTURES).read_text()
+        data = resources.files("kreckstolz.data").joinpath(_DEFAULT_FIXTURES).read_bytes()
     else:
-        text = Path(source).read_text()
+        data = Path(source).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte sits on the last line of the valid prefix, split as below.
+        line_number = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line_number, f"not valid UTF-8 ({exc.reason})") from None
     fixtures = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()

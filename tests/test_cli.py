@@ -254,6 +254,22 @@ def test_match_unknown_source(capsys):
     assert "DomainError" in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("sphere:r=3,start=0,stop=5,bogus=7", "DomainError: unknown sphere source parameter 'bogus'\n"),
+        ("circle:r=3,bound=2,start=0", "DomainError: unknown circle source parameter 'start'\n"),
+        ("sphere:r=3,start=0,stop=5,r=4", "DomainError: source parameter 'r' given twice\n"),
+        ("circle:r=3,bound=2,bound=2", "DomainError: source parameter 'bound' given twice\n"),
+    ],
+)
+def test_match_source_rejects_unknown_and_repeated_keys(source, message, capsys):
+    for argv in (["--left", source, "--right", "fixtures"], ["--left", "fixtures", "--right", source]):
+        code = run(["match", *argv])
+        out, err = out_err(capsys)
+        assert (code, out, err) == (1, "", message)
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -314,6 +330,28 @@ def test_missing_fixture_file_is_reported(tmp_path, capsys):
     _, err = out_err(capsys)
     assert code == 1
     assert "FileNotFoundError" in err
+
+
+NOT_UTF8 = W11_LINE.encode("utf-8") + b"# caf\xe9\n"
+
+
+def test_non_utf8_fixture_file_flag_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(NOT_UTF8)
+    code = run(["tables", "A", "--fixtures", str(path)])
+    out, err = out_err(capsys)
+    assert (code, out) == (1, "")
+    assert err == "ParseError: line 2: not valid UTF-8 (invalid continuation byte)\n"
+
+
+def test_non_utf8_fixture_file_env_var_is_parse_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff" + NOT_UTF8)
+    monkeypatch.setenv("KRECKSTOLZ_FIXTURES", str(path))
+    code = run(["invariants", "eschenburg:1,1,-2|0,0,0"])
+    out, err = out_err(capsys)
+    assert (code, out) == (1, "")
+    assert err == "ParseError: line 1: not valid UTF-8 (invalid start byte)\n"
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -364,6 +364,16 @@ class TestFixtures:
             load_fixtures(path)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_bytes_are_parse_error_on_their_line(self, tmp_path, newline):
+        path = tmp_path / "bad.txt"
+        lines = [b"# fine", b"1 1 -2 | 0 0 0 | 1/112 35/36 1/18", b"", b"2 3 7 | 12 0 0 | 0 0 0  # \xe9t\xe9"]
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ParseError) as exc:
+            load_fixtures(path)
+        assert exc.value.line_number == 4
+        assert str(exc.value) == "line 4: not valid UTF-8 (invalid continuation byte)"
+
     def test_parse_error_non_integer(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 1 x | 0 0 0 | 0 0 0\n")
