@@ -335,7 +335,8 @@ def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixtu
     validated: the parameters must be balanced and nondegenerate, and
     each s-denominator must divide its bound (224r, 24r, 6r), otherwise
     the line cannot belong to the space and InconsistentFixture is
-    raised. Without a source argument the packaged registry is loaded.
+    raised. The file is read as UTF-8; bytes that do not decode raise
+    ParseError. Without a source argument the packaged registry is loaded.
     """
     if source is None:
         data = resources.files("kreckstolz.data").joinpath(_DEFAULT_FIXTURES).read_bytes()
@@ -344,7 +345,8 @@ def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixtu
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bad byte sits on the last line of the valid prefix, split as below.
+        # Number lines as the loop below does; "x" stands for the bad byte, so
+        # a prefix that ends in a line break puts it on a new line.
         line_number = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(line_number, f"not valid UTF-8 ({exc.reason})") from None
     fixtures = []
