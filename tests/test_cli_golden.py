@@ -34,6 +34,11 @@ CASES = {
     "ediffeo_r19513_reversing": (("ediffeo",) + R19513 + ("--orientation", "reversing"), 0),
     "match_sphere_period_r41": (("match", "--left", "fixtures", "--right", "sphere:r=41,start=0,stop=6888"), 0),
     "match_empty": (("match", "--left", "fixtures", "--right", "sphere:r=3,start=0,stop=2", "--ignore-pi4"), 0),
+    "match_fixtures_circle_r17": (("match", "--left", "fixtures", "--right", "circle:r=17,bound=700"), 0),
+    "match_circle_sphere_r17": (
+        ("match", "--left", "circle:r=17,bound=8", "--right", "sphere:r=17,start=-100,stop=100"),
+        0,
+    ),
     "tables_A": (("tables", "A"), 0),
     "tables_B": (("tables", "B"), 0),
     "enumerate_r12": (("enumerate", "--r-max", "12"), 0),
