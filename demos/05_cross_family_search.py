@@ -5,7 +5,9 @@ canonical triple is the lexicographically smaller of the triple and its
 negation — so one lookup finds matches in both orientations.  This
 script enumerates the positively curved parameter spaces of small order,
 matches them against a sphere-bundle grid, and then scans the circle
-family at the catalog's own bounds.
+family at the catalog's own bounds.  The sphere-grid search goes through
+`find_matches`, which builds a profile only for the entries whose s1
+(up to sign) occurs on both sides.
 
 Run:  python3 demos/05_cross_family_search.py   (the last scan ~10 s)
 """
@@ -15,13 +17,14 @@ from kreckstolz import (
     circle_grid,
     enumerate_positively_curved,
     eschenburg_descriptor,
+    find_matches,
     fixture_entries,
-    fixture_profile,
+    fixture_source,
     invariants,
     load_fixtures,
     match_all,
     render_matches_text,
-    sphere_grid,
+    sphere_source,
 )
 
 # ---------------------------------------------------------------------------
@@ -41,10 +44,9 @@ print()
 # ---------------------------------------------------------------------------
 
 fixtures = load_fixtures()
-left = build_index(fixture_entries(fixtures))
-right = build_index(sphere_grid(3, 0, 504))
+records = find_matches(fixture_source(fixtures), sphere_source(3, 0, 504))
 print("catalog vs sphere grid of order 3 (one full period):")
-print(render_matches_text(match_all(left, right)))
+print(render_matches_text(records))
 
 # ---------------------------------------------------------------------------
 # The circle-bundle scan at the catalog bounds: |a|, |b| <= 1000 over the

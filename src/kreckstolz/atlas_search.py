@@ -1,10 +1,16 @@
 """Invariant-keyed search over families of spaces, plus catalog verification.
 
-This module realizes the list-comparison strategy for finding
-diffeomorphic pairs: compute the invariant profile of every space in two
-collections, key both collections by the orientation-insensitive part of
-the profile, and compare bucket by bucket, so each lookup finds matches
-of both orientations at once.
+Diffeomorphic pairs between two collections of spaces are found in two
+stages.  A source lists its entries by parameters, each with its s1
+bucket: the cohomology type, the order r and the smaller of s1 and -s1
+modulo 1, as integers from the family's cleared s1 formula (for the
+catalog, from its tabulated s1).
+`find_matches` builds the full invariant profile only of the entries
+whose s1 bucket occurs on both sides, indexes those by the
+orientation-insensitive part of the profile, and lets `match_all`
+compare them bucket by bucket, so each lookup finds matches of both
+orientations at once.  The prefilter changes no output: see
+`find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -19,16 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
 from .bundle_families import (
     BundleSpec,
     Family,
+    circle_s1,
     describe_bundle_spec,
     profile as bundle_profile,
     profile_circle,
     profile_sphere,
+    sphere_s1,
 )
 from .classification import EdiffeoProblem, Orientation, ediffeo_solve, ks_diffeomorphic
 from .errors import (
@@ -64,19 +73,26 @@ __all__ = [
     "MatchRecord",
     "ProfileKey",
     "RowResult",
+    "Source",
     "TableReport",
     "TableRow",
     "build_index",
     "circle_grid",
+    "circle_source",
     "eschenburg_descriptor",
+    "find_matches",
     "fixture_entries",
+    "fixture_source",
     "match_all",
+    "parse_source",
     "profile_key",
     "render_matches_text",
     "render_matches_tsv",
     "render_table_text",
     "reproduce_table",
+    "s1_bucket",
     "sphere_grid",
+    "sphere_source",
 ]
 
 
@@ -247,9 +263,72 @@ def match_all(
     return tuple(records)
 
 
+def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -> tuple[MatchRecord, ...]:
+    """match_all of two sources, with profiles built only for possible partners.
+
+    An entry gets its profile only when its s1 bucket occurs on both
+    sides; the survivors of each side, in source order, go through
+    build_index and match_all.  The result is that of the eager
+    `match_all(build_index(left.entries()), build_index(right.entries()))`:
+
+    1. Equal profile_key buckets imply equal s1 buckets, as the key holds
+       the type, r and an s-triple fixed up to a common sign, and s1 up to
+       sign is what the s1 bucket records.  So a profile bucket that
+       match_all pairs across the sides has its s1 bucket on both sides,
+       and all its entries survive on both sides; a profile bucket whose
+       s1 bucket is missing on the other side has no partner there and
+       contributes nothing.  Survivors keep their relative order.
+    2. match_all therefore visits the same pairs in the same order, so
+       the records, their order and the first InconsistentFixture (type
+       and message) are those of the eager pipeline.
+    3. The sources build a profile only for valid parameters (fixture
+       profiles are built with the source), which cannot raise, so
+       skipping entries hides no error.
+    """
+    shared = set(left.buckets).intersection(right.buckets)
+    return match_all(build_index(left.entries(shared)), build_index(right.entries(shared)), require_pi4_compat)
+
+
 # ---------------------------------------------------------------------------
-# Entry generators.
+# Sources.
 # ---------------------------------------------------------------------------
+
+# (cohomology type, r, numerator, denominator) of s1 or -s1, whichever is smaller.
+S1Bucket = tuple[CohomologyType, int, int, int]
+
+
+def s1_bucket(cohomology_type: CohomologyType, r: int, n: int, d: int) -> S1Bucket:
+    """The s1 bucket of a space with s1 = n/d, as a reduced integer pair.
+
+    With d > 0, n % d and d - n % d are the numerators over d of s1 and
+    -s1 modulo 1; the smaller one, divided by its gcd with d, is the same
+    pair for every cleared form n/d of the value.
+    """
+    if d < 0:
+        n, d = -n, -d
+    n %= d
+    n = min(n, d - n)
+    g = gcd(n, d)
+    return cohomology_type, r, n // g, d // g
+
+
+@dataclass(frozen=True)
+class Source:
+    """A collection of spaces whose profiles are built on demand.
+
+    Entry i has parameters `params[i]` and s1 bucket `buckets[i]`;
+    `build(params[i])` gives its (descriptor, profile) index entry.
+    """
+
+    params: Sequence[Any]
+    buckets: tuple[S1Bucket, ...]
+    build: Callable[[Any], tuple[str, InvariantProfile]]
+
+    def entries(self, keep: Optional[Container[S1Bucket]] = None) -> list[tuple[str, InvariantProfile]]:
+        """The index entries in source order; with `keep`, only those whose bucket is in it."""
+        if keep is None:
+            return [self.build(p) for p in self.params]
+        return [self.build(p) for p, bucket in zip(self.params, self.buckets) if bucket in keep]
 
 
 def eschenburg_descriptor(space: EschenburgSpace) -> str:
@@ -259,22 +338,47 @@ def eschenburg_descriptor(space: EschenburgSpace) -> str:
     return f"eschenburg:{k}|{l}"
 
 
+def _built(entry: tuple[str, InvariantProfile]) -> tuple[str, InvariantProfile]:
+    return entry
+
+
+def fixture_source(fixtures: Iterable[EschenburgFixture]) -> Source:
+    """The fixture spaces, profiles built from their s-values.
+
+    A catalog is small, so its profiles are built here, at once, and an
+    invalid hand-made fixture raises here rather than only when it could
+    match.
+    """
+    entries = tuple((eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures)
+    buckets = tuple(
+        s1_bucket(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator) for _, p in entries
+    )
+    return Source(entries, buckets, _built)
+
+
 def fixture_entries(
     fixtures: Iterable[EschenburgFixture],
 ) -> list[tuple[str, InvariantProfile]]:
     """Index entries for fixture spaces, profiles built from their s-values."""
-    return [(eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures]
+    return fixture_source(fixtures).entries()
+
+
+def _sphere_entry(r: int, a: int) -> tuple[str, InvariantProfile]:
+    return describe_bundle_spec(BundleSpec(Family.SPHERE, a, a - r)), profile_sphere(a, a - r)
+
+
+def sphere_source(r: int, start: int, stop: int) -> Source:
+    """The non-spin sphere bundles S_{a, a-r} with a in [start, stop)."""
+    if r < 1:
+        raise DomainError(f"|H^4| must be positive, got {r}")
+    a_values = range(start, stop)
+    buckets = tuple(s1_bucket(CohomologyType.E, r, *sphere_s1(a, a - r)) for a in a_values)
+    return Source(a_values, buckets, partial(_sphere_entry, r))
 
 
 def sphere_grid(r: int, start: int, stop: int) -> list[tuple[str, InvariantProfile]]:
     """Entries for the non-spin sphere bundles S_{a, a-r} with a in [start, stop)."""
-    if r < 1:
-        raise DomainError(f"|H^4| must be positive, got {r}")
-    entries = []
-    for a in range(start, stop):
-        spec = BundleSpec(Family.SPHERE, a, a - r)
-        entries.append((describe_bundle_spec(spec), profile_sphere(a, a - r)))
-    return entries
+    return sphere_source(r, start, stop).entries()
 
 
 def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
@@ -305,8 +409,13 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
     return found
 
 
-def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:
-    """Entries for all circle bundles with the given r and |a|, |b| <= bound.
+def _circle_entry(hit: tuple[int, int, int]) -> tuple[str, InvariantProfile]:
+    a, b, t = hit
+    return describe_bundle_spec(BundleSpec(Family.CIRCLE, a, b, t=t)), profile_circle(t, a, b)
+
+
+def circle_source(r: int, bound: int) -> Source:
+    """The circle bundles with the given r and |a|, |b| <= bound.
 
     The twisting parameter is not bounded: for each coprime (a, b) both
     integers t with |t (a+b)^2 - ab| = r are admitted when they exist,
@@ -314,6 +423,7 @@ def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:
     ab - r = t (a+b)^2 before ab + r = t (a+b)^2.  Each diagonal a + b = s
     is searched output-sensitively (see _circle_candidates), and every
     candidate passes the same divisibility, coprimality and bound tests.
+    The parameters of an entry are (a, b, t).
     """
     if r < 1:
         raise DomainError(f"|H^4| must be positive, got {r}")
@@ -331,11 +441,57 @@ def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:
                 if shifted % square == 0 and gcd(a, b) == 1 and abs(a) <= bound and abs(b) <= bound:
                     hits.append((a, b, shifted // square))
     hits.sort()  # by (a, b, t); ab - r = t (a+b)^2 has the smaller t
-    entries = []
-    for a, b, t in hits:
-        spec = BundleSpec(Family.CIRCLE, a, b, t=t)
-        entries.append((describe_bundle_spec(spec), profile_circle(t, a, b)))
-    return entries
+    buckets = tuple(s1_bucket(CohomologyType.E, r, *circle_s1(t, a, b)) for a, b, t in hits)
+    return Source(tuple(hits), buckets, _circle_entry)
+
+
+def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:
+    """Entries for all circle bundles with the given r and |a|, |b| <= bound (see circle_source)."""
+    return circle_source(r, bound).entries()
+
+
+def _require_keys(head: str, params: dict[str, int], keys: tuple[str, ...]) -> None:
+    missing = set(keys) - params.keys()
+    if missing:
+        raise DomainError(f"{head} source needs {', '.join(keys)} (missing {sorted(missing)})")
+    unknown = params.keys() - set(keys)
+    if unknown:
+        raise DomainError(f"unknown {head} source parameter {sorted(unknown)[0]!r}")
+
+
+def parse_source(text: str, load_fixtures: Callable[[], Sequence[EschenburgFixture]]) -> Source:
+    """The source named by 'fixtures', 'sphere:r=..,start=..,stop=..' or 'circle:r=..,bound=..'.
+
+    `load_fixtures` supplies the catalog of a 'fixtures' source and is
+    called for no other source.  Malformed, unknown, missing or repeated
+    parameters raise DomainError.
+    """
+    head, _, rest = text.partition(":")
+    params = {}
+    if rest:
+        for pair in rest.split(","):
+            key, sep, value = pair.partition("=")
+            if not sep:
+                raise DomainError(f"cannot parse source parameter {pair!r}: expected key=value")
+            if key in params:
+                raise DomainError(f"source parameter {key!r} given twice")
+            try:
+                params[key] = int(value)
+            except ValueError as exc:
+                raise DomainError(f"source parameter {pair!r} is not an integer") from exc
+    if head == "fixtures":
+        if params:
+            raise DomainError("source 'fixtures' takes no parameters")
+        return fixture_source(load_fixtures())
+    if head == "sphere":
+        _require_keys(head, params, ("r", "start", "stop"))
+        return sphere_source(params["r"], params["start"], params["stop"])
+    if head == "circle":
+        _require_keys(head, params, ("r", "bound"))
+        return circle_source(params["r"], params["bound"])
+    raise DomainError(
+        f"unknown source {head!r}: expected fixtures, sphere:r=..,start=..,stop=.., or circle:r=..,bound=.."
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -143,17 +143,24 @@ def _lk_set(value: int, r: int) -> Optional[frozenset[ResidueClass]]:
     return None if r == 1 else frozenset({ResidueClass(value % r, r)})
 
 
-def profile_sphere(a: int, b: int) -> InvariantProfile:
-    """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
+def sphere_s1(a: int, b: int) -> tuple[int, int]:
+    """s1 of the non-spin 3-sphere bundle (a, b) as a cleared pair (numerator, denominator)."""
     d = a - b
     if d == 0:
         raise DegenerateOrder(f"parameters ({a}, {b}) give |H^4| = 0")
+    return (a + b + 2) ** 2 - abs(d), 224 * d
+
+
+def profile_sphere(a: int, b: int) -> InvariantProfile:
+    """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
+    s1 = ratio_mod_one(*sphere_s1(a, b))
+    d = a - b
     r = abs(d)
     sgn = 1 if d > 0 else -1
     return InvariantProfile(
         cohomology_type=CohomologyType.E,
         r=r,
-        s1=ratio_mod_one((a + b + 2) ** 2 - r, 224 * d),
+        s1=s1,
         s2=ratio_mod_one(-(a + b + 1), 24 * d),
         s3=ratio_mod_one(-(a + b - 2), 6 * d),
         p1=ResidueClass((2 * a + 2 * b + 4) % r, r),
@@ -197,18 +204,15 @@ def _checked_mn(family: Family, a: int, b: int, mn: Optional[tuple[int, int]]) -
     return MnPair(m, n)
 
 
-def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:
-    """Invariant profile of the circle bundle over the non-spin 2-sphere bundle.
+def circle_s1(t: int, a: int, b: int) -> tuple[int, int]:
+    """s1 of the circle bundle (t, a, b) as a cleared pair (numerator, 672 s).
 
-    The optional mn pins the auxiliary pair with am - bn = 1; the result
-    does not depend on the admissible choice.
+    Here s = t(a+b)^2 - ab, so |H^4| = |s|.  Unlike s2 and s3, s1 needs
+    neither the auxiliary pair (m, n) nor coprimality of (a, b).
     """
-    m, n = _checked_mn(Family.CIRCLE, a, b, mn)
     s = t * (a + b) ** 2 - a * b
     if s == 0:
         raise DegenerateOrder(f"parameters (t={t}, {a}, {b}) give |H^4| = 0")
-    r = abs(s)
-    sgn = 1 if s > 0 else -1
     if s > 0:
         sw = 0
     else:
@@ -216,9 +220,24 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         if border == 0:
             raise AssertionError("impossible: s < 0 forces a nonzero border term")
         sw = 2 if border > 0 else -2
-    A, M = a + b, m + n
+    A = a + b
     x = 3 * a * b + (t - 1) * (8 + A * A)
-    s1 = ratio_mod_one(-3 * s * sw - 12 * A * (t - 1) ** 2 + A * x * s, 672 * s)
+    return -3 * s * sw - 12 * A * (t - 1) ** 2 + A * x * s, 672 * s
+
+
+def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:
+    """Invariant profile of the circle bundle over the non-spin 2-sphere bundle.
+
+    The optional mn pins the auxiliary pair with am - bn = 1; the result
+    does not depend on the admissible choice.
+    """
+    m, n = _checked_mn(Family.CIRCLE, a, b, mn)
+    s1_num, s1_den = circle_s1(t, a, b)
+    s = s1_den // 672  # circle_s1 clears s1 over 672 s
+    r = abs(s)
+    sgn = 1 if s > 0 else -1
+    A, M = a + b, m + n
+    s1 = ratio_mod_one(s1_num, s1_den)
     brace1 = (
         (t - 1) * M * (2 - A * M - 2 * M * M)
         - a * m * (m + 2 * n)

@@ -24,19 +24,17 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .atlas_search import (
-    build_index,
-    circle_grid,
     eschenburg_descriptor,
-    fixture_entries,
-    match_all,
+    find_matches,
+    parse_source,
     render_matches_text,
     render_matches_tsv,
     render_table_text,
     reproduce_table,
-    sphere_grid,
 )
 from .bundle_families import (
     BundleSpec,
@@ -260,48 +258,11 @@ def _cmd_enumerate(args) -> tuple[int, str]:
     )
 
 
-def _require_keys(head: str, params: dict[str, int], keys: tuple[str, ...]) -> None:
-    missing = set(keys) - params.keys()
-    if missing:
-        raise DomainError(f"{head} source needs {', '.join(keys)} (missing {sorted(missing)})")
-    unknown = params.keys() - set(keys)
-    if unknown:
-        raise DomainError(f"unknown {head} source parameter {sorted(unknown)[0]!r}")
-
-
-def _parse_source(text: str, args) -> list[tuple[str, InvariantProfile]]:
-    head, _, rest = text.partition(":")
-    params = {}
-    if rest:
-        for pair in rest.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise DomainError(f"cannot parse source parameter {pair!r}: expected key=value")
-            if key in params:
-                raise DomainError(f"source parameter {key!r} given twice")
-            try:
-                params[key] = int(value)
-            except ValueError as exc:
-                raise DomainError(f"source parameter {pair!r} is not an integer") from exc
-    if head == "fixtures":
-        if params:
-            raise DomainError("source 'fixtures' takes no parameters")
-        return fixture_entries(_get_fixtures(args))
-    if head == "sphere":
-        _require_keys(head, params, ("r", "start", "stop"))
-        return sphere_grid(params["r"], params["start"], params["stop"])
-    if head == "circle":
-        _require_keys(head, params, ("r", "bound"))
-        return circle_grid(params["r"], params["bound"])
-    raise DomainError(
-        f"unknown source {head!r}: expected fixtures, sphere:r=..,start=..,stop=.., or circle:r=..,bound=.."
-    )
-
-
 def _cmd_match(args) -> tuple[int, str]:
-    left = build_index(_parse_source(args.left, args))
-    right = build_index(_parse_source(args.right, args))
-    records = match_all(left, right, require_pi4_compat=not args.ignore_pi4)
+    load = partial(_get_fixtures, args)
+    left = parse_source(args.left, load)
+    right = parse_source(args.right, load)
+    records = find_matches(left, right, require_pi4_compat=not args.ignore_pi4)
     if args.format == "json":
         payload = [
             {

@@ -18,7 +18,7 @@ from fractions import Fraction as Fr
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kreckstolz import atlas_search
@@ -30,23 +30,31 @@ from kreckstolz.atlas_search import (
     ProfileKey,
     build_index,
     circle_grid,
+    circle_source,
     eschenburg_descriptor,
+    find_matches,
     fixture_entries,
+    fixture_source,
     match_all,
+    parse_source,
     profile_key,
     render_matches_text,
     render_matches_tsv,
     render_table_text,
     reproduce_table,
+    s1_bucket,
     sphere_grid,
+    sphere_source,
 )
 from kreckstolz.bundle_families import (
     BundleSpec,
     Family,
+    circle_s1,
     describe_bundle_spec,
     profile_circle,
     profile_sphere,
     profile_spin_sphere,
+    sphere_s1,
 )
 from kreckstolz.classification import Orientation, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
@@ -426,6 +434,130 @@ def test_match_all_rejects_incoherent_reversing_pair(corrupt, message):
         match_all(left, right)
     assert str(excinfo.value) == message
     assert match_outcome(reference_match_all, left, right, True) == ("inconsistent", message)
+
+
+# ---------------------------------------------------------------------------
+# The s1 prefilter of find_matches.
+# ---------------------------------------------------------------------------
+
+
+def profile_s1_bucket(p):
+    return s1_bucket(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator)
+
+
+nonzero = st.integers(-10**6, 10**6).filter(bool)
+
+
+@given(st.integers(-10**6, 10**6), nonzero)
+def test_sphere_s1_bucket_agrees_with_profile(a, d):
+    p = profile_sphere(a, a - d)
+    assert s1_bucket(CohomologyType.E, abs(d), *sphere_s1(a, a - d)) == profile_s1_bucket(p)
+
+
+@given(st.integers(-10**4, 10**4), st.integers(-300, 300), st.integers(-300, 300))
+def test_circle_s1_bucket_agrees_with_profile(t, a, b):
+    s = t * (a + b) ** 2 - a * b
+    assume(gcd(a, b) == 1 and s != 0)
+    p = profile_circle(t, a, b)
+    assert s1_bucket(CohomologyType.E, abs(s), *circle_s1(t, a, b)) == profile_s1_bucket(p)
+
+
+@given(st.tuples(s_values, s_values, s_values), st.tuples(s_values, s_values, s_values), st.booleans())
+def test_equal_profile_buckets_have_equal_s1_buckets(s_triple, other_triple, reverse):
+    # The lemma behind find_matches: the s1 bucket is a function of the
+    # profile_key bucket.  q shares p's bucket; o mostly does not.
+    p = profile_with(s_triple)
+    q = reversed_profile(p) if reverse else p
+    assert profile_key(p).bucket == profile_key(q).bucket
+    for other in (q, profile_with(other_triple)):
+        if profile_key(p).bucket == profile_key(other).bucket:
+            assert profile_s1_bucket(p) == profile_s1_bucket(other)
+
+
+def test_s1_bucket_is_reduced_and_sign_blind():
+    assert s1_bucket(CohomologyType.E, 3, 9, 12) == (CohomologyType.E, 3, 1, 4)
+    assert s1_bucket(CohomologyType.E, 3, -9, 12) == (CohomologyType.E, 3, 1, 4)
+    assert s1_bucket(CohomologyType.E, 3, 9, -12) == (CohomologyType.E, 3, 1, 4)
+    assert s1_bucket(CohomologyType.E, 3, 6, 12) == (CohomologyType.E, 3, 1, 2)
+    assert s1_bucket(CohomologyType.E, 3, -24, 12) == (CohomologyType.E, 3, 0, 1)
+
+
+def with_sphere_s_values(fixtures, k, a):
+    """The catalog with the s-values of the fixture with parameters k replaced by those of S_{a, a-r}."""
+    out = []
+    for fx in fixtures:
+        if tuple(fx.space.k) == k:
+            r = fixture_profile(fx).r
+            fx = dataclasses.replace(fx, **dict(zip(("s1", "s2", "s3"), profile_sphere(a, a - r).s_triple)))
+        out.append(fx)
+    return out
+
+
+@pytest.fixture(scope="module")
+def prefilter_sources(fixtures):
+    sources = {
+        "fixtures": fixture_source(fixtures),
+        # The r = 17 fixture's linking classes {5, 12} meet neither {1} nor {16}.
+        "fixtures [lk]": fixture_source(with_sphere_s_values(fixtures, (1, 2, 5), 0)),
+        # W11 has p1 = 0 mod 3; S_{0,-3} has p1 = 1 mod 3.
+        "fixtures [p1]": fixture_source(with_sphere_s_values(fixtures, (1, 1, -2), 0)),
+        "circle r=3": circle_source(3, 40),
+        "circle r=4": circle_source(4, 30),
+        "circle r=17": circle_source(17, 120),
+    }
+    for r in (1, 3, 4, 17):
+        sources[f"sphere r={r} period"] = sphere_source(r, -84 * r + 5, 84 * r + 5)
+    return sources
+
+
+def test_find_matches_agrees_with_eager_pipeline(prefilter_sources):
+    eager = {name: build_index(source.entries()) for name, source in prefilter_sources.items()}
+    seen = {"records": 0, "reversing": 0, "messages": set()}
+    for left_name, right_name in itertools.product(prefilter_sources, repeat=2):
+        if "[" in left_name and "[" in right_name:
+            continue
+        left, right = prefilter_sources[left_name], prefilter_sources[right_name]
+        for require_pi4_compat in (True, False):
+            got = match_outcome(find_matches, left, right, require_pi4_compat)
+            want = match_outcome(match_all, eager[left_name], eager[right_name], require_pi4_compat)
+            assert got == want, (left_name, right_name, require_pi4_compat)
+            if got[0] == "ok":
+                seen["records"] += len(got[1])
+                seen["reversing"] += sum(rec.orientation is REVERSING for rec in got[1])
+            else:
+                seen["messages"].add(got[1].split(" but ")[1].split(":")[0])
+    # Both orientations and both kinds of conflict must be reached.
+    assert seen["reversing"] > 100 and seen["records"] > seen["reversing"]
+    assert seen["messages"] == {"linking classes differ", "p1 differs"}
+
+
+def test_find_matches_builds_profiles_only_for_shared_s1_buckets(fixtures):
+    built = []
+    period = sphere_source(41, 0, 168 * 41)
+    source = dataclasses.replace(period, build=lambda a: built.append(a) or period.build(a))
+    records = find_matches(fixture_source(fixtures), source)
+    # The catalog lists the order-41 space in both orientations.
+    assert len(records) == 4
+    assert {rec.right for rec in records} == {"sphere:2285,2244", "sphere:5237,5196"}
+    # s1 has period 56r in a, so each value up to sign recurs in a period
+    # of 168r; only those entries get a profile, in source order.
+    catalog = set(fixture_source(fixtures).buckets)
+    assert built == [a for a, bucket in zip(period.params, period.buckets) if bucket in catalog]
+    assert {2285, 5237} <= set(built) and len(built) == 48
+
+
+def test_parse_source_loads_fixtures_only_for_a_fixture_source(fixtures):
+    calls = []
+
+    def load():
+        calls.append(1)
+        return fixtures
+
+    assert parse_source("sphere:r=3,start=0,stop=5", load).params == range(0, 5)
+    assert parse_source("circle:r=3,bound=2", load).params == circle_source(3, 2).params
+    assert calls == []
+    assert parse_source("fixtures", load).entries() == fixture_entries(fixtures)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
