@@ -5,24 +5,21 @@ canonical triple is the lexicographically smaller of the triple and its
 negation — so one lookup finds matches in both orientations.  This
 script enumerates the positively curved parameter spaces of small order,
 matches them against a sphere-bundle grid, and then scans the circle
-family at the catalog's own bounds.  The sphere-grid search goes through
+family at the catalog's own bounds.  Both searches go through
 `find_matches`, which builds a profile only for the entries whose s1
 (up to sign) occurs on both sides.
 
-Run:  python3 demos/05_cross_family_search.py   (the last scan ~10 s)
+Run:  python3 demos/05_cross_family_search.py
 """
 
 from kreckstolz import (
-    build_index,
-    circle_grid,
+    circle_source,
     enumerate_positively_curved,
     eschenburg_descriptor,
     find_matches,
-    fixture_entries,
     fixture_source,
     invariants,
     load_fixtures,
-    match_all,
     render_matches_text,
     sphere_source,
 )
@@ -54,17 +51,21 @@ print(render_matches_text(records))
 # tables mention it, with opposite orientations), so deduplicate by
 # parameter descriptor first; each line would otherwise contribute its own
 # copy of every match.  Exactly the five tabulated bundles then appear,
-# each in four presentations (parameter swap and global sign).
+# each in four presentations (parameter swap and global sign).  A match
+# needs equal orders, so each catalog space is searched against the grid
+# of its own order only.
 # ---------------------------------------------------------------------------
 
 unique = {}
-for descriptor, prof in fixture_entries(fixtures):
-    unique.setdefault(descriptor, prof)
+for fx in fixtures:
+    unique.setdefault(eschenburg_descriptor(fx.space), fx)
 print(f"catalog entries: {len(fixtures)}; distinct parameter sets: {len(unique)}")
-entries = []
-for r in (17, 25, 33, 41):
-    entries.extend(circle_grid(r, 1000))
-print(f"circle-family grid size over orders 17/25/33/41: {len(entries)}")
-records = match_all(build_index(unique.items()), build_index(entries))
+grids = {r: circle_source(r, 1000) for r in (17, 25, 33, 41)}
+print(f"circle-family grid size over orders 17/25/33/41: {sum(len(g.params) for g in grids.values())}")
+records = []
+for fx in unique.values():
+    r = invariants(fx.space).r
+    if r in grids:
+        records.extend(find_matches(fixture_source([fx]), grids[r]))
 print(render_matches_text(records))
 print(f"{len(records)} match records = 5 tabulated bundles x 4 presentations")

@@ -34,6 +34,7 @@ from .bundle_families import (
     Family,
     circle_s1,
     describe_bundle_spec,
+    parse_bundle_spec,
     profile as bundle_profile,
     profile_circle,
     profile_sphere,
@@ -85,6 +86,7 @@ __all__ = [
     "fixture_source",
     "match_all",
     "parse_source",
+    "parse_space",
     "profile_key",
     "render_matches_text",
     "render_matches_tsv",
@@ -336,6 +338,39 @@ def eschenburg_descriptor(space: EschenburgSpace) -> str:
     k = ",".join(str(x) for x in space.k)
     l = ",".join(str(x) for x in space.l)
     return f"eschenburg:{k}|{l}"
+
+
+def parse_space(
+    text: str, load_fixtures: Callable[[], Sequence[EschenburgFixture]]
+) -> tuple[str, InvariantProfile]:
+    """The normalized descriptor and the profile of the space that `text` names.
+
+    Bundle descriptors ('sphere:a,b', 'spin-sphere:a,b', 'circle:t,a,b',
+    'spin-circle:t,a,b') go through parse_bundle_spec and are computed
+    directly.  'eschenburg:k1,k2,k3|l1,l2,l3', the form that
+    eschenburg_descriptor writes, is looked up in the catalog that
+    `load_fixtures` supplies, since the s-values of these spaces are
+    external inputs; if several fixtures share (k, l) the first in catalog
+    order is used.  `load_fixtures` is called for an Eschenburg descriptor
+    and for nothing else.  Malformed text raises DomainError.
+    """
+    if not text.startswith("eschenburg:"):
+        spec = parse_bundle_spec(text)
+        return describe_bundle_spec(spec), bundle_profile(spec)
+    k_text, sep, l_text = text.removeprefix("eschenburg:").partition("|")
+    if not sep:
+        raise DomainError(f"cannot parse {text!r}: expected eschenburg:k1,k2,k3|l1,l2,l3")
+    triples = []
+    for part in (k_text, l_text):
+        try:
+            triples.append(tuple(int(v) for v in part.split(",")))
+        except ValueError as exc:
+            raise DomainError(
+                f"cannot parse parameters {part!r}: expected comma-separated integers"
+            ) from exc
+    space = EschenburgSpace(*triples)
+    fixture = find_fixture(load_fixtures(), space.k, space.l)
+    return eschenburg_descriptor(space), fixture_profile(fixture)
 
 
 def _built(entry: tuple[str, InvariantProfile]) -> tuple[str, InvariantProfile]:

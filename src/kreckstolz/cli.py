@@ -31,6 +31,7 @@ from .atlas_search import (
     eschenburg_descriptor,
     find_matches,
     parse_source,
+    parse_space,
     render_matches_text,
     render_matches_tsv,
     render_table_text,
@@ -40,7 +41,6 @@ from .bundle_families import (
     BundleSpec,
     Family,
     describe_bundle_spec,
-    parse_bundle_spec,
     profile,
 )
 from .classification import (
@@ -57,13 +57,7 @@ from .errors import (
     DomainError,
     ParityFailure,
 )
-from .eschenburg import (
-    enumerate_positively_curved,
-    find_fixture,
-    fixture_profile,
-    load_fixtures,
-    order_invariants,
-)
+from .eschenburg import enumerate_positively_curved, load_fixtures, order_invariants
 from .profiles import InvariantProfile
 
 __all__ = ["main", "run"]
@@ -96,40 +90,6 @@ def _get_fixtures(args):
     return load_fixtures(source)
 
 
-# ---------------------------------------------------------------------------
-# Space descriptors.
-# ---------------------------------------------------------------------------
-
-
-def _parse_int_tuple(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse {what} {text!r}: expected comma-separated integers") from exc
-
-
-def _parse_space(text: str, args) -> tuple[str, InvariantProfile]:
-    """Resolve a space descriptor to (normalized descriptor, profile).
-
-    Bundle descriptors ('sphere:a,b', 'spin-sphere:a,b', 'circle:t,a,b',
-    'spin-circle:t,a,b') are computed directly.  Eschenburg descriptors
-    ('eschenburg:k1,k2,k3|l1,l2,l3') are resolved against the fixture
-    catalog, since the s-values of these spaces are external inputs; if
-    several fixtures share (k, l) the first in catalog order is used.
-    """
-    if text.startswith("eschenburg:"):
-        body = text[len("eschenburg:") :]
-        k_text, sep, l_text = body.partition("|")
-        if not sep:
-            raise DomainError(f"cannot parse {text!r}: expected eschenburg:k1,k2,k3|l1,l2,l3")
-        k = _parse_int_tuple(k_text, "parameters")
-        l = _parse_int_tuple(l_text, "parameters")
-        fixture = find_fixture(_get_fixtures(args), k, l)
-        return eschenburg_descriptor(fixture.space), fixture_profile(fixture)
-    spec = parse_bundle_spec(text)
-    return describe_bundle_spec(spec), profile(spec)
-
-
 def _profile_payload(descriptor: str, prof: InvariantProfile) -> dict:
     lk = None
     if prof.lk is not None:
@@ -147,21 +107,6 @@ def _profile_payload(descriptor: str, prof: InvariantProfile) -> dict:
     }
 
 
-def _profile_lines(payload: dict) -> list[tuple[str, str]]:
-    lk = payload["lk"]
-    return [
-        ("space", payload["space"]),
-        ("cohomology type", payload["cohomology_type"]),
-        ("r", str(payload["r"])),
-        ("s1", payload["s1"]),
-        ("s2", payload["s2"]),
-        ("s3", payload["s3"]),
-        ("p1", payload["p1"]),
-        ("lk", ", ".join(lk) if lk else "trivial"),
-        ("pi4", payload["pi4"]),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each returns (exit code, output text).
 # ---------------------------------------------------------------------------
@@ -172,7 +117,7 @@ def _cmd_invariants(args) -> tuple[int, str]:
     if args.space is not None and flag_style:
         raise _UsageError("give either a space descriptor or --family with -a/-b, not both")
     if args.space is not None:
-        descriptor, prof = _parse_space(args.space, args)
+        descriptor, prof = parse_space(args.space, partial(_get_fixtures, args))
     elif args.family is not None:
         if args.a is None or args.b is None:
             raise _UsageError("--family requires -a and -b")
@@ -189,12 +134,15 @@ def _cmd_invariants(args) -> tuple[int, str]:
     payload = _profile_payload(descriptor, prof)
     if args.format == "json":
         return 0, _emit_json(payload)
-    return 0, _fields(_profile_lines(payload), args.format)
+    lk = payload["lk"]
+    text = dict(payload, lk=", ".join(lk) if lk else "trivial")
+    return 0, _fields(((key.replace("_", " "), value) for key, value in text.items()), args.format)
 
 
 def _cmd_classify(args) -> tuple[int, str]:
-    left_desc, left = _parse_space(args.left, args)
-    right_desc, right = _parse_space(args.right, args)
+    load = partial(_get_fixtures, args)
+    left_desc, left = parse_space(args.left, load)
+    right_desc, right = parse_space(args.right, load)
     diffeo = ks_diffeomorphic(left, right)
     homeo = ks_homeomorphic(left, right)
     homotopy = kruggel_homotopy(left, right)
@@ -218,27 +166,20 @@ def _cmd_ediffeo(args) -> tuple[int, str]:
         else [Orientation(args.orientation)]
     )
     payload: dict = {"r": args.r}
+    pairs = []
     for orientation in wanted:
         try:
             solution = ediffeo_solve(problem, orientation)
         except (DivisibilityFailure, ParityFailure, CongruenceFailure) as exc:
-            payload[orientation.value] = {
-                "residues": None,
-                "reason": f"{type(exc).__name__}: {exc}",
-            }
+            reason = f"{type(exc).__name__}: {exc}"
+            payload[orientation.value] = {"residues": None, "reason": reason}
+            pairs.append((orientation.value, f"no solution ({reason})"))
         else:
-            payload[orientation.value] = {
-                "residues": [str(c) for c in solution.residues],
-            }
+            residues = [str(c) for c in solution.residues]
+            payload[orientation.value] = {"residues": residues}
+            pairs.append((orientation.value, ", ".join(residues)))
     if args.format == "json":
         return 0, _emit_json(payload)
-    pairs = []
-    for orientation in wanted:
-        entry = payload[orientation.value]
-        if entry["residues"] is None:
-            pairs.append((orientation.value, f"no solution ({entry['reason']})"))
-        else:
-            pairs.append((orientation.value, ", ".join(entry["residues"])))
     return 0, _fields(pairs, args.format)
 
 

@@ -22,8 +22,12 @@ Rational = Fraction
 ModOneValue = Fraction
 
 _TRIAL_DIVISION_BOUND = 10**6
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witnesses: the primes up to 41 decide primality of every
+# n below psi_13, the least strong pseudoprime to all of them
+# (Sorenson-Webster 2017).  Without 41 the bound drops to psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def ratio_mod_one(n: int, d: int) -> ModOneValue:
@@ -89,10 +93,10 @@ class Factorization:
 
 
 def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the integer sizes this package meets."""
+    """Deterministic Miller-Rabin below psi_13; DomainError for a larger n that passes."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -110,6 +114,10 @@ def _is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PROVEN_BELOW:
+        raise DomainError(
+            f"cannot certify {n} as prime: the Miller-Rabin test is proven only below {_MR_PROVEN_BELOW}"
+        )
     return True
 
 
@@ -131,7 +139,11 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization of a positive integer; factorize(1) is empty."""
+    """Prime factorization of a positive integer; factorize(1) is empty.
+
+    A cofactor of at least psi_13 that Miller-Rabin takes for a prime
+    cannot be certified, and raises DomainError.
+    """
     if n < 1:
         raise DomainError(f"can only factorize positive integers, got {n}")
     counts: dict[int, int] = {}

@@ -77,6 +77,22 @@ def test_invariants_eschenburg_fixture(capsys):
     assert data["lk"] == ["1 mod 3", "2 mod 3"]
 
 
+@pytest.mark.parametrize(
+    "descriptor, name, triple",
+    [
+        ("eschenburg:1,1|0,0,0", "k", "(1, 1)"),
+        ("eschenburg:1,1,-2,0|0,0,0", "k", "(1, 1, -2, 0)"),
+        ("eschenburg:1,1,-2|0,0", "l", "(0, 0)"),
+        ("eschenburg:1,1,-2|0,0,0,0", "l", "(0, 0, 0, 0)"),
+    ],
+)
+def test_invariants_eschenburg_wrong_length_is_domain_error(descriptor, name, triple, capsys):
+    code = run(["invariants", descriptor])
+    out, err = out_err(capsys)
+    assert (code, out) == (1, "")
+    assert err == f"DomainError: {name} must be a triple of integers, got {triple}\n"
+
+
 def test_invariants_degenerate_order_is_domain_error(capsys):
     code = run(["invariants", "--family", "sphere", "-a", "2", "-b", "2"])
     _, err = out_err(capsys)
@@ -183,6 +199,29 @@ def test_ediffeo_solves_even_order(capsys):
         "preserving: 5 mod 336, 149 mod 336, 173 mod 336, 317 mod 336\n"
         "reversing: no solution (CongruenceFailure: e3 - e2 - 3 = 30 is not divisible by 6r = 12)\n"
     )
+
+
+PSI_12 =318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def _sphere_s_flags(a, b):
+    prof = kreckstolz.profile_sphere(a, b)
+    return [f"--s1={prof.s1}", f"--s2={prof.s2}", f"--s3={prof.s3}"]
+
+
+def test_ediffeo_order_with_strong_pseudoprime_factor(capsys):
+    code = run(["ediffeo", "-r", str(PSI_12), "--format", "json"] + _sphere_s_flags(12345, 12345 - PSI_12))
+    out, err = out_err(capsys)
+    assert code == 0, err
+    assert json.loads(out)["preserving"]["residues"] == [f"12345 mod {168 * PSI_12}"]
+
+
+def test_ediffeo_order_beyond_the_primality_proof_is_domain_error(capsys):
+    code = run(["ediffeo", "-r", str(PSI_13)] + _sphere_s_flags(12345, 12345 - PSI_13))
+    out, err = out_err(capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"DomainError: cannot certify {PSI_13} as prime")
 
 
 @pytest.mark.parametrize("flag", ["--s1", "--s2", "--s3"])

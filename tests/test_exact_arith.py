@@ -27,6 +27,11 @@ from kreckstolz.exact_arith import (
     sqrt_mod,
 )
 
+# The least strong pseudoprimes to all primes up to 37 and up to 41
+# (Sorenson-Webster).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
 # Frozen expected root sets for the worked examples used downstream.
 ROOTS_9_MOD_672 = (3, 45, 291, 333, 339, 381, 627, 669)
 
@@ -154,9 +159,11 @@ class TestFactorize:
     def test_sampled_up_to_million(self):
         rng = random.Random(20260815)
         samples = [rng.randrange(2, 10**6) for _ in range(400)]
-        # Boundary cases around the trial-division cutoff and semiprimes of
-        # large primes exercise the rho path.
+        # Boundary cases around the trial-division cutoff.  Trial division
+        # runs up to 10**6, so only products of primes above it reach
+        # Pollard rho: two distinct ones, a square, a cube, and PSI_12.
         samples += [999983, 999979 * 2, 999983 * 999979, 1000003 * 999983, 2**31 - 1]
+        samples += [1000003 * 1000033, 1000003**2, 1000003**3, PSI_12]
         for n in samples:
             f = factorize(n)
             value = 1
@@ -164,6 +171,13 @@ class TestFactorize:
                 assert naive_is_prime(p) or p > 10**7  # big primes checked by reconstruction
                 value *= p**e
             assert value == n
+
+    def test_strong_pseudoprimes_to_the_first_primes(self):
+        # PSI_12 passes Miller-Rabin to every base up to 37 but not to 41.
+        assert factorize(PSI_12).pairs == ((399165290221, 1), (798330580441, 1))
+        # PSI_13 passes every base up to 41, so its primality is unproven.
+        with pytest.raises(DomainError, match="cannot certify 3317044064679887385961981 as prime"):
+            factorize(PSI_13)
 
     def test_factorization_is_hashable_and_ordered(self):
         assert factorize(12) == Factorization(pairs=((2, 2), (3, 1)))
