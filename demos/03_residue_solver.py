@@ -3,8 +3,11 @@
 Given an order r and a target triple (s1, s2, s3), the solver decides
 for which a the bundle S_{a,a-r} carries exactly those invariants.  The
 answer is a finite set of residue classes mod 168r, computed through
-integer E-values, a complete modular square root, and a divisibility
-filter — every step exact.
+integer E-values and a square-root search that needs no factorization:
+an admissible root s of r + e1 modulo 224r must satisfy s = 1 - e2
+(mod 8r), and 224r = 28 · 8r, so the solver tests just those 28 lifts —
+every step exact.  The complete root set from sqrt_mod, filtered mod 8r,
+gives the same roots.
 
 Run:  python3 demos/03_residue_solver.py
 """
@@ -33,7 +36,10 @@ roots = sqrt_mod(problem.r + problem.e1, 224 * problem.r)
 print(f"  square roots of {problem.r + problem.e1} mod {224 * problem.r}: {roots}")
 
 solution = ediffeo_solve(problem, Orientation.PRESERVING)
-print(f"  roots passing the mod-8r filter: {solution.admissible_roots}")
+filtered = tuple(s for s in roots if (s + problem.e2 - 1) % (8 * problem.r) == 0)
+print(f"  roots passing the mod-8r filter: {filtered}")
+print(f"  the solver's admissible roots:   {solution.admissible_roots}"
+      f" (same: {filtered == solution.admissible_roots})")
 print(f"  canonical witnesses:             {solution.witness_roots}")
 print(f"  solved residues: {', '.join(str(c) for c in solution.residues)}")
 

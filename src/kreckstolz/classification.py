@@ -24,7 +24,7 @@ from .errors import (
     ParityFailure,
     WrongFamily,
 )
-from .exact_arith import ModOneValue, Rational, ResidueClass, mod_one, sqrt_mod
+from .exact_arith import ModOneValue, Rational, ResidueClass, mod_one
 from .profiles import (
     CohomologyType,
     InvariantProfile,
@@ -115,12 +115,13 @@ def ks_homeomorphic(
 def kruggel_homotopy(p: InvariantProfile, q: InvariantProfile) -> HomotopyVerdict:
     """Orientation-preserving homotopy equivalence, where it is decided.
 
-    Decided cases: non-spin type with pi4 proven trivial on both sides
-    (linking classes and 2r·s2 decide); non-spin type with pi4 proven Z/2
-    on both sides and odd order (linking classes and r·s2 decide); spin
+    Decided cases: non-spin type, odd order, pi4 proven trivial on both
+    sides (linking classes and 2r·s2 decide); non-spin type, odd order,
+    pi4 proven Z/2 on both sides (linking classes and r·s2 decide); spin
     type with order divisible by 24 (linking classes and p1 mod 24 decide).
-    Everything else — including any open pi4 — is undetermined.  Unequal
-    orders or a proven pi4 conflict are definite obstructions.
+    Everything else — including any open pi4 and every non-spin pair of
+    even order — is undetermined.  Unequal orders or a proven pi4 conflict
+    are definite obstructions.
     """
     if p.r != q.r:
         return HomotopyVerdict.NOT_EQUIVALENT
@@ -321,10 +322,17 @@ def ediffeo_solve(
     when e1, e2 + r + 1 and e3 + r are not all even (for odd r: e1, e2 and
     e3 + 1; for even r: e1, e2 + 1 and e3), CongruenceFailure when
     e3 - e2 - 3 is not divisible by 6r (for odd r the parities make this
-    divisibility by 3r, and the message names 3r); when the
-    admissibility filter leaves no square root the residue set is empty.
-    Every returned residue round-trips: the bundle's s-invariants equal the
-    (possibly negated) inputs modulo 1.
+    divisibility by 3r, and the message names 3r); when no square root
+    is admissible the residue set is empty.  Every returned residue
+    round-trips: the bundle's s-invariants equal the (possibly negated)
+    inputs modulo 1.
+
+    The admissible roots are the s in [0, 224r) with s^2 = r + e1 mod 224r
+    and s = 1 - e2 mod 8r.  No factorization is needed to list them: 8r
+    divides 224r with quotient 28, so the second congruence leaves exactly
+    the 28 lifts c, c + 8r, ..., c + 27·8r of c = (1 - e2) mod 8r, in
+    ascending order, and testing the first congruence on each finds every
+    admissible root.
     """
     if orientation is Orientation.REVERSING:
         base = EdiffeoProblem(problem.r, -problem.s1, -problem.s2, -problem.s3)
@@ -345,8 +353,8 @@ def ediffeo_solve(
             f"e3 - e2 - 3 = {base.e3 - base.e2 - 3} is not divisible by {label} = {step}"
         )
     modulus = 224 * r
-    roots = sqrt_mod((r + base.e1) % modulus, modulus)
-    admissible = tuple(s for s in roots if (s + base.e2 - 1) % (8 * r) == 0)
+    lifts = range((1 - base.e2) % (8 * r), modulus, 8 * r)
+    admissible = tuple(s for s in lifts if (s * s - r - base.e1) % modulus == 0)
     witness: dict[int, tuple[int, int]] = {}
     for s in admissible:
         residue = ((r + 15 * s) // 2 + 7 * base.e2 - 8) % (168 * r)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import chain, permutations
 from pathlib import Path
@@ -336,12 +337,23 @@ def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixtu
     each s-denominator must divide its bound (224r, 24r, 6r), otherwise
     the line cannot belong to the space and InconsistentFixture is
     raised. The file is read as UTF-8; bytes that do not decode raise
-    ParseError. Without a source argument the packaged registry is loaded.
+    ParseError. Without a source argument the packaged registry is loaded;
+    it is parsed once per process, and every call returns a new list of
+    the same frozen fixtures.  A file given as source is re-read on every
+    call.
     """
     if source is None:
-        data = resources.files("kreckstolz.data").joinpath(_DEFAULT_FIXTURES).read_bytes()
-    else:
-        data = Path(source).read_bytes()
+        return list(_packaged_fixtures())
+    return _parse_fixtures(Path(source).read_bytes())
+
+
+@cache
+def _packaged_fixtures() -> tuple[EschenburgFixture, ...]:
+    data = resources.files("kreckstolz.data").joinpath(_DEFAULT_FIXTURES).read_bytes()
+    return tuple(_parse_fixtures(data))
+
+
+def _parse_fixtures(data: bytes) -> list[EschenburgFixture]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

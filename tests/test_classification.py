@@ -503,6 +503,75 @@ def test_solver_completeness_random(r, a):
     assert a % (168 * r) in {res.value for res in solution.residues}
 
 
+def _reference_solve(problem, orientation):
+    """A reference solver through the complete root set: every square root
+    of r + e1 modulo 224r from sqrt_mod, then the mod-8r admissibility
+    filter.  Returns (residues, witness_roots, admissible_roots) or raises
+    as the solver does."""
+    if orientation is Orientation.REVERSING:
+        problem = EdiffeoProblem(problem.r, -problem.s1, -problem.s2, -problem.s3)
+    r, e1, e2, e3 = problem.r, problem.e1, problem.e2, problem.e3
+    odd = r % 2
+    e2_name, e2_even = ("e2", e2) if odd else ("e2 + 1", e2 + 1)
+    e3_name, e3_even = ("e3 + 1", e3 + 1) if odd else ("e3", e3)
+    if e1 % 2 or e2_even % 2 or e3_even % 2:
+        raise ParityFailure(
+            f"e1 = {e1}, {e2_name} = {e2_even} and {e3_name} = {e3_even} must all be even"
+        )
+    step, label = (3 * r, "3r") if odd else (6 * r, "6r")
+    if (e3 - e2 - 3) % step:
+        raise CongruenceFailure(f"e3 - e2 - 3 = {e3 - e2 - 3} is not divisible by {label} = {step}")
+    modulus = 224 * r
+    roots = sqrt_mod((r + e1) % modulus, modulus)
+    admissible = tuple(x for x in roots if (x + e2 - 1) % (8 * r) == 0)
+    witness = {}
+    for x in admissible:
+        residue = ((r + 15 * x) // 2 + 7 * e2 - 8) % (168 * r)
+        signed = x - modulus if 2 * x > modulus else x
+        held = witness.get(residue)
+        if held is None or abs(signed) < abs(held[1]):
+            witness[residue] = (x, signed)
+    residues = tuple(ResidueClass(a, 168 * r) for a in sorted(witness))
+    return residues, tuple(sorted(x for x, _ in witness.values())), admissible
+
+
+_SOLVER_ORDERS = st.one_of(
+    st.integers(min_value=1, max_value=400),
+    st.sampled_from([969969, 440895, 2 * 440895, 8 * 3 * 5 * 7, 2**10, 7**5, 27 * 49 * 11]),
+)
+
+
+@st.composite
+def _solver_problems(draw):
+    """An order with s-values that are either arbitrary admissible fractions
+    (mostly obstructed) or the triple of a real bundle S_{a,a-r}, with an
+    integer added to each s so the e-values take other representatives."""
+    r = draw(_SOLVER_ORDERS)
+    weights = (224 * r, 24 * r, 6 * r)
+    if draw(st.booleans()):
+        numerators = [draw(st.integers(min_value=-3 * w, max_value=3 * w)) for w in weights]
+        return EdiffeoProblem(r, *(Fraction(n, w) for n, w in zip(numerators, weights)))
+    a = draw(st.integers(min_value=-10**6, max_value=10**6))
+    shifts = [draw(st.integers(min_value=-3, max_value=3)) for _ in weights]
+    p = profile_sphere(a, a - r)
+    return EdiffeoProblem(r, *(s + k for s, k in zip(p.s_triple, shifts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=_solver_problems(), orientation=st.sampled_from(list(Orientation)))
+def test_solver_agrees_with_sqrt_mod_reference(problem, orientation):
+    try:
+        expected = _reference_solve(problem, orientation)
+    except (ParityFailure, CongruenceFailure) as exc:
+        with pytest.raises(type(exc)) as caught:
+            ediffeo_solve(problem, orientation)
+        assert str(caught.value) == str(exc)
+        return
+    solution = ediffeo_solve(problem, orientation)
+    assert (solution.residues, solution.witness_roots, solution.admissible_roots) == expected
+    assert solution.orientation is orientation
+
+
 # ---------------------------------------------------------------------------
 # Linking-form substitution consistency checks.
 # ---------------------------------------------------------------------------

@@ -217,11 +217,18 @@ def test_ediffeo_order_with_strong_pseudoprime_factor(capsys):
     assert json.loads(out)["preserving"]["residues"] == [f"12345 mod {168 * PSI_12}"]
 
 
-def test_ediffeo_order_beyond_the_primality_proof_is_domain_error(capsys):
-    code = run(["ediffeo", "-r", str(PSI_13)] + _sphere_s_flags(12345, 12345 - PSI_13))
+@pytest.mark.parametrize(
+    "r",
+    [PSI_13, (2**61 - 1) * (2**89 - 1)],
+    ids=["psi13", "mersenne_61_89"],
+)
+def test_ediffeo_solves_orders_that_cannot_be_factored(r, capsys):
+    # The solver needs no factorization of 224r, so an order whose primality
+    # factorize cannot certify, or a product of two large primes, is solved.
+    code = run(["ediffeo", "-r", str(r), "--orientation", "preserving"] + _sphere_s_flags(12345, 12345 - r))
     out, err = out_err(capsys)
-    assert (code, out) == (1, "")
-    assert err.startswith(f"DomainError: cannot certify {PSI_13} as prime")
+    assert (code, err) == (0, "")
+    assert out == f"preserving: 12345 mod {168 * r}\n"
 
 
 @pytest.mark.parametrize("flag", ["--s1", "--s2", "--s3"])
@@ -362,6 +369,31 @@ def test_fixture_flag_overrides_env(tmp_path, monkeypatch, capsys):
     code = run(["invariants", "eschenburg:1,1,-2|0,0,0", "--fixtures", str(good)])
     _, err = out_err(capsys)
     assert code == 0, err
+
+
+W11_REVERSED_LINE = "1 1 -2 | 0 0 0 | -1/112 1/36 -1/18\n"
+
+
+def _w11_s1(capsys, argv):
+    assert run(["invariants", "eschenburg:1,1,-2|0,0,0", "--format", "json"] + argv) == 0
+    return json.loads(capsys.readouterr().out)["s1"]
+
+
+def test_fixture_flag_file_is_reread_per_run(tmp_path, capsys):
+    path = tmp_path / "w11.txt"
+    path.write_text(W11_LINE, encoding="utf-8")
+    assert _w11_s1(capsys, ["--fixtures", str(path)]) == "1/112"
+    path.write_text(W11_REVERSED_LINE, encoding="utf-8")
+    assert _w11_s1(capsys, ["--fixtures", str(path)]) == "111/112"
+
+
+def test_fixture_env_var_file_is_reread_per_run(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "w11.txt"
+    path.write_text(W11_REVERSED_LINE, encoding="utf-8")
+    monkeypatch.setenv("KRECKSTOLZ_FIXTURES", str(path))
+    assert _w11_s1(capsys, []) == "111/112"
+    path.write_text(W11_LINE, encoding="utf-8")
+    assert _w11_s1(capsys, []) == "1/112"
 
 
 def test_missing_fixture_file_is_reported(tmp_path, capsys):

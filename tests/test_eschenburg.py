@@ -404,6 +404,26 @@ class TestFixtures:
         fixtures = load_fixtures()
         assert any(fx.space == W11 for fx in fixtures)
 
+    def test_packaged_default_returns_a_new_list_each_call(self):
+        first = load_fixtures()
+        second = load_fixtures()
+        assert first == second
+        assert first is not second
+        first.clear()
+        assert load_fixtures() == second
+        assert len(second) == 19
+
+    def test_explicit_source_is_reread_each_call(self, tmp_path):
+        path = tmp_path / "fixtures.txt"
+        path.write_text("1 1 -2 | 0 0 0 | 1/112 -1/36 1/18\n")
+        [fx] = load_fixtures(path)
+        assert fx.space == W11
+        path.write_text(self.GOOD)
+        assert len(load_fixtures(path)) == 2
+        path.write_text("1 1 -2 | 0 0 0 | 1/5 0 0\n")
+        with pytest.raises(InconsistentFixture):
+            load_fixtures(path)
+
     def test_fixture_profile(self, tmp_path):
         path = tmp_path / "fixtures.txt"
         path.write_text("1 1 -2 | 0 0 0 | 1/112 -1/36 1/18\n")
