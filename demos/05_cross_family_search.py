@@ -6,8 +6,8 @@ negation — so one lookup finds matches in both orientations.  This
 script enumerates the positively curved parameter spaces of small order,
 matches them against a sphere-bundle grid, and then scans the circle
 family at the catalog's own bounds.  Both searches go through
-`find_matches`, which builds a profile only for the entries whose s1
-(up to sign) occurs on both sides.
+`find_matches`, which builds a profile only for the entries whose
+s-triple (up to sign) occurs on both sides, found on integers first.
 
 Run:  python3 demos/05_cross_family_search.py
 """

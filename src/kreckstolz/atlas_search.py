@@ -1,15 +1,20 @@
 """Invariant-keyed search over families of spaces, plus catalog verification.
 
-Diffeomorphic pairs between two collections of spaces are found in two
-stages.  A source lists its entries by parameters, each with its s1
-bucket: the cohomology type, the order r and the smaller of s1 and -s1
-modulo 1, as integers from the family's cleared s1 formula (for the
-catalog, from its tabulated s1).
-`find_matches` builds the full invariant profile only of the entries
-whose s1 bucket occurs on both sides, indexes those by the
-orientation-insensitive part of the profile, and lets `match_all`
-compare them bucket by bucket, so each lookup finds matches of both
-orientations at once.  The prefilter changes no output: see
+Diffeomorphic pairs between two collections of spaces are found in
+stages that work on integers before any profile is built.  A source
+lists its entries by parameters, each with its s1 value: the cohomology
+type, the order r and s1 modulo 1 as a reduced pair, from the family's
+cleared s1 formula (for the catalog, from its tabulated s1).  A sphere
+range stores these for one period of a only, since s1 of S_{a,a-r}
+depends only on a mod 56r.  `find_matches` first keeps the entries whose
+s1 bucket (s1 up to sign) occurs on both sides, walking each kept
+position of a period through the whole range; then gives each of those
+its triple key (the cleared s2 and s3 join s1, in canonical orientation)
+and keeps the entries whose triple key occurs on both sides.  Only
+those get a full invariant profile.  They are indexed by their triple
+key, the orientation-insensitive part of the profile, and `match_all`
+compares them bucket by bucket, so each lookup finds matches of both
+orientations at once.  The filters change no output: see
 `find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
@@ -23,22 +28,26 @@ by the partner bundle) and reports it per row.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, isqrt
-from typing import Any, Callable, Container, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, KeysView, NamedTuple, Optional, Sequence
 
 from .bundle_families import (
     BundleSpec,
     Family,
+    choose_mn,
     circle_s1,
+    circle_s23,
     describe_bundle_spec,
     parse_bundle_spec,
     profile as bundle_profile,
     profile_circle,
     profile_sphere,
     sphere_s1,
+    sphere_s23,
 )
 from .classification import EdiffeoProblem, Orientation, ediffeo_solve, ks_diffeomorphic
 from .errors import (
@@ -95,6 +104,7 @@ __all__ = [
     "s1_bucket",
     "sphere_grid",
     "sphere_source",
+    "triple_key",
 ]
 
 
@@ -134,21 +144,25 @@ class ProfileKey:
         return ProfileKey(self.cohomology_type, self.r, self.s_canonical, False)
 
 
-def _canonical(profile: InvariantProfile) -> tuple[tuple[ModOneValue, ...], bool]:
-    """(s_canonical, flipped) of a profile, decided on integers.
+def _reverses(pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the negation of an s-triple is its canonical orientation.
 
-    An s-value n/d in [0, 1) and its negation (d - n)/d share the
-    denominator d, so the cross-multiplied comparison of the two reduces
-    to n against d - n: they tie when n = 0 or 2n = d, and otherwise the
-    first entry that does not tie decides the lexicographic order.
+    Each pair (n, d) is an s-value n/d in [0, 1).  Its negation (d - n)/d
+    shares the denominator d, so the comparison of the two reduces to 2n
+    against d: they tie when n = 0 or 2n = d, and otherwise the first
+    value that does not tie decides the lexicographic order.
     """
-    s_triple = profile.s_triple
-    for s in s_triple:
-        n, d = s.numerator, s.denominator
+    for n, d in pairs:
         if n and 2 * n != d:
-            if 2 * n < d:
-                return s_triple, False
-            return negated_s_triple(profile), True
+            return 2 * n > d
+    return False
+
+
+def _canonical(profile: InvariantProfile) -> tuple[tuple[ModOneValue, ...], bool]:
+    """(s_canonical, flipped) of a profile."""
+    s_triple = profile.s_triple
+    if _reverses((s.numerator, s.denominator) for s in s_triple):
+        return negated_s_triple(profile), True
     return s_triple, False
 
 
@@ -156,6 +170,41 @@ def profile_key(profile: InvariantProfile) -> ProfileKey:
     """The lookup key of a profile."""
     canonical, flipped = _canonical(profile)
     return ProfileKey(profile.cohomology_type, profile.r, canonical, flipped)
+
+
+# (cohomology type, r, n1, d1, n2, d2, n3, d3): a profile_key bucket, its
+# canonical s-triple written as reduced integer pairs.
+TripleKey = tuple[CohomologyType, int, int, int, int, int, int, int]
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d modulo 1 as the lowest-terms pair (n', d') with 0 <= n' < d', for d != 0.
+
+    This is the numerator and denominator of Fraction(n, d) % 1.
+    """
+    if d < 0:
+        n, d = -n, -d
+    n %= d
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def triple_key(
+    cohomology_type: CohomologyType, r: int, s1: tuple[int, int], s2: tuple[int, int], s3: tuple[int, int]
+) -> tuple[TripleKey, bool]:
+    """The profile_key bucket and flip bit of a space, from cleared s-values.
+
+    Each s-value is a pair (n, d) with d != 0 meaning n/d.  The pairs are
+    reduced as Fraction reduces them and oriented by the rule of
+    profile_key, so a profile with these values has a bucket whose
+    s_canonical holds exactly these integers, and the same `flipped`.
+    """
+    pairs = (_reduced(*s1), _reduced(*s2), _reduced(*s3))
+    flipped = _reverses(pairs)
+    if flipped:
+        pairs = tuple(((d - n) % d, d) for n, d in pairs)
+    (n1, d1), (n2, d2), (n3, d3) = pairs
+    return (cohomology_type, r, n1, d1, n2, d2, n3, d3), flipped
 
 
 class IndexEntry(NamedTuple):
@@ -170,24 +219,34 @@ class IndexEntry(NamedTuple):
 class AtlasIndex:
     """Hash index from bucket keys to the entries sharing that bucket.
 
-    Iteration order is the insertion order of `build_index`, so equal
-    inputs give equal indexes and byte-identical downstream reports.
+    `build_index` keys by ProfileKey buckets and `find_matches` by the
+    equal TripleKey integers; match_all pairs two indexes keyed alike.
+    Iteration order is insertion order, so equal inputs give equal
+    indexes and byte-identical downstream reports.
     """
 
-    buckets: dict[ProfileKey, tuple[IndexEntry, ...]]
+    buckets: dict[Hashable, tuple[IndexEntry, ...]]
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self.buckets.values())
 
 
+def _grouped(keyed: Iterable[tuple[Hashable, IndexEntry]]) -> AtlasIndex:
+    """The index of (key, entry) pairs, buckets and entries in input order."""
+    buckets: dict[Hashable, list[IndexEntry]] = {}
+    for key, entry in keyed:
+        buckets.setdefault(key, []).append(entry)
+    return AtlasIndex({key: tuple(entries) for key, entries in buckets.items()})
+
+
 def build_index(profiles: Iterable[tuple[str, InvariantProfile]]) -> AtlasIndex:
     """Index (descriptor, profile) pairs by their orientation-cleared key."""
-    buckets: dict[ProfileKey, list[IndexEntry]] = {}
+    keyed = []
     for descriptor, profile in profiles:
         canonical, flipped = _canonical(profile)
         bucket = ProfileKey(profile.cohomology_type, profile.r, canonical, False)
-        buckets.setdefault(bucket, []).append(IndexEntry(descriptor, profile, flipped))
-    return AtlasIndex({key: tuple(entries) for key, entries in buckets.items()})
+        keyed.append((bucket, IndexEntry(descriptor, profile, flipped)))
+    return _grouped(keyed)
 
 
 # ---------------------------------------------------------------------------
@@ -268,69 +327,125 @@ def match_all(
 def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -> tuple[MatchRecord, ...]:
     """match_all of two sources, with profiles built only for possible partners.
 
-    An entry gets its profile only when its s1 bucket occurs on both
-    sides; the survivors of each side, in source order, go through
-    build_index and match_all.  The result is that of the eager
+    Two integer stages choose the entries that get a profile.  First, each
+    side selects (Source.select) its entries whose s1 bucket occurs on
+    both sides.  Second, each selected entry gets its triple key and flip
+    bit (Source.key), and only the entries whose triple key occurs on both
+    sides get a profile.  These go, grouped by triple key in source order,
+    to match_all.  The result is that of the eager
     `match_all(build_index(left.entries()), build_index(right.entries()))`:
 
-    1. Equal profile_key buckets imply equal s1 buckets, as the key holds
-       the type, r and an s-triple fixed up to a common sign, and s1 up to
-       sign is what the s1 bucket records.  So a profile bucket that
-       match_all pairs across the sides has its s1 bucket on both sides,
-       and all its entries survive on both sides; a profile bucket whose
-       s1 bucket is missing on the other side has no partner there and
-       contributes nothing.  Survivors keep their relative order.
-    2. match_all therefore visits the same pairs in the same order, so
+    1. An entry's triple key is its profile_key bucket written as integers,
+       and its flip bit is that key's `flipped` (see triple_key).  So the
+       triple keys group entries as build_index does, with the same bits.
+    2. Equal triple keys imply equal s1 buckets, as the key holds the type,
+       r and s1 up to a sign common to the triple, and s1 up to sign is
+       what the s1 bucket records.  So every entry of a bucket that occurs
+       on both sides passes both stages on both sides; a bucket that
+       occurs on one side only pairs nothing in match_all.  Survivors keep
+       their relative order, so the shared buckets come in the eager order
+       and hold the same entries in the same order.
+    3. match_all therefore visits the same pairs in the same order, so
        the records, their order and the first InconsistentFixture (type
        and message) are those of the eager pipeline.
-    3. The sources build a profile only for valid parameters (fixture
-       profiles are built with the source), which cannot raise, so
-       skipping entries hides no error.
+    4. Source.select yields exactly the entries with a kept s1 bucket, in
+       source order, also for a periodic source: entry i has the s1 value
+       at position i mod period, and the sphere source proves that period.
+    5. The sources build keys and profiles only for valid parameters
+       (fixture profiles are built with the source), which cannot raise,
+       so skipping entries hides no error.
     """
-    shared = set(left.buckets).intersection(right.buckets)
-    return match_all(build_index(left.entries(shared)), build_index(right.entries(shared)), require_pi4_compat)
+    shared_s1 = left.buckets() & right.buckets()
+    left_keyed, right_keyed = (
+        [(p, *source.key(p, s1)) for p, s1 in source.select(shared_s1)] for source in (left, right)
+    )
+    shared = {key for _, key, _ in left_keyed}.intersection(key for _, key, _ in right_keyed)
+
+    def index(source: Source, keyed: list[tuple[Any, TripleKey, bool]]) -> AtlasIndex:
+        return _grouped((key, IndexEntry(*source.build(p), flipped)) for p, key, flipped in keyed if key in shared)
+
+    return match_all(index(left, left_keyed), index(right, right_keyed), require_pi4_compat)
 
 
 # ---------------------------------------------------------------------------
 # Sources.
 # ---------------------------------------------------------------------------
 
-# (cohomology type, r, numerator, denominator) of s1 or -s1, whichever is smaller.
+# (cohomology type, r, n, d): the s1 value n/d modulo 1, reduced as Fraction reduces it.
+S1Value = tuple[CohomologyType, int, int, int]
+# The same with n replaced by min(n, d - n): s1 up to sign.
 S1Bucket = tuple[CohomologyType, int, int, int]
+
+
+def _s1_value(cohomology_type: CohomologyType, r: int, n: int, d: int) -> S1Value:
+    return (cohomology_type, r, *_reduced(n, d))
+
+
+def _sign_blind(value: S1Value) -> S1Bucket:
+    """The s1 bucket of an s1 value: -n/d is (d - n)/d over the same reduced d."""
+    cohomology_type, r, n, d = value
+    return cohomology_type, r, min(n, d - n), d
 
 
 def s1_bucket(cohomology_type: CohomologyType, r: int, n: int, d: int) -> S1Bucket:
     """The s1 bucket of a space with s1 = n/d, as a reduced integer pair.
 
-    With d > 0, n % d and d - n % d are the numerators over d of s1 and
-    -s1 modulo 1; the smaller one, divided by its gcd with d, is the same
-    pair for every cleared form n/d of the value.
+    The bucket holds the smaller of the numerators of s1 and -s1 over
+    their common reduced denominator, the same pair for every cleared
+    form n/d of the value.
     """
-    if d < 0:
-        n, d = -n, -d
-    n %= d
-    n = min(n, d - n)
-    g = gcd(n, d)
-    return cohomology_type, r, n // g, d // g
+    return _sign_blind(_s1_value(cohomology_type, r, n, d))
 
 
 @dataclass(frozen=True)
 class Source:
     """A collection of spaces whose profiles are built on demand.
 
-    Entry i has parameters `params[i]` and s1 bucket `buckets[i]`;
-    `build(params[i])` gives its (descriptor, profile) index entry.
+    Entry i has parameters `params[i]` and s1 value `s1[i % len(s1)]`: a
+    listed source holds one value per entry, a sphere range one period of
+    values.  `key(params[i], s1 value)` gives the entry's triple key and
+    flip bit (see triple_key), and `build(params[i])` its (descriptor,
+    profile) index entry.
     """
 
     params: Sequence[Any]
-    buckets: tuple[S1Bucket, ...]
+    s1: tuple[S1Value, ...]
+    key: Callable[[Any, S1Value], tuple[TripleKey, bool]]
     build: Callable[[Any], tuple[str, InvariantProfile]]
 
-    def entries(self, keep: Optional[Container[S1Bucket]] = None) -> list[tuple[str, InvariantProfile]]:
-        """The index entries in source order; with `keep`, only those whose bucket is in it."""
-        if keep is None:
-            return [self.build(p) for p in self.params]
-        return [self.build(p) for p, bucket in zip(self.params, self.buckets) if bucket in keep]
+    @cached_property
+    def _positions(self) -> dict[S1Bucket, list[int]]:
+        """The positions i < len(s1) of each s1 bucket, ascending."""
+        positions = defaultdict(list)
+        for i, value in enumerate(self.s1):
+            positions[_sign_blind(value)].append(i)
+        return positions
+
+    def buckets(self) -> KeysView[S1Bucket]:
+        """The s1 buckets of the entries."""
+        return self._positions.keys()
+
+    def select(self, keep: Iterable[S1Bucket]) -> Iterator[tuple[Any, S1Value]]:
+        """(params, s1 value) of the entries whose s1 bucket is in `keep`, in source order.
+
+        The positions of the kept buckets in the first period are looked
+        up once; the walk then visits them period by period, so a kept
+        position costs one step per period and a dropped one nothing.
+        """
+        positions = self._positions
+        kept = sorted(i for bucket in keep if bucket in positions for i in positions[bucket])
+        if not kept:
+            return
+        count = len(self.params)
+        for base in range(0, count, len(self.s1)):
+            for i in kept:
+                if base + i >= count:
+                    break
+                yield self.params[base + i], self.s1[i]
+
+    def entries(self) -> list[tuple[str, InvariantProfile]]:
+        """The index entries of every entry, in source order."""
+        return [self.build(p) for p in self.params]
 
 
 def eschenburg_descriptor(space: EschenburgSpace) -> str:
@@ -377,6 +492,11 @@ def _built(entry: tuple[str, InvariantProfile]) -> tuple[str, InvariantProfile]:
     return entry
 
 
+def _fixture_key(entry: tuple[str, InvariantProfile], s1: S1Value) -> tuple[TripleKey, bool]:
+    p = entry[1]
+    return triple_key(p.cohomology_type, p.r, *((s.numerator, s.denominator) for s in p.s_triple))
+
+
 def fixture_source(fixtures: Iterable[EschenburgFixture]) -> Source:
     """The fixture spaces, profiles built from their s-values.
 
@@ -385,10 +505,8 @@ def fixture_source(fixtures: Iterable[EschenburgFixture]) -> Source:
     match.
     """
     entries = tuple((eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures)
-    buckets = tuple(
-        s1_bucket(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator) for _, p in entries
-    )
-    return Source(entries, buckets, _built)
+    s1 = tuple(_s1_value(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator) for _, p in entries)
+    return Source(entries, s1, _fixture_key, _built)
 
 
 def fixture_entries(
@@ -402,13 +520,23 @@ def _sphere_entry(r: int, a: int) -> tuple[str, InvariantProfile]:
     return describe_bundle_spec(BundleSpec(Family.SPHERE, a, a - r)), profile_sphere(a, a - r)
 
 
+def _sphere_key(r: int, a: int, s1: S1Value) -> tuple[TripleKey, bool]:
+    return triple_key(CohomologyType.E, r, s1[2:], *sphere_s23(a, a - r))
+
+
 def sphere_source(r: int, start: int, stop: int) -> Source:
-    """The non-spin sphere bundles S_{a, a-r} with a in [start, stop)."""
+    """The non-spin sphere bundles S_{a, a-r} with a in [start, stop).
+
+    s1 is computed for the first min(stop - start, 56r) values of a only,
+    one period: with x = 2a - r + 2, sphere_s1 gives s1 = (x^2 - r)/(224r),
+    and moving a by 56r adds 224r(x + 56r) to x^2, which leaves s1 mod 1
+    unchanged.
+    """
     if r < 1:
         raise DomainError(f"|H^4| must be positive, got {r}")
     a_values = range(start, stop)
-    buckets = tuple(s1_bucket(CohomologyType.E, r, *sphere_s1(a, a - r)) for a in a_values)
-    return Source(a_values, buckets, partial(_sphere_entry, r))
+    s1 = tuple(_s1_value(CohomologyType.E, r, *sphere_s1(a, a - r)) for a in a_values[: 56 * r])
+    return Source(a_values, s1, partial(_sphere_key, r), partial(_sphere_entry, r))
 
 
 def sphere_grid(r: int, start: int, stop: int) -> list[tuple[str, InvariantProfile]]:
@@ -449,6 +577,12 @@ def _circle_entry(hit: tuple[int, int, int]) -> tuple[str, InvariantProfile]:
     return describe_bundle_spec(BundleSpec(Family.CIRCLE, a, b, t=t)), profile_circle(t, a, b)
 
 
+def _circle_key(r: int, hit: tuple[int, int, int], s1: S1Value) -> tuple[TripleKey, bool]:
+    a, b, t = hit
+    m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+    return triple_key(CohomologyType.E, r, s1[2:], *circle_s23(t, a, b, m, n))
+
+
 def circle_source(r: int, bound: int) -> Source:
     """The circle bundles with the given r and |a|, |b| <= bound.
 
@@ -476,8 +610,8 @@ def circle_source(r: int, bound: int) -> Source:
                 if shifted % square == 0 and gcd(a, b) == 1 and abs(a) <= bound and abs(b) <= bound:
                     hits.append((a, b, shifted // square))
     hits.sort()  # by (a, b, t); ab - r = t (a+b)^2 has the smaller t
-    buckets = tuple(s1_bucket(CohomologyType.E, r, *circle_s1(t, a, b)) for a, b, t in hits)
-    return Source(tuple(hits), buckets, _circle_entry)
+    s1 = tuple(_s1_value(CohomologyType.E, r, *circle_s1(t, a, b)) for a, b, t in hits)
+    return Source(tuple(hits), s1, partial(_circle_key, r), _circle_entry)
 
 
 def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:

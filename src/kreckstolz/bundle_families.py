@@ -20,7 +20,10 @@ deterministically.
 
 All characteristic numbers are computed over a single cleared
 denominator; the term-by-term rational evaluation lives in the test
-suite as an independent oracle.
+suite as an independent oracle.  The s-values of the two families that
+the search sources list are also public as integer pairs (sphere_s1,
+sphere_s23, circle_s1, circle_s23), which their profile constructors
+call, so each formula has one copy.
 """
 
 from __future__ import annotations
@@ -143,17 +146,30 @@ def _lk_set(value: int, r: int) -> Optional[frozenset[ResidueClass]]:
     return None if r == 1 else frozenset({ResidueClass(value % r, r)})
 
 
-def sphere_s1(a: int, b: int) -> tuple[int, int]:
-    """s1 of the non-spin 3-sphere bundle (a, b) as a cleared pair (numerator, denominator)."""
+def _sphere_order(a: int, b: int) -> int:
+    """a - b, the signed order of H^4 of both sphere families; never 0."""
     d = a - b
     if d == 0:
         raise DegenerateOrder(f"parameters ({a}, {b}) give |H^4| = 0")
+    return d
+
+
+def sphere_s1(a: int, b: int) -> tuple[int, int]:
+    """s1 of the non-spin 3-sphere bundle (a, b) as a cleared pair (numerator, denominator)."""
+    d = _sphere_order(a, b)
     return (a + b + 2) ** 2 - abs(d), 224 * d
+
+
+def sphere_s23(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """s2 and s3 of the non-spin 3-sphere bundle (a, b) as cleared pairs."""
+    d = _sphere_order(a, b)
+    return (-(a + b + 1), 24 * d), (-(a + b - 2), 6 * d)
 
 
 def profile_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
     s1 = ratio_mod_one(*sphere_s1(a, b))
+    s2, s3 = sphere_s23(a, b)
     d = a - b
     r = abs(d)
     sgn = 1 if d > 0 else -1
@@ -161,8 +177,8 @@ def profile_sphere(a: int, b: int) -> InvariantProfile:
         cohomology_type=CohomologyType.E,
         r=r,
         s1=s1,
-        s2=ratio_mod_one(-(a + b + 1), 24 * d),
-        s3=ratio_mod_one(-(a + b - 2), 6 * d),
+        s2=ratio_mod_one(*s2),
+        s3=ratio_mod_one(*s3),
         p1=ResidueClass((2 * a + 2 * b + 4) % r, r),
         lk=_lk_set(sgn, r),
         pi4=_pi4_sphere(r),
@@ -171,9 +187,7 @@ def profile_sphere(a: int, b: int) -> InvariantProfile:
 
 def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the spin 3-sphere bundle with parameters (a, b)."""
-    d = a - b
-    if d == 0:
-        raise DegenerateOrder(f"parameters ({a}, {b}) give |H^4| = 0")
+    d = _sphere_order(a, b)
     r = abs(d)
     sgn = 1 if d > 0 else -1
     s1_num = 3 * (2 * a + 2 * b + 3) ** 2 - 7 * (4 * a + 4 * b + 5) - 12 * r
@@ -204,15 +218,21 @@ def _checked_mn(family: Family, a: int, b: int, mn: Optional[tuple[int, int]]) -
     return MnPair(m, n)
 
 
+def _circle_order(t: int, a: int, b: int) -> int:
+    """s = t(a+b)^2 - ab, the signed order of H^4 of the circle bundle (t, a, b); never 0."""
+    s = t * (a + b) ** 2 - a * b
+    if s == 0:
+        raise DegenerateOrder(f"parameters (t={t}, {a}, {b}) give |H^4| = 0")
+    return s
+
+
 def circle_s1(t: int, a: int, b: int) -> tuple[int, int]:
     """s1 of the circle bundle (t, a, b) as a cleared pair (numerator, 672 s).
 
     Here s = t(a+b)^2 - ab, so |H^4| = |s|.  Unlike s2 and s3, s1 needs
     neither the auxiliary pair (m, n) nor coprimality of (a, b).
     """
-    s = t * (a + b) ** 2 - a * b
-    if s == 0:
-        raise DegenerateOrder(f"parameters (t={t}, {a}, {b}) give |H^4| = 0")
+    s = _circle_order(t, a, b)
     if s > 0:
         sw = 0
     else:
@@ -225,19 +245,14 @@ def circle_s1(t: int, a: int, b: int) -> tuple[int, int]:
     return -3 * s * sw - 12 * A * (t - 1) ** 2 + A * x * s, 672 * s
 
 
-def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:
-    """Invariant profile of the circle bundle over the non-spin 2-sphere bundle.
+def circle_s23(t: int, a: int, b: int, m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """s2 and s3 of the circle bundle (t, a, b) as cleared pairs over 24 s and 6 s.
 
-    The optional mn pins the auxiliary pair with am - bn = 1; the result
-    does not depend on the admissible choice.
+    (m, n) is an auxiliary pair with am - bn = 1; the values modulo 1 do
+    not depend on which one.  The pair is not checked here.
     """
-    m, n = _checked_mn(Family.CIRCLE, a, b, mn)
-    s1_num, s1_den = circle_s1(t, a, b)
-    s = s1_den // 672  # circle_s1 clears s1 over 672 s
-    r = abs(s)
-    sgn = 1 if s > 0 else -1
+    s = _circle_order(t, a, b)
     A, M = a + b, m + n
-    s1 = ratio_mod_one(s1_num, s1_den)
     brace1 = (
         (t - 1) * M * (2 - A * M - 2 * M * M)
         - a * m * (m + 2 * n)
@@ -258,7 +273,6 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         - 6 * m * m * n * n * A
         - 4 * m * n * (a * n * n + b * m * m)
     )
-    s2 = ratio_mod_one(brace1 * s + brace2, 24 * s)
     brace1p = (
         (t - 1) * M * (1 - A * M - 4 * M * M)
         - a * m * (m + 2 * n)
@@ -278,7 +292,22 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         - 12 * m * m * n * n * A
         - 8 * m * n * (a * n * n + b * m * m)
     )
-    s3 = ratio_mod_one(brace1p * s + 2 * brace2p, 6 * s)
+    return (brace1 * s + brace2, 24 * s), (brace1p * s + 2 * brace2p, 6 * s)
+
+
+def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:
+    """Invariant profile of the circle bundle over the non-spin 2-sphere bundle.
+
+    The optional mn pins the auxiliary pair with am - bn = 1; the result
+    does not depend on the admissible choice.
+    """
+    m, n = _checked_mn(Family.CIRCLE, a, b, mn)
+    s1_num, s1_den = circle_s1(t, a, b)
+    s2, s3 = circle_s23(t, a, b, m, n)
+    s = s1_den // 672  # circle_s1 clears s1 over 672 s
+    r = abs(s)
+    sgn = 1 if s > 0 else -1
+    A, M = a + b, m + n
     lk_bracket = (
         -(t * t) * A * M**4
         + t * (m**4 * (3 * a + b) + n**4 * (a + 3 * b) + 4 * n * m * (a * m * m + b * n * n))
@@ -294,9 +323,9 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
     return InvariantProfile(
         cohomology_type=CohomologyType.E,
         r=r,
-        s1=s1,
-        s2=s2,
-        s3=s3,
+        s1=ratio_mod_one(s1_num, s1_den),
+        s2=ratio_mod_one(*s2),
+        s3=ratio_mod_one(*s3),
         p1=ResidueClass((4 * (1 - t) * A * A) % r, r),
         lk=_lk_set(sgn * lk_bracket, r),
         pi4=pi4,

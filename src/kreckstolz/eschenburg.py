@@ -10,6 +10,7 @@ here from (k, l); they enter through fixture files of known values.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -32,6 +33,10 @@ from .profiles import CohomologyType, InvariantProfile, Pi4
 Triple = tuple[int, int, int]
 
 _DEFAULT_FIXTURES = "eschenburg_fixtures.txt"
+# An s-value token: an integer or n/d.  Fraction also reads decimals and
+# exponents, and a token like 1e100000000 would make it build a power of
+# ten with a hundred million digits.
+_S_VALUE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
 # Largest possible denominators of s1, s2, s3 relative to r for this type.
 _DENOMINATOR_BOUNDS = (224, 24, 6)
 
@@ -324,6 +329,8 @@ def _parse_fraction_triple(text: str, line_number: int) -> tuple[Fraction, Fract
     if len(tokens) != 3:
         raise ParseError(line_number, f"expected three s-values, got {text!r}")
     try:
+        if not all(_S_VALUE.fullmatch(t) for t in tokens):
+            raise ValueError
         return tuple(Fraction(t) for t in tokens)  # type: ignore[return-value]
     except (ValueError, ZeroDivisionError):
         raise ParseError(line_number, f"s-values must be fractions, got {text!r}") from None
@@ -332,7 +339,8 @@ def _parse_fraction_triple(text: str, line_number: int) -> tuple[Fraction, Fract
 def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixture]:
     """Parse a fixture file of lines 'k1 k2 k3 | l1 l2 l3 | s1 s2 s3'.
 
-    '#' starts a comment, blank lines are skipped. Each parsed space is
+    Each s-value is an integer n or a ratio n/d; anything else is a
+    ParseError.  '#' starts a comment, blank lines are skipped. Each parsed space is
     validated: the parameters must be balanced and nondegenerate, and
     each s-denominator must divide its bound (224r, 24r, 6r), otherwise
     the line cannot belong to the space and InconsistentFixture is

@@ -23,6 +23,11 @@ class CohomologyType(Enum):
     E = "E"
     EBAR = "Ebar"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality and skips Enum.__hash__, a call in Python that
+    # every search key holding a type would pay.
+    __hash__ = object.__hash__
+
 
 class Pi4(Enum):
     """Known value of pi4: proven trivial, proven Z/2, or open."""

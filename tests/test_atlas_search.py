@@ -45,16 +45,20 @@ from kreckstolz.atlas_search import (
     s1_bucket,
     sphere_grid,
     sphere_source,
+    triple_key,
 )
 from kreckstolz.bundle_families import (
     BundleSpec,
     Family,
+    choose_mn,
     circle_s1,
+    circle_s23,
     describe_bundle_spec,
     profile_circle,
     profile_sphere,
     profile_spin_sphere,
     sphere_s1,
+    sphere_s23,
 )
 from kreckstolz.classification import Orientation, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
@@ -482,6 +486,61 @@ def test_s1_bucket_is_reduced_and_sign_blind():
     assert s1_bucket(CohomologyType.E, 3, -24, 12) == (CohomologyType.E, 3, 0, 1)
 
 
+# The triple stage of find_matches.
+
+
+def integer_bucket(key):
+    """A profile_key bucket as the flat integer tuple of triple_key."""
+    return (key.cohomology_type, key.r, *(x for s in key.s_canonical for x in (s.numerator, s.denominator)))
+
+
+def assert_keys_agree(got, profile):
+    key = profile_key(profile)
+    assert got == (integer_bucket(key), key.flipped)
+
+
+@given(st.integers(-10**6, 10**6), nonzero)
+def test_sphere_triple_key_agrees_with_profile_key(a, d):
+    b = a - d
+    assert_keys_agree(triple_key(CohomologyType.E, abs(d), sphere_s1(a, b), *sphere_s23(a, b)), profile_sphere(a, b))
+    if d > 0:
+        source = sphere_source(d, a, a + 1)
+        assert_keys_agree(source.key(a, source.s1[0]), profile_sphere(a, b))
+
+
+@given(st.integers(-10**4, 10**4), st.integers(-300, 300), st.integers(-300, 300))
+def test_circle_triple_key_agrees_with_profile_key(t, a, b):
+    s = t * (a + b) ** 2 - a * b
+    assume(gcd(a, b) == 1 and s != 0)
+    m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+    got = triple_key(CohomologyType.E, abs(s), circle_s1(t, a, b), *circle_s23(t, a, b, m, n))
+    assert_keys_agree(got, profile_circle(t, a, b))
+
+
+@given(st.integers(1, 60), st.integers(0, 12))
+def test_source_triple_keys_agree_with_profile_key(r, bound):
+    for source in (circle_source(r, bound), sphere_source(r, -3 * r, 3 * r)):
+        for i, params in enumerate(source.params):
+            assert_keys_agree(source.key(params, source.s1[i % len(source.s1)]), source.build(params)[1])
+
+
+def test_fixture_triple_keys_agree_with_profile_key(fixtures):
+    source = fixture_source(fixtures)
+    for i, entry in enumerate(source.params):
+        assert_keys_agree(source.key(entry, source.s1[i]), entry[1])
+
+
+@given(st.integers(1, 300), st.integers(-10**12, 10**12), st.integers(0, 10**6))
+def test_sphere_s1_has_period_56r(r, start, offset):
+    a = start + offset
+    bucket = s1_bucket(CohomologyType.E, r, *sphere_s1(a, a - r))
+    assert s1_bucket(CohomologyType.E, r, *sphere_s1(a + 56 * r, a + 55 * r)) == bucket
+    # The source stores one period and gives entry i the value at i mod period.
+    source = sphere_source(r, start, a + 1)
+    value = Fr(*sphere_s1(a, a - r)) % 1
+    assert source.s1[offset % len(source.s1)] == (CohomologyType.E, r, value.numerator, value.denominator)
+
+
 def with_sphere_s_values(fixtures, k, a):
     """The catalog with the s-values of the fixture with parameters k replaced by those of S_{a, a-r}."""
     out = []
@@ -531,7 +590,15 @@ def test_find_matches_agrees_with_eager_pipeline(prefilter_sources):
     assert seen["messages"] == {"linking classes differ", "p1 differs"}
 
 
-def test_find_matches_builds_profiles_only_for_shared_s1_buckets(fixtures):
+def counted_sphere_s1(monkeypatch):
+    """The list of a for which atlas_search computes sphere_s1 from now on."""
+    calls = []
+    monkeypatch.setattr(atlas_search, "sphere_s1", lambda a, b: calls.append(a) or sphere_s1(a, b))
+    return calls
+
+
+def test_find_matches_builds_profiles_only_for_shared_triple_buckets(fixtures, monkeypatch):
+    calls = counted_sphere_s1(monkeypatch)
     built = []
     period = sphere_source(41, 0, 168 * 41)
     source = dataclasses.replace(period, build=lambda a: built.append(a) or period.build(a))
@@ -539,11 +606,28 @@ def test_find_matches_builds_profiles_only_for_shared_s1_buckets(fixtures):
     # The catalog lists the order-41 space in both orientations.
     assert len(records) == 4
     assert {rec.right for rec in records} == {"sphere:2285,2244", "sphere:5237,5196"}
-    # s1 has period 56r in a, so each value up to sign recurs in a period
-    # of 168r; only those entries get a profile, in source order.
-    catalog = set(fixture_source(fixtures).buckets)
-    assert built == [a for a, bucket in zip(period.params, period.buckets) if bucket in catalog]
-    assert {2285, 5237} <= set(built) and len(built) == 48
+    # s1 has period 56r in a: one period of s1 values serves the whole
+    # range.  About 48 entries share the catalog's s1 up to sign, but only
+    # the two that share its whole s-triple get a profile.
+    assert len(calls) <= 56 * 41
+    assert built == [2285, 5237]
+
+
+def test_find_matches_on_a_far_sphere_range_walks_one_s1_period(fixtures, monkeypatch):
+    calls = counted_sphere_s1(monkeypatch)
+    start, stop, period = 10**15, 10**15 + 10**7, 168 * 41
+    records = find_matches(fixture_source(fixtures), sphere_source(41, start, stop))
+    expected = [
+        f"sphere:{a},{a - 41}"
+        for base in range(start - start % period, stop, period)
+        for a in (base + 2285, base + 5237)
+        if start <= a < stop
+    ]
+    # Both catalog orientations of the order-41 space, each against every
+    # partner in order of a.  s1 is computed for one period only; the rest
+    # of the range costs a step per kept entry, not per value of a.
+    assert [rec.right for rec in records] == expected * 2
+    assert len(calls) <= 56 * 41
 
 
 def test_parse_source_loads_fixtures_only_for_a_fixture_source(fixtures):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 from itertools import permutations
 
 import pytest
@@ -394,6 +395,15 @@ class TestFixtures:
         with pytest.raises(InconsistentFixture):
             load_fixtures(path)
 
+    def test_s_values_must_be_integers_or_ratios(self, tmp_path):
+        # Fraction would read these, and an exponent sets how large a power
+        # of ten it builds.
+        path = tmp_path / "bad.txt"
+        for token in ("1e100000000", "0.5", "1/2e3"):
+            path.write_text(f"1 1 -2 | 0 0 0 | 1/112 35/36 {token}\n")
+            with pytest.raises(ParseError, match="s-values must be fractions"):
+                load_fixtures(path)
+
     def test_inconsistent_space(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 1 1 | 1 1 1 | 0 0 0\n")
@@ -435,3 +445,35 @@ class TestFixtures:
         assert profile.p1 == ResidueClass(0, 3)
         assert profile.lk == frozenset({ResidueClass(1, 3), ResidueClass(2, 3)})
         assert profile.pi4 is Pi4.ZERO
+
+
+CATALOG = resources.files("kreckstolz.data").joinpath("eschenburg_fixtures.txt").read_bytes()
+CATALOG_LINES = [line for line in CATALOG.splitlines() if line.strip() and not line.startswith(b"#")]
+
+# (edit, position, bytes): a position is taken modulo the line length.
+edits = st.tuples(
+    st.sampled_from(("delete", "insert", "replace")),
+    st.integers(min_value=0),
+    st.one_of(st.sampled_from([c.encode() for c in " -+/|#0123456789e._\t\n"]), st.binary(min_size=1, max_size=2)),
+)
+
+
+def mutated(line: bytes, mutations) -> bytes:
+    for edit, position, text in mutations:
+        i = position % (len(line) + 1)
+        if edit == "insert":
+            line = line[:i] + text + line[i:]
+        else:
+            line = line[:i] + (text if edit == "replace" else b"") + line[i + 1:]
+    return line
+
+
+@given(st.sampled_from(CATALOG_LINES), st.lists(edits, min_size=1, max_size=3))
+def test_mutated_catalog_lines_raise_only_parse_or_consistency_errors(tmp_path_factory, line, mutations):
+    path = tmp_path_factory.getbasetemp() / "mutated.txt"
+    path.write_bytes(mutated(line, mutations) + b"\n")
+    try:
+        load_fixtures(path)
+    except (ParseError, InconsistentFixture):
+        pass
+
