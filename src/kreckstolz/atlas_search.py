@@ -11,11 +11,12 @@ s1 bucket (s1 up to sign) occurs on both sides, walking each kept
 position of a period through the whole range; then gives each of those
 its triple key (the cleared s2 and s3 join s1, in canonical orientation)
 and keeps the entries whose triple key occurs on both sides.  Only
-those get a full invariant profile.  They are indexed by their triple
-key, the orientation-insensitive part of the profile, and `match_all`
-compares them bucket by bucket, so each lookup finds matches of both
-orientations at once.  The filters change no output: see
-`find_matches`.
+those get a full invariant profile.  The triple key is the one bucket
+key of the module: `profile_key` gives it for a built profile, and
+`build_index` indexes by it too.  It is the orientation-insensitive part
+of the profile, so `match_all`, comparing two indexes bucket by bucket,
+finds matches of both orientations with each lookup.  The filters
+change no output: see `find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, isqrt
-from typing import Any, Callable, Hashable, Iterable, Iterator, KeysView, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Optional, Sequence
 
 from .bundle_families import (
     BundleSpec,
@@ -70,7 +71,6 @@ from .profiles import (
     CohomologyType,
     InvariantProfile,
     lk_compatible,
-    negated_s_triple,
     pi4_compatible,
     reversed_profile,
 )
@@ -81,7 +81,6 @@ __all__ = [
     "AtlasIndex",
     "IndexEntry",
     "MatchRecord",
-    "ProfileKey",
     "RowResult",
     "Source",
     "TableReport",
@@ -113,35 +112,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileKey:
-    """Lookup key: orientation-insensitive invariants plus an orientation bit.
+# (cohomology type, r, n1, d1, n2, d2, n3, d3): a bucket key, its canonical
+# s-triple written as reduced integer pairs (see profile_key).
+TripleKey = tuple[CohomologyType, int, int, int, int, int, int, int]
 
-    `s_canonical` is the lexicographically smaller of the s-triple and
-    its negation mod 1, so a profile and its orientation reversal share
-    the same `bucket` and differ only in `flipped`.  Profiles whose
-    s-triple equals its own negation get `flipped = False` in both
-    orientations.
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d modulo 1 as the lowest-terms pair (n', d') with 0 <= n' < d', for d != 0.
+
+    This is the numerator and denominator of Fraction(n, d) % 1.
     """
-
-    cohomology_type: CohomologyType
-    r: int
-    s_canonical: tuple[ModOneValue, ModOneValue, ModOneValue]
-    flipped: bool
-
-    def __hash__(self) -> int:
-        # Equal keys hold equal reduced fractions, hence equal numerators and
-        # denominators; hashing those integers skips Fraction.__hash__.
-        s1, s2, s3 = self.s_canonical
-        s_ints = (s1.numerator, s1.denominator, s2.numerator, s2.denominator, s3.numerator, s3.denominator)
-        return hash((self.cohomology_type, self.r, s_ints, self.flipped))
-
-    @property
-    def bucket(self) -> "ProfileKey":
-        """The key with the orientation bit cleared."""
-        if not self.flipped:
-            return self
-        return ProfileKey(self.cohomology_type, self.r, self.s_canonical, False)
+    if d < 0:
+        n, d = -n, -d
+    n %= d
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _reverses(pairs: Iterable[tuple[int, int]]) -> bool:
@@ -158,46 +143,15 @@ def _reverses(pairs: Iterable[tuple[int, int]]) -> bool:
     return False
 
 
-def _canonical(profile: InvariantProfile) -> tuple[tuple[ModOneValue, ...], bool]:
-    """(s_canonical, flipped) of a profile."""
-    s_triple = profile.s_triple
-    if _reverses((s.numerator, s.denominator) for s in s_triple):
-        return negated_s_triple(profile), True
-    return s_triple, False
-
-
-def profile_key(profile: InvariantProfile) -> ProfileKey:
-    """The lookup key of a profile."""
-    canonical, flipped = _canonical(profile)
-    return ProfileKey(profile.cohomology_type, profile.r, canonical, flipped)
-
-
-# (cohomology type, r, n1, d1, n2, d2, n3, d3): a profile_key bucket, its
-# canonical s-triple written as reduced integer pairs.
-TripleKey = tuple[CohomologyType, int, int, int, int, int, int, int]
-
-
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    """n/d modulo 1 as the lowest-terms pair (n', d') with 0 <= n' < d', for d != 0.
-
-    This is the numerator and denominator of Fraction(n, d) % 1.
-    """
-    if d < 0:
-        n, d = -n, -d
-    n %= d
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def triple_key(
     cohomology_type: CohomologyType, r: int, s1: tuple[int, int], s2: tuple[int, int], s3: tuple[int, int]
 ) -> tuple[TripleKey, bool]:
-    """The profile_key bucket and flip bit of a space, from cleared s-values.
+    """The bucket key and flip bit of a space, from cleared s-values.
 
     Each s-value is a pair (n, d) with d != 0 meaning n/d.  The pairs are
-    reduced as Fraction reduces them and oriented by the rule of
-    profile_key, so a profile with these values has a bucket whose
-    s_canonical holds exactly these integers, and the same `flipped`.
+    reduced as Fraction reduces them and put in canonical orientation, so
+    a profile with these values has exactly this key and bit (see
+    profile_key).
     """
     pairs = (_reduced(*s1), _reduced(*s2), _reduced(*s3))
     flipped = _reverses(pairs)
@@ -205,6 +159,20 @@ def triple_key(
         pairs = tuple(((d - n) % d, d) for n, d in pairs)
     (n1, d1), (n2, d2), (n3, d3) = pairs
     return (cohomology_type, r, n1, d1, n2, d2, n3, d3), flipped
+
+
+def profile_key(profile: InvariantProfile) -> tuple[TripleKey, bool]:
+    """The bucket key of a profile, orientation-insensitive, and its orientation bit.
+
+    The key holds the cohomology type, r and the lexicographically smaller
+    of the s-triple and its negation mod 1; the bit says whether that
+    minimum differs from the s-triple.  So a profile and its orientation
+    reversal share the key and differ only in the bit, except when the
+    s-triple equals its own negation: then the bit is clear in both
+    orientations.
+    """
+    pairs = ((s.numerator, s.denominator) for s in profile.s_triple)
+    return triple_key(profile.cohomology_type, profile.r, *pairs)
 
 
 class IndexEntry(NamedTuple):
@@ -217,35 +185,32 @@ class IndexEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class AtlasIndex:
-    """Hash index from bucket keys to the entries sharing that bucket.
+    """Hash index from bucket keys (see profile_key) to the entries sharing that bucket.
 
-    `build_index` keys by ProfileKey buckets and `find_matches` by the
-    equal TripleKey integers; match_all pairs two indexes keyed alike.
     Iteration order is insertion order, so equal inputs give equal
     indexes and byte-identical downstream reports.
     """
 
-    buckets: dict[Hashable, tuple[IndexEntry, ...]]
+    buckets: dict[TripleKey, tuple[IndexEntry, ...]]
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self.buckets.values())
 
 
-def _grouped(keyed: Iterable[tuple[Hashable, IndexEntry]]) -> AtlasIndex:
+def _grouped(keyed: Iterable[tuple[TripleKey, IndexEntry]]) -> AtlasIndex:
     """The index of (key, entry) pairs, buckets and entries in input order."""
-    buckets: dict[Hashable, list[IndexEntry]] = {}
+    buckets: dict[TripleKey, list[IndexEntry]] = {}
     for key, entry in keyed:
         buckets.setdefault(key, []).append(entry)
     return AtlasIndex({key: tuple(entries) for key, entries in buckets.items()})
 
 
 def build_index(profiles: Iterable[tuple[str, InvariantProfile]]) -> AtlasIndex:
-    """Index (descriptor, profile) pairs by their orientation-cleared key."""
+    """Index (descriptor, profile) pairs by their bucket key (see profile_key)."""
     keyed = []
     for descriptor, profile in profiles:
-        canonical, flipped = _canonical(profile)
-        bucket = ProfileKey(profile.cohomology_type, profile.r, canonical, False)
-        keyed.append((bucket, IndexEntry(descriptor, profile, flipped)))
+        key, flipped = profile_key(profile)
+        keyed.append((key, IndexEntry(descriptor, profile, flipped)))
     return _grouped(keyed)
 
 
@@ -335,9 +300,10 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
     to match_all.  The result is that of the eager
     `match_all(build_index(left.entries()), build_index(right.entries()))`:
 
-    1. An entry's triple key is its profile_key bucket written as integers,
-       and its flip bit is that key's `flipped` (see triple_key).  So the
-       triple keys group entries as build_index does, with the same bits.
+    1. Both pipelines key through triple_key.  A source's cleared
+       s-values equal those of the profile it builds, and triple_key
+       reduces them, so Source.key gives profile_key of that profile: the
+       buckets and bits of build_index.
     2. Equal triple keys imply equal s1 buckets, as the key holds the type,
        r and s1 up to a sign common to the triple, and s1 up to sign is
        what the s1 bucket records.  So every entry of a bucket that occurs
@@ -493,8 +459,7 @@ def _built(entry: tuple[str, InvariantProfile]) -> tuple[str, InvariantProfile]:
 
 
 def _fixture_key(entry: tuple[str, InvariantProfile], s1: S1Value) -> tuple[TripleKey, bool]:
-    p = entry[1]
-    return triple_key(p.cohomology_type, p.r, *((s.numerator, s.denominator) for s in p.s_triple))
+    return profile_key(entry[1])
 
 
 def fixture_source(fixtures: Iterable[EschenburgFixture]) -> Source:

@@ -78,8 +78,15 @@ def _fields(pairs, fmt: str) -> str:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type for an exact fraction; a zero denominator is a usage error."""
+    """argparse type for an exact fraction, 'n', 'n/d' or a decimal.
+
+    A zero denominator is a usage error, and so is an exponent, the only
+    place where Fraction reads an 'e': Fraction('1e1000000') builds a
+    million-digit power of ten before any check could bound it.
+    """
     try:
+        if "e" in text.lower():
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None

@@ -27,7 +27,6 @@ from kreckstolz.atlas_search import (
     TABLE_B,
     AtlasIndex,
     MatchRecord,
-    ProfileKey,
     build_index,
     circle_grid,
     circle_source,
@@ -97,20 +96,27 @@ def fixture_by_k(fixtures, k):
 def test_profile_key_orientation_pair():
     p = profile_sphere(5, 2)
     q = profile_sphere(2, 5)  # opposite orientation of the same bundle
-    kp, kq = profile_key(p), profile_key(q)
-    assert kp.bucket == kq.bucket
-    assert kp.flipped != kq.flipped
-    assert profile_key(reversed_profile(p)) == kq
+    (kp, flipped_p), (kq, flipped_q) = profile_key(p), profile_key(q)
+    assert kp == kq
+    assert flipped_p != flipped_q
+    assert profile_key(reversed_profile(p)) == (kq, flipped_q)
+
+
+def key_fractions(key):
+    """The s-triple of a bucket key: its integer pairs read as fractions, each kept in lowest terms."""
+    pairs = list(zip(key[2::2], key[3::2]))
+    assert all(Fr(n, d).as_integer_ratio() == (n, d) for n, d in pairs)
+    return tuple(Fr(n, d) for n, d in pairs)
 
 
 def test_profile_key_canonical_is_lexicographic_minimum():
     p = profile_sphere(5, 2)
-    key = profile_key(p)
+    key, flipped = profile_key(p)
     negated = tuple(mod_one(-s) for s in p.s_triple)
-    assert key.s_canonical == min(p.s_triple, negated)
-    assert key.flipped == (key.s_canonical != p.s_triple)
-    assert key.r == 3
-    assert key.cohomology_type is p.cohomology_type
+    assert key_fractions(key) == min(p.s_triple, negated)
+    assert flipped == (key_fractions(key) != p.s_triple)
+    assert key[1] == 3
+    assert key[0] is p.cohomology_type
 
 
 def test_profile_key_self_negating_triple():
@@ -118,9 +124,9 @@ def test_profile_key_self_negating_triple():
     # then share the identical key with flipped = False.
     p = profile_sphere(0, -1)
     assert p.s_triple == tuple(mod_one(-s) for s in p.s_triple)
-    key = profile_key(p)
-    assert key.flipped is False
-    assert profile_key(reversed_profile(p)) == key
+    key, flipped = profile_key(p)
+    assert flipped is False
+    assert profile_key(reversed_profile(p)) == (key, False)
 
 
 # Reduced s-values, with 0 and 1/2 (the values equal to their own negation)
@@ -148,12 +154,15 @@ def test_negation_agrees_with_fraction_mod_one(s_triple):
 @given(st.tuples(s_values, s_values, s_values))
 def test_profile_key_is_fraction_lexicographic_minimum(s_triple):
     p = profile_with(s_triple)
-    canonical = min(s_triple, tuple((-s) % 1 for s in s_triple))
-    key = profile_key(p)
-    assert key.s_canonical == canonical
-    assert key.flipped == (canonical != s_triple)
-    reversed_bucket = profile_key(reversed_profile(p)).bucket
-    assert reversed_bucket == key.bucket and hash(reversed_bucket) == hash(key.bucket)
+    negated = tuple((-s) % 1 for s in s_triple)
+    canonical = min(s_triple, negated)
+    key, flipped = profile_key(p)
+    assert key[:2] == (p.cohomology_type, p.r)
+    assert key_fractions(key) == canonical
+    assert flipped == (canonical != s_triple)
+    reversed_key, reversed_flipped = profile_key(reversed_profile(p))
+    assert reversed_key == key and hash(reversed_key) == hash(key)
+    assert reversed_flipped == (flipped if negated == s_triple else not flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +182,7 @@ def test_index_circle_parameter_swap_shares_bucket_and_bit():
     index = build_index([left, right])
     assert len(index) == 2
     ((key, entries),) = index.buckets.items()
-    assert key.flipped is False
+    assert (key, entries[0].flipped) == profile_key(left[1])
     assert entries[0].flipped == entries[1].flipped
     assert {e.descriptor for e in entries} == {"circle:1,2,1", "circle:1,1,2"}
 
@@ -469,12 +478,12 @@ def test_circle_s1_bucket_agrees_with_profile(t, a, b):
 @given(st.tuples(s_values, s_values, s_values), st.tuples(s_values, s_values, s_values), st.booleans())
 def test_equal_profile_buckets_have_equal_s1_buckets(s_triple, other_triple, reverse):
     # The lemma behind find_matches: the s1 bucket is a function of the
-    # profile_key bucket.  q shares p's bucket; o mostly does not.
+    # bucket key that profile_key gives.  q shares p's key; o mostly does not.
     p = profile_with(s_triple)
     q = reversed_profile(p) if reverse else p
-    assert profile_key(p).bucket == profile_key(q).bucket
+    assert profile_key(p)[0] == profile_key(q)[0]
     for other in (q, profile_with(other_triple)):
-        if profile_key(p).bucket == profile_key(other).bucket:
+        if profile_key(p)[0] == profile_key(other)[0]:
             assert profile_s1_bucket(p) == profile_s1_bucket(other)
 
 
@@ -489,14 +498,8 @@ def test_s1_bucket_is_reduced_and_sign_blind():
 # The triple stage of find_matches.
 
 
-def integer_bucket(key):
-    """A profile_key bucket as the flat integer tuple of triple_key."""
-    return (key.cohomology_type, key.r, *(x for s in key.s_canonical for x in (s.numerator, s.denominator)))
-
-
 def assert_keys_agree(got, profile):
-    key = profile_key(profile)
-    assert got == (integer_bucket(key), key.flipped)
+    assert got == profile_key(profile)
 
 
 @given(st.integers(-10**6, 10**6), nonzero)

@@ -241,6 +241,24 @@ def test_ediffeo_zero_denominator_is_usage_error(flag, capsys):
     assert f"argument {flag}: invalid Fraction value: '1/0'" in err
 
 
+@pytest.mark.parametrize("text", ["1e3", "2E-1"])
+def test_ediffeo_exponent_is_usage_error(text, capsys):
+    # Fraction reads exponents, and a large one means a huge power of ten.
+    code = run(["ediffeo", "-r", "3", f"--s1={text}", "--s2", "0", "--s3", "0"])
+    _, err = out_err(capsys)
+    assert code == 2
+    assert f"argument --s1: invalid Fraction value: '{text}'" in err
+
+
+def test_ediffeo_decimal_reads_as_its_fraction(capsys):
+    outcomes = []
+    for text in ("0.5", "1/2"):
+        code = run(["ediffeo", "-r", "3", f"--s1={text}", "--s2", "0", "--s3", "0"])
+        outcomes.append((code, *out_err(capsys)))
+    assert outcomes[0] == outcomes[1]
+    assert "invalid Fraction value" not in outcomes[0][2]
+
+
 def test_ediffeo_divisibility_error(capsys):
     code = run(["ediffeo", "-r", "3", "--s1", "1/5", "--s2", "0", "--s3", "0"])
     _, err = out_err(capsys)

@@ -1,9 +1,10 @@
-"""The library computes without floats.
+"""The library computes without floats and checks without `assert`.
 
 Every s-value is an exact element of Q/Z, so `src/kreckstolz` may hold no
 float literal, no use of the name `float` and no `math` function that
-returns a float.  The check reads tokens, so comments and docstrings may
-still mention such things.
+returns a float.  Nor may it hold an `assert` statement: `python -O`
+strips them, so no guarantee may rest on one.  The checks read tokens, so
+comments and docstrings may still mention such things.
 """
 
 from __future__ import annotations
@@ -19,10 +20,15 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "kreckstolz").gl
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 
 
+def code_tokens(path: Path) -> list[tokenize.TokenInfo]:
+    """The tokens of a file, without comments and non-logical line breaks."""
+    with path.open("rb") as handle:
+        return [t for t in tokenize.tokenize(handle.readline) if t.type not in (tokenize.NL, tokenize.COMMENT)]
+
+
 def float_uses(path: Path) -> list[str]:
     """'line: token' for each float literal, `float`, or float `math` name in a file."""
-    with path.open("rb") as handle:
-        tokens = [t for t in tokenize.tokenize(handle.readline) if t.type not in (tokenize.NL, tokenize.COMMENT)]
+    tokens = code_tokens(path)
     found = []
     for i, tok in enumerate(tokens):
         text = tok.string
@@ -49,6 +55,11 @@ def float_uses(path: Path) -> list[str]:
     return found
 
 
+def assert_uses(path: Path) -> list[str]:
+    """'line: assert' for each assert statement in a file; `assert` is a keyword, so each token is one."""
+    return [f"{t.start[0]}: assert" for t in code_tokens(path) if t.type == tokenize.NAME and t.string == "assert"]
+
+
 def test_the_guard_reads_every_module():
     assert {p.name for p in SOURCES} >= {"atlas_search.py", "bundle_families.py", "exact_arith.py"}
 
@@ -68,3 +79,21 @@ def test_the_guard_catches_each_kind(tmp_path):
         "z = '1.5'\n"
     )
     assert float_uses(path) == ["2: math.sqrt", "3: 0.5", "3: 1e3", "3: 2j", "4: float", "4: floor"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_asserts_in_the_library(path):
+    assert assert_uses(path) == []
+
+
+def test_the_assert_guard_catches_statements_only(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def f(x):\n"
+        '    """assert in a docstring"""\n'
+        "    assert x, 'assert in a string'  # assert in a comment\n"
+        "    assert_ok = 1\n"
+        "    assert (x\n"
+        "            and x)\n"
+    )
+    assert assert_uses(path) == ["3: assert", "5: assert"]
