@@ -11,7 +11,9 @@ s1 bucket (s1 up to sign) occurs on both sides, walking each kept
 position of a period through the whole range; then gives each of those
 its triple key (the cleared s2 and s3 join s1, in canonical orientation)
 and keeps the entries whose triple key occurs on both sides.  Only
-those get a full invariant profile.  The triple key is the one bucket
+those get a full invariant profile, whose s-values are read back from
+the triple key and flip bit (key_s_triple), one Fraction triple per key
+and bit, rather than computed again.  The triple key is the one bucket
 key of the module: `profile_key` gives it for a built profile, and
 `build_index` indexes by it too.  It is the orientation-insensitive part
 of the profile, so `match_all`, comparing two indexes bucket by bucket,
@@ -29,6 +31,8 @@ by the partner bundle) and reports it per row.
 
 from __future__ import annotations
 
+import json
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,13 +44,16 @@ from .bundle_families import (
     BundleSpec,
     Family,
     choose_mn,
+    circle_profile_with,
     circle_s1,
     circle_s23,
+    describe_bundle,
     describe_bundle_spec,
     parse_bundle_spec,
     profile as bundle_profile,
     profile_circle,
     profile_sphere,
+    sphere_profile_with,
     sphere_s1,
     sphere_s23,
 )
@@ -66,13 +73,14 @@ from .eschenburg import (
     invariants,
     load_fixtures,
 )
-from .exact_arith import ModOneValue, ResidueClass, mod_one
+from .exact_arith import ModOneValue, ResidueClass, check_input_digits, mod_one, ratio_mod_one
 from .profiles import (
     CohomologyType,
     InvariantProfile,
+    STriple,
     lk_compatible,
-    pi4_compatible,
-    reversed_profile,
+    negated_lk,
+    pi4_conflict,
 )
 
 __all__ = [
@@ -96,6 +104,7 @@ __all__ = [
     "parse_source",
     "parse_space",
     "profile_key",
+    "render_matches_json",
     "render_matches_text",
     "render_matches_tsv",
     "render_table_text",
@@ -159,6 +168,20 @@ def triple_key(
         pairs = tuple(((d - n) % d, d) for n, d in pairs)
     (n1, d1), (n2, d2), (n3, d3) = pairs
     return (cohomology_type, r, n1, d1, n2, d2, n3, d3), flipped
+
+
+def key_s_triple(key: TripleKey, flipped: bool) -> STriple:
+    """The s-triple modulo 1 of a space with this bucket key and flip bit.
+
+    The key holds the canonical s-triple as reduced pairs (n, d); a set
+    bit means the space carries its negation, -n/d = ((d - n) mod d)/d.
+    So this is the inverse of triple_key on its pairs, and profile_key of
+    a profile with these s-values gives back the key and the bit.
+    """
+    _, _, n1, d1, n2, d2, n3, d3 = key
+    if flipped:
+        n1, n2, n3 = -n1, -n2, -n3
+    return ratio_mod_one(n1, d1), ratio_mod_one(n2, d2), ratio_mod_one(n3, d3)
 
 
 def profile_key(profile: InvariantProfile) -> tuple[TripleKey, bool]:
@@ -247,6 +270,10 @@ def match_all(
     spaces, so a conflict there means corrupted input data and raises
     InconsistentFixture rather than silently dropping the pair; every
     emitted record thus survives re-checking with ks_diffeomorphic.
+    Each pair is checked for pi4, then linking classes, then p1.  What
+    depends on one side only is computed once: the evidence and the pi4
+    value that blocks a pair per left entry, a right entry's linking
+    classes in reversed orientation per bucket.
     With `require_pi4_compat` (the default) a proven pi4 = 0 on one side
     and a proven pi4 = Z/2 on the other blocks the pair; passing False
     drops that gate, for surveys over families whose pi4 is the only
@@ -257,35 +284,36 @@ def match_all(
         right_entries = right.buckets.get(key)
         if not right_entries:
             continue
+        # Linking classes of the right entries in reversed orientation,
+        # by position, negated on first use.
+        reversed_lk: dict[int, Optional[frozenset[ResidueClass]]] = {}
         for left_entry in left_entries:
             profile = left_entry.profile
-            for right_entry in right_entries:
+            evidence = (profile.r, profile.s1, profile.s2, profile.s3)
+            blocked = pi4_conflict(profile.pi4) if require_pi4_compat else None
+            for j, right_entry in enumerate(right_entries):
                 other = right_entry.profile
-                if require_pi4_compat and not pi4_compatible(profile.pi4, other.pi4):
+                if other.pi4 is blocked:
                     continue
                 if left_entry.flipped == right_entry.flipped:
                     orientation = Orientation.PRESERVING
+                    other_lk = other.lk
                 else:
                     orientation = Orientation.REVERSING
-                    other = reversed_profile(other)
-                if not lk_compatible(profile.lk, other.lk):
+                    if j not in reversed_lk:
+                        reversed_lk[j] = negated_lk(other.lk, other.r)
+                    other_lk = reversed_lk[j]
+                if not lk_compatible(profile.lk, other_lk):
                     raise InconsistentFixture(
                         f"s-values match ({orientation.value}) but linking classes differ: "
-                        f"{profile.lk} vs {other.lk}"
+                        f"{profile.lk} vs {other_lk}"
                     )
                 if profile.p1 != other.p1:
                     raise InconsistentFixture(
                         f"s-values match ({orientation.value}) but p1 differs: "
                         f"{profile.p1} vs {other.p1}"
                     )
-                records.append(
-                    MatchRecord(
-                        left=left_entry.descriptor,
-                        right=right_entry.descriptor,
-                        orientation=orientation,
-                        evidence=(profile.r, profile.s1, profile.s2, profile.s3),
-                    )
-                )
+                records.append(MatchRecord(left_entry.descriptor, right_entry.descriptor, orientation, evidence))
     return tuple(records)
 
 
@@ -296,14 +324,23 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
     side selects (Source.select) its entries whose s1 bucket occurs on
     both sides.  Second, each selected entry gets its triple key and flip
     bit (Source.key), and only the entries whose triple key occurs on both
-    sides get a profile.  These go, grouped by triple key in source order,
-    to match_all.  The result is that of the eager
-    `match_all(build_index(left.entries()), build_index(right.entries()))`:
+    sides get a profile, built (Source.build) from the s-triple that
+    key_s_triple reads back from its key and bit, once per key and bit in
+    one call.  These go, grouped by triple key in source order, to
+    match_all.  The result is that of the eager pipeline, match_all of
+    build_index of every entry of each side with its profile from the
+    family's constructor (sphere_grid, circle_grid, fixture_entries):
 
     1. Both pipelines key through triple_key.  A source's cleared
-       s-values equal those of the profile it builds, and triple_key
-       reduces them, so Source.key gives profile_key of that profile: the
-       buckets and bits of build_index.
+       s-values equal those of the eager profile, and triple_key reduces
+       them, so Source.key gives profile_key of that profile: the buckets
+       and bits of build_index.  key_s_triple undoes the canonical
+       orientation on the key's reduced pairs, so it gives back that
+       profile's s-values, which triple_key only reduced; the build
+       computes p1, lk, pi4 and the descriptor with the code of the
+       eager constructor (sphere_profile_with, circle_profile_with; the
+       catalog's profiles are built with the source).  So every built
+       entry equals the eager one.
     2. Equal triple keys imply equal s1 buckets, as the key holds the type,
        r and s1 up to a sign common to the triple, and s1 up to sign is
        what the s1 bucket records.  So every entry of a bucket that occurs
@@ -326,9 +363,17 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
         [(p, *source.key(p, s1)) for p, s1 in source.select(shared_s1)] for source in (left, right)
     )
     shared = {key for _, key, _ in left_keyed}.intersection(key for _, key, _ in right_keyed)
+    s_triples: dict[tuple[TripleKey, bool], STriple] = {}
 
     def index(source: Source, keyed: list[tuple[Any, TripleKey, bool]]) -> AtlasIndex:
-        return _grouped((key, IndexEntry(*source.build(p), flipped)) for p, key, flipped in keyed if key in shared)
+        entries = []
+        for p, key, flipped in keyed:
+            if key in shared:
+                s_triple = s_triples.get((key, flipped))
+                if s_triple is None:
+                    s_triple = s_triples[key, flipped] = key_s_triple(key, flipped)
+                entries.append((key, IndexEntry(*source.build(p, s_triple), flipped)))
+        return _grouped(entries)
 
     return match_all(index(left, left_keyed), index(right, right_keyed), require_pi4_compat)
 
@@ -370,14 +415,16 @@ class Source:
     Entry i has parameters `params[i]` and s1 value `s1[i % len(s1)]`: a
     listed source holds one value per entry, a sphere range one period of
     values.  `key(params[i], s1 value)` gives the entry's triple key and
-    flip bit (see triple_key), and `build(params[i])` its (descriptor,
-    profile) index entry.
+    flip bit (see triple_key), and `build(params[i], s_triple)` its
+    (descriptor, profile) index entry, given its s-values modulo 1: those
+    that key_s_triple reads back from the key and bit, which the build
+    does not compute again.
     """
 
     params: Sequence[Any]
     s1: tuple[S1Value, ...]
     key: Callable[[Any, S1Value], tuple[TripleKey, bool]]
-    build: Callable[[Any], tuple[str, InvariantProfile]]
+    build: Callable[[Any, STriple], tuple[str, InvariantProfile]]
 
     @cached_property
     def _positions(self) -> dict[S1Bucket, list[int]]:
@@ -408,10 +455,6 @@ class Source:
                 if base + i >= count:
                     break
                 yield self.params[base + i], self.s1[i]
-
-    def entries(self) -> list[tuple[str, InvariantProfile]]:
-        """The index entries of every entry, in source order."""
-        return [self.build(p) for p in self.params]
 
 
 def eschenburg_descriptor(space: EschenburgSpace) -> str:
@@ -449,12 +492,13 @@ def parse_space(
             raise DomainError(
                 f"cannot parse parameters {part!r}: expected comma-separated integers"
             ) from exc
+    check_input_digits(*triples[0], *triples[1])
     space = EschenburgSpace(*triples)
     fixture = find_fixture(load_fixtures(), space.k, space.l)
     return eschenburg_descriptor(space), fixture_profile(fixture)
 
 
-def _built(entry: tuple[str, InvariantProfile]) -> tuple[str, InvariantProfile]:
+def _built(entry: tuple[str, InvariantProfile], s_triple: STriple) -> tuple[str, InvariantProfile]:
     return entry
 
 
@@ -469,7 +513,7 @@ def fixture_source(fixtures: Iterable[EschenburgFixture]) -> Source:
     invalid hand-made fixture raises here rather than only when it could
     match.
     """
-    entries = tuple((eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures)
+    entries = tuple(fixture_entries(fixtures))
     s1 = tuple(_s1_value(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator) for _, p in entries)
     return Source(entries, s1, _fixture_key, _built)
 
@@ -478,11 +522,11 @@ def fixture_entries(
     fixtures: Iterable[EschenburgFixture],
 ) -> list[tuple[str, InvariantProfile]]:
     """Index entries for fixture spaces, profiles built from their s-values."""
-    return fixture_source(fixtures).entries()
+    return [(eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures]
 
 
-def _sphere_entry(r: int, a: int) -> tuple[str, InvariantProfile]:
-    return describe_bundle_spec(BundleSpec(Family.SPHERE, a, a - r)), profile_sphere(a, a - r)
+def _sphere_entry(r: int, a: int, s_triple: STriple) -> tuple[str, InvariantProfile]:
+    return describe_bundle(Family.SPHERE, a, a - r), sphere_profile_with(a, a - r, s_triple)
 
 
 def _sphere_key(r: int, a: int, s1: S1Value) -> tuple[TripleKey, bool]:
@@ -495,18 +539,22 @@ def sphere_source(r: int, start: int, stop: int) -> Source:
     s1 is computed for the first min(stop - start, 56r) values of a only,
     one period: with x = 2a - r + 2, sphere_s1 gives s1 = (x^2 - r)/(224r),
     and moving a by 56r adds 224r(x + 56r) to x^2, which leaves s1 mod 1
-    unchanged.
+    unchanged.  A range of more than sys.maxsize values, which has no
+    length in Python and would ask for unbounded work, is refused.
     """
     if r < 1:
         raise DomainError(f"|H^4| must be positive, got {r}")
+    if stop - start > sys.maxsize:
+        raise DomainError(f"sphere range [{start}, {stop}) holds {stop - start} values, more than {sys.maxsize}")
     a_values = range(start, stop)
     s1 = tuple(_s1_value(CohomologyType.E, r, *sphere_s1(a, a - r)) for a in a_values[: 56 * r])
     return Source(a_values, s1, partial(_sphere_key, r), partial(_sphere_entry, r))
 
 
 def sphere_grid(r: int, start: int, stop: int) -> list[tuple[str, InvariantProfile]]:
-    """Entries for the non-spin sphere bundles S_{a, a-r} with a in [start, stop)."""
-    return sphere_source(r, start, stop).entries()
+    """Entries for the non-spin sphere bundles S_{a, a-r} with a in [start, stop), from profile_sphere."""
+    a_values = sphere_source(r, start, stop).params
+    return [(describe_bundle(Family.SPHERE, a, a - r), profile_sphere(a, a - r)) for a in a_values]
 
 
 def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
@@ -537,9 +585,10 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
     return found
 
 
-def _circle_entry(hit: tuple[int, int, int]) -> tuple[str, InvariantProfile]:
+def _circle_entry(hit: tuple[int, int, int], s_triple: STriple) -> tuple[str, InvariantProfile]:
     a, b, t = hit
-    return describe_bundle_spec(BundleSpec(Family.CIRCLE, a, b, t=t)), profile_circle(t, a, b)
+    m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+    return describe_bundle(Family.CIRCLE, a, b, t), circle_profile_with(t, a, b, m, n, s_triple)
 
 
 def _circle_key(r: int, hit: tuple[int, int, int], s1: S1Value) -> tuple[TripleKey, bool]:
@@ -581,7 +630,8 @@ def circle_source(r: int, bound: int) -> Source:
 
 def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:
     """Entries for all circle bundles with the given r and |a|, |b| <= bound (see circle_source)."""
-    return circle_source(r, bound).entries()
+    hits = circle_source(r, bound).params
+    return [(describe_bundle(Family.CIRCLE, a, b, t), profile_circle(t, a, b)) for a, b, t in hits]
 
 
 def _require_keys(head: str, params: dict[str, int], keys: tuple[str, ...]) -> None:
@@ -613,6 +663,7 @@ def parse_source(text: str, load_fixtures: Callable[[], Sequence[EschenburgFixtu
                 params[key] = int(value)
             except ValueError as exc:
                 raise DomainError(f"source parameter {pair!r} is not an integer") from exc
+    check_input_digits(*params.values())
     if head == "fixtures":
         if params:
             raise DomainError("source 'fixtures' takes no parameters")
@@ -862,39 +913,64 @@ def reproduce_table(
 # ---------------------------------------------------------------------------
 
 
+def _evidence_texts(
+    records: Iterable[MatchRecord], quote: Callable[[str], str] = str
+) -> Iterator[tuple[MatchRecord, tuple[str, str, str, str]]]:
+    """Each record with its evidence as text: r, then each s-value's "n/d" passed through `quote`.
+
+    match_all gives all records of one left entry the same evidence
+    tuple, so a run of records that share it is formatted once.
+    """
+    evidence = texts = None
+    for record in records:
+        if record.evidence is not evidence:
+            evidence = record.evidence
+            r, *s_triple = evidence
+            texts = (str(r), *(quote(str(s)) for s in s_triple))
+        yield record, texts
+
+
 def render_matches_tsv(records: Iterable[MatchRecord]) -> str:
     """Machine-readable matches: left, right, orientation, r, s1, s2, s3."""
-    lines = []
-    for record in records:
-        r, s1, s2, s3 = record.evidence
-        lines.append(
-            "\t".join(
-                (
-                    record.left,
-                    record.right,
-                    record.orientation.value,
-                    str(r),
-                    str(s1),
-                    str(s2),
-                    str(s3),
-                )
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        "\t".join((record.left, record.right, record.orientation.value, *texts)) + "\n"
+        for record, texts in _evidence_texts(records)
+    )
+
+
+# One match object as json.dumps(..., sort_keys=True, indent=2) writes it
+# inside a list: keys sorted, each value already encoded.
+_JSON_RECORD = (
+    '  {{\n    "left": {},\n    "orientation": {},\n    "r": {},\n    "right": {},\n'
+    '    "s1": {},\n    "s2": {},\n    "s3": {}\n  }}'
+)
+
+
+def render_matches_json(records: Iterable[MatchRecord]) -> str:
+    """The matches as a JSON list of objects with keys left, right, orientation, r, s1, s2, s3.
+
+    The text is json.dumps(payload, sort_keys=True, indent=2) + "\n" of
+    that list, with r an integer and the s-values as "n/d" strings.  With
+    an indent json.dumps runs its encoder in Python; here only the string
+    values pass through json.dumps, into a fixed template.
+    """
+    dumps = json.dumps
+    objects = [
+        _JSON_RECORD.format(dumps(record.left), dumps(record.orientation.value), r, dumps(record.right), s1, s2, s3)
+        for record, (r, s1, s2, s3) in _evidence_texts(records, dumps)
+    ]
+    if not objects:
+        return "[]\n"
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def render_matches_text(records: Iterable[MatchRecord]) -> str:
     """Human-readable match list, one line per record."""
-    lines = []
-    for record in records:
-        r, s1, s2, s3 = record.evidence
-        lines.append(
-            f"{record.left} ~ {record.right} ({record.orientation.value}): "
-            f"r={r}, s=({s1}, {s2}, {s3})"
-        )
-    if not lines:
-        return "no matches\n"
-    return "".join(line + "\n" for line in lines)
+    lines = [
+        f"{record.left} ~ {record.right} ({record.orientation.value}): r={r}, s=({s1}, {s2}, {s3})\n"
+        for record, (r, s1, s2, s3) in _evidence_texts(records)
+    ]
+    return "".join(lines) or "no matches\n"
 
 
 def render_table_text(report: TableReport) -> str:

@@ -23,7 +23,10 @@ denominator; the term-by-term rational evaluation lives in the test
 suite as an independent oracle.  The s-values of the two families that
 the search sources list are also public as integer pairs (sphere_s1,
 sphere_s23, circle_s1, circle_s23), which their profile constructors
-call, so each formula has one copy.
+call, so each formula has one copy.  The rest of those two profiles
+(p1, linking class, pi4) is built by sphere_profile_with and
+circle_profile_with from s-values given mod 1, which the search reads
+from its integer keys instead of computing them again.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, ratio_mod_one
-from .profiles import CohomologyType, InvariantProfile, Pi4
+from .exact_arith import ResidueClass, check_input_digits, ratio_mod_one
+from .profiles import CohomologyType, InvariantProfile, Pi4, STriple
 
 
 class Family(Enum):
@@ -77,11 +80,16 @@ class BundleSpec:
             raise DomainError(f"family {self.family.value} takes no Euler parameter")
 
 
+def describe_bundle(family: Family, a: int, b: int, t: Optional[int] = None) -> str:
+    """Compact text form of a family member, 'family:a,b' or, with t, 'family:t,a,b'."""
+    if t is None:
+        return f"{family.value}:{a},{b}"
+    return f"{family.value}:{t},{a},{b}"
+
+
 def describe_bundle_spec(spec: BundleSpec) -> str:
     """Compact text form, inverse of parse_bundle_spec."""
-    if spec.family in _CIRCLE_FAMILIES:
-        return f"{spec.family.value}:{spec.t},{spec.a},{spec.b}"
-    return f"{spec.family.value}:{spec.a},{spec.b}"
+    return describe_bundle(spec.family, spec.a, spec.b, spec.t)
 
 
 def parse_bundle_spec(text: str) -> BundleSpec:
@@ -95,6 +103,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
         values = [int(v.strip()) for v in rest.split(",")]
     except ValueError:
         raise DomainError(f"parameters of {text!r} must be integers") from None
+    check_input_digits(*values)
     expected = 3 if family in _CIRCLE_FAMILIES else 2
     if len(values) != expected:
         raise DomainError(f"family {family.value} takes {expected} parameters, got {len(values)}")
@@ -170,19 +179,19 @@ def profile_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
     s1 = ratio_mod_one(*sphere_s1(a, b))
     s2, s3 = sphere_s23(a, b)
-    d = a - b
+    return sphere_profile_with(a, b, (s1, ratio_mod_one(*s2), ratio_mod_one(*s3)))
+
+
+def sphere_profile_with(a: int, b: int, s_triple: STriple) -> InvariantProfile:
+    """The profile of the non-spin 3-sphere bundle (a, b), given its s-values mod 1.
+
+    `s_triple` must be the s-triple of sphere_s1 and sphere_s23, reduced
+    mod 1; it is not checked here.
+    """
+    d = _sphere_order(a, b)
     r = abs(d)
-    sgn = 1 if d > 0 else -1
-    return InvariantProfile(
-        cohomology_type=CohomologyType.E,
-        r=r,
-        s1=s1,
-        s2=ratio_mod_one(*s2),
-        s3=ratio_mod_one(*s3),
-        p1=ResidueClass((2 * a + 2 * b + 4) % r, r),
-        lk=_lk_set(sgn, r),
-        pi4=_pi4_sphere(r),
-    )
+    p1 = ResidueClass((2 * a + 2 * b + 4) % r, r)
+    return InvariantProfile(CohomologyType.E, r, *s_triple, p1, _lk_set(1 if d > 0 else -1, r), _pi4_sphere(r))
 
 
 def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
@@ -302,9 +311,18 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
     does not depend on the admissible choice.
     """
     m, n = _checked_mn(Family.CIRCLE, a, b, mn)
-    s1_num, s1_den = circle_s1(t, a, b)
+    s1 = ratio_mod_one(*circle_s1(t, a, b))
     s2, s3 = circle_s23(t, a, b, m, n)
-    s = s1_den // 672  # circle_s1 clears s1 over 672 s
+    return circle_profile_with(t, a, b, m, n, (s1, ratio_mod_one(*s2), ratio_mod_one(*s3)))
+
+
+def circle_profile_with(t: int, a: int, b: int, m: int, n: int, s_triple: STriple) -> InvariantProfile:
+    """The profile of the circle bundle (t, a, b), given (m, n) and its s-values mod 1.
+
+    (m, n) must satisfy am - bn = 1 and `s_triple` must be the s-triple
+    of circle_s1 and circle_s23, reduced mod 1; neither is checked here.
+    """
+    s = _circle_order(t, a, b)
     r = abs(s)
     sgn = 1 if s > 0 else -1
     A, M = a + b, m + n
@@ -320,16 +338,8 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
         pi4 = Pi4.ZERO
     else:
         pi4 = Pi4.UNKNOWN
-    return InvariantProfile(
-        cohomology_type=CohomologyType.E,
-        r=r,
-        s1=ratio_mod_one(s1_num, s1_den),
-        s2=ratio_mod_one(*s2),
-        s3=ratio_mod_one(*s3),
-        p1=ResidueClass((4 * (1 - t) * A * A) % r, r),
-        lk=_lk_set(sgn * lk_bracket, r),
-        pi4=pi4,
-    )
+    p1 = ResidueClass((4 * (1 - t) * A * A) % r, r)
+    return InvariantProfile(CohomologyType.E, r, *s_triple, p1, _lk_set(sgn * lk_bracket, r), pi4)
 
 
 def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:

@@ -32,6 +32,7 @@ from .atlas_search import (
     find_matches,
     parse_source,
     parse_space,
+    render_matches_json,
     render_matches_text,
     render_matches_tsv,
     render_table_text,
@@ -58,6 +59,7 @@ from .errors import (
     ParityFailure,
 )
 from .eschenburg import enumerate_positively_curved, load_fixtures, order_invariants
+from .exact_arith import check_input_digits
 from .profiles import InvariantProfile
 
 __all__ = ["main", "run"]
@@ -77,19 +79,36 @@ def _fields(pairs, fmt: str) -> str:
     return "".join(f"{label}{sep}{value}\n" for label, value in pairs)
 
 
+def _int(text: str) -> int:
+    """argparse type for an integer flag, of at most MAX_INPUT_DIGITS digits."""
+    try:
+        value = int(text)
+        check_input_digits(value)
+    except DomainError as exc:  # a ValueError too, so caught first
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     """argparse type for an exact fraction, 'n', 'n/d' or a decimal.
 
     A zero denominator is a usage error, and so is an exponent, the only
     place where Fraction reads an 'e': Fraction('1e1000000') builds a
-    million-digit power of ten before any check could bound it.
+    million-digit power of ten before any check could bound it.  The
+    numerator and denominator have at most MAX_INPUT_DIGITS digits.
     """
     try:
         if "e" in text.lower():
             raise ValueError
-        return Fraction(text)
+        value = Fraction(text)
+        check_input_digits(value.numerator, value.denominator)
+    except DomainError as exc:  # a ValueError too, so caught first
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    return value
 
 
 def _get_fixtures(args):
@@ -212,19 +231,7 @@ def _cmd_match(args) -> tuple[int, str]:
     right = parse_source(args.right, load)
     records = find_matches(left, right, require_pi4_compat=not args.ignore_pi4)
     if args.format == "json":
-        payload = [
-            {
-                "left": rec.left,
-                "right": rec.right,
-                "orientation": rec.orientation.value,
-                "r": rec.evidence[0],
-                "s1": str(rec.evidence[1]),
-                "s2": str(rec.evidence[2]),
-                "s3": str(rec.evidence[3]),
-            }
-            for rec in records
-        ]
-        return 0, _emit_json(payload)
+        return 0, render_matches_json(records)
     if args.format == "tsv":
         return 0, render_matches_tsv(records)
     return 0, render_matches_text(records)
@@ -304,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_inv.add_argument("space", nargs="?", help="space descriptor, e.g. sphere:2,-1 or eschenburg:1,1,-2|0,0,0")
     p_inv.add_argument("--family", choices=[f.value for f in Family])
-    p_inv.add_argument("-a", type=int, default=None)
-    p_inv.add_argument("-b", type=int, default=None)
-    p_inv.add_argument("-t", type=int, default=None, help="twisting parameter (circle families only)")
+    p_inv.add_argument("-a", type=_int, default=None)
+    p_inv.add_argument("-b", type=_int, default=None)
+    p_inv.add_argument("-t", type=_int, default=None, help="twisting parameter (circle families only)")
     p_inv.set_defaults(handler=_cmd_invariants)
 
     p_cls = sub.add_parser(
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
             "residues are reported mod 168r."
         ),
     )
-    p_ed.add_argument("-r", type=int, required=True)
+    p_ed.add_argument("-r", type=_int, required=True)
     p_ed.add_argument("--s1", type=_fraction, required=True)
     p_ed.add_argument("--s2", type=_fraction, required=True)
     p_ed.add_argument("--s3", type=_fraction, required=True)
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument(
         "--r-max",
-        type=int,
+        type=_int,
         required=True,
         help="list the spaces with 1 <= r < R_MAX; parameter entries are bounded by 3*R_MAX",
     )

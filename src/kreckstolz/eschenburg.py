@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnequalSums,
 )
-from .exact_arith import ModOneValue, ResidueClass, inv_mod, mod_one
+from .exact_arith import ModOneValue, ResidueClass, check_input_digits, inv_mod, mod_one
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 Triple = tuple[int, int, int]
@@ -380,6 +380,10 @@ def _parse_fixtures(data: bytes) -> list[EschenburgFixture]:
         k = _parse_int_triple(parts[0], line_number, "k")
         l = _parse_int_triple(parts[1], line_number, "l")
         s_values = _parse_fraction_triple(parts[2], line_number)
+        try:
+            check_input_digits(*k, *l, *(n for s in s_values for n in (s.numerator, s.denominator)))
+        except DomainError as exc:
+            raise ParseError(line_number, str(exc)) from None
         space = EschenburgSpace(k, l)
         try:
             inv = invariants(space)

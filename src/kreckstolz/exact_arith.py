@@ -30,6 +30,25 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3317044064679887385961981
 
 
+# The parsers and the CLI flags read integers of at most MAX_INPUT_DIGITS
+# decimal digits, because Python converts an int to text only up to 4,300
+# digits (its default limit) and raises ValueError beyond.  The printed
+# integer of highest degree in the inputs is the s1 denominator 672s of a
+# circle bundle (t, a, b), with s = t(a+b)^2 - ab of degree 3: for |t|, |a|,
+# |b| < 10^D it is below 672 * 5 * 10^(3D) < 10^(3D + 4).  (The spin circle's
+# 2688s, with s = a^2 - tb^2, stays below the same bound.)  So D = 1,000
+# keeps every printed integer to at most 3,004 digits.
+MAX_INPUT_DIGITS = 1000
+_INPUT_BOUND = 10**MAX_INPUT_DIGITS
+
+
+def check_input_digits(*values: int) -> None:
+    """Raise DomainError unless every value has at most MAX_INPUT_DIGITS decimal digits."""
+    for value in values:
+        if not -_INPUT_BOUND < value < _INPUT_BOUND:
+            raise DomainError(f"integers are limited to {MAX_INPUT_DIGITS} digits")
+
+
 def ratio_mod_one(n: int, d: int) -> ModOneValue:
     """The rational n/d reduced modulo 1 into [0, 1), for integers n and d != 0.
 

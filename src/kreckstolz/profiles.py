@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError
 from .exact_arith import ModOneValue, ResidueClass, ratio_mod_one
+
+
+# The three characteristic numbers (s1, s2, s3) of a space, each in Q/Z.
+STriple = tuple[ModOneValue, ModOneValue, ModOneValue]
 
 
 class CohomologyType(Enum):
@@ -63,7 +66,7 @@ class InvariantProfile:
                 raise DomainError("linking classes must be nonempty residues modulo r")
 
     @property
-    def s_triple(self) -> tuple[ModOneValue, ModOneValue, ModOneValue]:
+    def s_triple(self) -> STriple:
         return (self.s1, self.s2, self.s3)
 
 
@@ -73,22 +76,35 @@ def reversed_profile(profile: InvariantProfile) -> InvariantProfile:
     The s-values and the linking classes change sign; the cohomology
     type, r, p1 mod r and pi4 are orientation independent.
     """
-    lk = profile.lk
-    if lk is not None:
-        lk = frozenset(ResidueClass((-c.value) % profile.r, profile.r) for c in lk)
     return InvariantProfile(
         profile.cohomology_type,
         profile.r,
         *negated_s_triple(profile),
         profile.p1,
-        lk,
+        negated_lk(profile.lk, profile.r),
         profile.pi4,
     )
 
 
+def negated_lk(lk: Optional[frozenset[ResidueClass]], r: int) -> Optional[frozenset[ResidueClass]]:
+    """The linking classes of the orientation reversal: each class negated modulo r."""
+    if lk is None:
+        return None
+    return frozenset(ResidueClass((-c.value) % r, r) for c in lk)
+
+
+def pi4_conflict(pi4: Pi4) -> Optional[Pi4]:
+    """The pi4 value that contradicts this one: the other proven value, or None when pi4 is open."""
+    if pi4 is Pi4.ZERO:
+        return Pi4.Z2
+    if pi4 is Pi4.Z2:
+        return Pi4.ZERO
+    return None
+
+
 def pi4_compatible(a: Pi4, b: Pi4) -> bool:
     """False exactly when one side is proven 0 and the other proven Z/2."""
-    return {a, b} != {Pi4.ZERO, Pi4.Z2}
+    return b is not pi4_conflict(a)
 
 
 def lk_compatible(a: Optional[frozenset[ResidueClass]], b: Optional[frozenset[ResidueClass]]) -> bool:
@@ -120,7 +136,7 @@ def same_invariants(p: InvariantProfile, q: InvariantProfile) -> bool:
     )
 
 
-def negated_s_triple(p: InvariantProfile) -> tuple[Fraction, Fraction, Fraction]:
+def negated_s_triple(p: InvariantProfile) -> STriple:
     """The s-triple of the orientation reversal, reduced modulo 1."""
     return (_negated(p.s1), _negated(p.s2), _negated(p.s3))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 from fractions import Fraction as Fr
 from math import gcd
 
@@ -34,9 +35,11 @@ from kreckstolz.atlas_search import (
     find_matches,
     fixture_entries,
     fixture_source,
+    key_s_triple,
     match_all,
     parse_source,
     profile_key,
+    render_matches_json,
     render_matches_text,
     render_matches_tsv,
     render_table_text,
@@ -520,11 +523,38 @@ def test_circle_triple_key_agrees_with_profile_key(t, a, b):
     assert_keys_agree(got, profile_circle(t, a, b))
 
 
+def sources_with_eager_entries(r, bound):
+    """A circle grid and a sphere range, each with its entries built by profile_circle or profile_sphere."""
+    start, stop = -3 * r, 3 * r
+    return (
+        (circle_source(r, bound), circle_grid(r, bound)),
+        (sphere_source(r, start, stop), sphere_grid(r, start, stop)),
+    )
+
+
 @given(st.integers(1, 60), st.integers(0, 12))
 def test_source_triple_keys_agree_with_profile_key(r, bound):
-    for source in (circle_source(r, bound), sphere_source(r, -3 * r, 3 * r)):
-        for i, params in enumerate(source.params):
-            assert_keys_agree(source.key(params, source.s1[i % len(source.s1)]), source.build(params)[1])
+    for source, eager in sources_with_eager_entries(r, bound):
+        assert len(source.params) == len(eager)
+        for i, (params, (_, profile)) in enumerate(zip(source.params, eager)):
+            assert_keys_agree(source.key(params, source.s1[i % len(source.s1)]), profile)
+
+
+@given(st.integers(1, 50), st.integers(0, 12))
+def test_entries_built_from_the_key_equal_the_eager_entries(r, bound):
+    # find_matches builds an entry from the s-triple that its key and flip
+    # bit give back; with the entry's own bit that is the entry of
+    # profile_sphere or profile_circle, and with the other bit the same
+    # space carrying the negated s-triple.
+    for source, eager in sources_with_eager_entries(r, bound):
+        for i, (params, (descriptor, profile)) in enumerate(zip(source.params, eager)):
+            key, flipped = source.key(params, source.s1[i % len(source.s1)])
+            assert source.build(params, key_s_triple(key, flipped)) == (descriptor, profile)
+            negated = dict(zip(("s1", "s2", "s3"), negated_s_triple(profile)))
+            assert source.build(params, key_s_triple(key, not flipped)) == (
+                descriptor,
+                dataclasses.replace(profile, **negated),
+            )
 
 
 def test_fixture_triple_keys_agree_with_profile_key(fixtures):
@@ -557,28 +587,31 @@ def with_sphere_s_values(fixtures, k, a):
 
 @pytest.fixture(scope="module")
 def prefilter_sources(fixtures):
+    """Each source with its entries built eagerly by fixture_profile, profile_circle or profile_sphere."""
+    # The r = 17 fixture's linking classes {5, 12} meet neither {1} nor {16}.
+    lk_catalog = with_sphere_s_values(fixtures, (1, 2, 5), 0)
+    # W11 has p1 = 0 mod 3; S_{0,-3} has p1 = 1 mod 3.
+    p1_catalog = with_sphere_s_values(fixtures, (1, 1, -2), 0)
     sources = {
-        "fixtures": fixture_source(fixtures),
-        # The r = 17 fixture's linking classes {5, 12} meet neither {1} nor {16}.
-        "fixtures [lk]": fixture_source(with_sphere_s_values(fixtures, (1, 2, 5), 0)),
-        # W11 has p1 = 0 mod 3; S_{0,-3} has p1 = 1 mod 3.
-        "fixtures [p1]": fixture_source(with_sphere_s_values(fixtures, (1, 1, -2), 0)),
-        "circle r=3": circle_source(3, 40),
-        "circle r=4": circle_source(4, 30),
-        "circle r=17": circle_source(17, 120),
+        "fixtures": (fixture_source(fixtures), fixture_entries(fixtures)),
+        "fixtures [lk]": (fixture_source(lk_catalog), fixture_entries(lk_catalog)),
+        "fixtures [p1]": (fixture_source(p1_catalog), fixture_entries(p1_catalog)),
     }
+    for r, bound in ((3, 40), (4, 30), (17, 120)):
+        sources[f"circle r={r}"] = (circle_source(r, bound), circle_grid(r, bound))
     for r in (1, 3, 4, 17):
-        sources[f"sphere r={r} period"] = sphere_source(r, -84 * r + 5, 84 * r + 5)
+        start, stop = -84 * r + 5, 84 * r + 5
+        sources[f"sphere r={r} period"] = (sphere_source(r, start, stop), sphere_grid(r, start, stop))
     return sources
 
 
 def test_find_matches_agrees_with_eager_pipeline(prefilter_sources):
-    eager = {name: build_index(source.entries()) for name, source in prefilter_sources.items()}
+    eager = {name: build_index(entries) for name, (_, entries) in prefilter_sources.items()}
     seen = {"records": 0, "reversing": 0, "messages": set()}
     for left_name, right_name in itertools.product(prefilter_sources, repeat=2):
         if "[" in left_name and "[" in right_name:
             continue
-        left, right = prefilter_sources[left_name], prefilter_sources[right_name]
+        left, right = prefilter_sources[left_name][0], prefilter_sources[right_name][0]
         for require_pi4_compat in (True, False):
             got = match_outcome(find_matches, left, right, require_pi4_compat)
             want = match_outcome(match_all, eager[left_name], eager[right_name], require_pi4_compat)
@@ -604,7 +637,7 @@ def test_find_matches_builds_profiles_only_for_shared_triple_buckets(fixtures, m
     calls = counted_sphere_s1(monkeypatch)
     built = []
     period = sphere_source(41, 0, 168 * 41)
-    source = dataclasses.replace(period, build=lambda a: built.append(a) or period.build(a))
+    source = dataclasses.replace(period, build=lambda a, s_triple: built.append(a) or period.build(a, s_triple))
     records = find_matches(fixture_source(fixtures), source)
     # The catalog lists the order-41 space in both orientations.
     assert len(records) == 4
@@ -633,6 +666,25 @@ def test_find_matches_on_a_far_sphere_range_walks_one_s1_period(fixtures, monkey
     assert len(calls) <= 56 * 41
 
 
+def test_find_matches_builds_sphere_entries_from_one_s_triple_per_key(monkeypatch):
+    profiled = []
+    monkeypatch.setattr(atlas_search, "profile_sphere", lambda a, b: profiled.append(a) or profile_sphere(a, b))
+    s_triples = []
+
+    def counted_key_s_triple(key, flipped):
+        s_triples.append((key, flipped))
+        return key_s_triple(key, flipped)
+
+    monkeypatch.setattr(atlas_search, "key_s_triple", counted_key_s_triple)
+    r = 13
+    records = find_matches(sphere_source(r, 0, 168 * r), sphere_source(r, 168 * r, 2 * 168 * r))
+    # s1 has period 56r in a, so every entry of a period has partners in
+    # the next one and shares its key and bit with other entries.
+    assert len(records) > 168 * r
+    assert profiled == []
+    assert len(s_triples) == len(set(s_triples)) < 168 * r
+
+
 def test_parse_source_loads_fixtures_only_for_a_fixture_source(fixtures):
     calls = []
 
@@ -643,7 +695,7 @@ def test_parse_source_loads_fixtures_only_for_a_fixture_source(fixtures):
     assert parse_source("sphere:r=3,start=0,stop=5", load).params == range(0, 5)
     assert parse_source("circle:r=3,bound=2", load).params == circle_source(3, 2).params
     assert calls == []
-    assert parse_source("fixtures", load).entries() == fixture_entries(fixtures)
+    assert list(parse_source("fixtures", load).params) == fixture_entries(fixtures)
     assert calls == [1]
 
 
@@ -1009,6 +1061,49 @@ def test_render_matches_text_lists_every_record(fixtures):
     assert "sphere:2,-1" in text and "sphere:146,143" in text
     assert text == render_matches_text(records)
     assert render_matches_text(()) == "no matches\n"
+
+
+# Descriptors that json.dumps must escape: quotes, backslashes, control
+# characters and non-ASCII text, besides arbitrary text.
+awkward_chars = st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600')
+awkward_text = st.text(st.one_of(awkward_chars, st.characters()), max_size=8)
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda f: f < 1)
+
+
+@st.composite
+def match_records(draw):
+    """Records as match_all gives them: a run of records may share one evidence tuple."""
+    evidences = draw(
+        st.lists(st.tuples(st.integers(1, 10**30), unit_fractions, unit_fractions, unit_fractions), min_size=1)
+    )
+    shape = st.tuples(awkward_text, awkward_text, st.sampled_from(Orientation), st.sampled_from(evidences))
+    return [MatchRecord(*fields) for fields in draw(st.lists(shape, max_size=6))]
+
+
+@given(match_records())
+def test_match_renderers_agree_with_the_per_record_formats(records):
+    payload = [
+        {
+            "left": rec.left,
+            "right": rec.right,
+            "orientation": rec.orientation.value,
+            "r": rec.evidence[0],
+            "s1": str(rec.evidence[1]),
+            "s2": str(rec.evidence[2]),
+            "s3": str(rec.evidence[3]),
+        }
+        for rec in records
+    ]
+    assert render_matches_json(records) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    keys = ("left", "right", "orientation", "r", "s1", "s2", "s3")
+    rows = [tuple(str(row[key]) for key in keys) for row in payload]
+    assert render_matches_tsv(records) == "".join("\t".join(row) + "\n" for row in rows)
+    text = "".join(f"{a} ~ {b} ({o}): r={r}, s=({s1}, {s2}, {s3})\n" for a, b, o, r, s1, s2, s3 in rows)
+    assert render_matches_text(records) == (text or "no matches\n")
+
+
+def test_render_matches_json_of_no_records_is_an_empty_list():
+    assert render_matches_json([]) == "[]\n" == json.dumps([], sort_keys=True, indent=2) + "\n"
 
 
 def test_render_table_text_is_deterministic(fixtures):

@@ -8,6 +8,7 @@ and its sphere-bundle partners, and the bundled catalog tables).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 import kreckstolz
 
 from kreckstolz.cli import run
+from kreckstolz.exact_arith import MAX_INPUT_DIGITS
 
 W11_LINE = "1 1 -2 | 0 0 0 | 1/112 -1/36 1/18\n"
 
@@ -332,6 +334,79 @@ def test_match_source_rejects_unknown_and_repeated_keys(source, message, capsys)
         code = run(["match", *argv])
         out, err = out_err(capsys)
         assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("side", ["--left", "--right"])
+def test_match_sphere_range_beyond_sys_maxsize_is_domain_error(side, capsys):
+    # Such a range has no len() in Python; the work it asks for is unbounded anyway.
+    stop = 10**19
+    argv = {"--left": "fixtures", "--right": "fixtures", side: f"sphere:r=41,start=0,stop={stop}"}
+    code = run(["match", *itertools.chain.from_iterable(argv.items())])
+    out, err = out_err(capsys)
+    assert (code, out) == (1, "")
+    assert err == f"DomainError: sphere range [0, {stop}) holds {stop} values, more than {sys.maxsize}\n"
+
+
+# ---------------------------------------------------------------------------
+# The digit bound on integer inputs
+# ---------------------------------------------------------------------------
+
+DIGIT_BOUND_MESSAGE = f"integers are limited to {MAX_INPUT_DIGITS} digits"
+
+
+def test_output_integer_past_the_int_to_str_limit_is_domain_error(capsys):
+    # int() reads this 4,299-digit a, but s1 is printed over 224r, with
+    # more than the 4,300 digits Python converts to text.
+    code = run(["invariants", "sphere:9" + "0" * 4298 + ",1"])
+    out, err = out_err(capsys)
+    assert (code, out, err) == (1, "", f"DomainError: {DIGIT_BOUND_MESSAGE}\n")
+
+
+def test_ediffeo_order_past_the_int_to_str_limit_is_usage_error(capsys):
+    # Every flag is under 4,301 digits, but the answer is printed mod 168r.
+    r = int("9" + "0" * 4296 + "1")
+    code = run(["ediffeo", "-r", str(r)] + _sphere_s_flags(12345, 12345 - r))
+    out, err = out_err(capsys)
+    assert (code, out) == (2, "")
+    assert f"argument -r: {DIGIT_BOUND_MESSAGE}" in err
+
+
+LONG = str(10**MAX_INPUT_DIGITS)  # one digit past the bound
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["invariants", f"sphere:{LONG},1"], 1),
+        (["invariants", f"eschenburg:{LONG},0,0|0,0,0"], 1),
+        (["invariants", "--family", "sphere", "-a", LONG, "-b", "1"], 2),
+        (["ediffeo", "-r", "3", f"--s1=1/{LONG}", "--s2", "0", "--s3", "0"], 2),
+        (["enumerate", "--r-max", LONG], 2),
+        (["match", "--left", "fixtures", "--right", f"sphere:r=3,start={LONG},stop={LONG}1"], 1),
+    ],
+    ids=["descriptor", "eschenburg", "flag", "fraction", "r_max", "source"],
+)
+def test_integers_past_the_digit_bound_are_rejected(argv, code, capsys):
+    assert run(argv) == code
+    out, err = out_err(capsys)
+    assert out == "" and DIGIT_BOUND_MESSAGE in err
+
+
+def test_catalog_integer_past_the_digit_bound_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "catalog.txt"
+    path.write_text(W11_LINE + f"{LONG} 1 -2 | 0 0 0 | 1/112 -1/36 1/18\n")
+    code = run(["invariants", "eschenburg:1,1,-2|0,0,0", "--fixtures", str(path)])
+    out, err = out_err(capsys)
+    assert (code, out, err) == (1, "", f"ParseError: line 2: {DIGIT_BOUND_MESSAGE}\n")
+
+
+def test_integers_at_the_digit_bound_are_read(capsys):
+    big = 10**MAX_INPUT_DIGITS - 1
+    assert run(["invariants", f"sphere:{big},1"]) == 0
+    by_descriptor, _ = out_err(capsys)
+    assert run(["invariants", "--family", "sphere", "-a", str(big), "-b", "1"]) == 0
+    by_flags, _ = out_err(capsys)
+    assert by_descriptor == by_flags and f"r: {big - 1}\n" in by_descriptor
 
 
 # ---------------------------------------------------------------------------
