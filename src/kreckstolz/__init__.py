@@ -9,226 +9,27 @@ homotopy equivalence from them.
 
 from __future__ import annotations
 
-from .atlas_search import (
-    AtlasIndex,
-    IndexEntry,
-    MatchRecord,
-    RowResult,
-    Source,
-    TableReport,
-    TableRow,
-    TABLE_A,
-    TABLE_B,
-    build_index,
-    circle_grid,
-    circle_source,
-    eschenburg_descriptor,
-    find_matches,
-    fixture_entries,
-    fixture_source,
-    match_all,
-    parse_source,
-    parse_space,
-    profile_key,
-    render_matches_json,
-    render_matches_text,
-    render_matches_tsv,
-    render_table_text,
-    reproduce_table,
-    s1_bucket,
-    sphere_grid,
-    sphere_source,
-    triple_key,
-)
-from .bundle_families import (
-    BundleSpec,
-    Family,
-    MnPair,
-    choose_mn,
-    circle_s1,
-    circle_s23,
-    describe_bundle_spec,
-    natural_partner,
-    parse_bundle_spec,
-    profile,
-    profile_circle,
-    profile_sphere,
-    profile_spin_circle,
-    profile_spin_sphere,
-    sphere_s1,
-    sphere_s23,
-)
-from .classification import (
-    ChenParams,
-    EdiffeoProblem,
-    EdiffeoSolution,
-    HomotopyVerdict,
-    Orientation,
-    SphereCongruences,
-    TorusReduction,
-    chen_bundle,
-    ediffeo_solve,
-    einstein_congruence,
-    ks_diffeomorphic,
-    ks_homeomorphic,
-    kruggel_homotopy,
-    lk_diffeomorphic,
-    lk_homeomorphic,
-    sphere_congruence_classify,
-    torus_reduction,
-)
-from .errors import (
-    CongruenceFailure,
-    DegenerateOrder,
-    DivisibilityFailure,
-    DomainError,
-    InconsistentFixture,
-    MismatchedOrder,
-    MissingFixture,
-    ModuliNotCoprime,
-    NotCoprime,
-    ParityFailure,
-    ParseError,
-    UnequalSums,
-    WrongFamily,
-)
-from .eschenburg import (
-    EschenburgFixture,
-    EschenburgInvariants,
-    EschenburgSpace,
-    enumerate_positively_curved,
-    fixture_profile,
-    invariants,
-    is_free,
-    is_positively_curved,
-    load_fixtures,
-    normalize,
-    order_invariants,
-)
-from .exact_arith import (
-    Factorization,
-    ResidueClass,
-    crt_combine,
-    factorize,
-    inv_mod,
-    mod_one,
-    ratio_mod_one,
-    sqrt_mod,
-)
-from .profiles import (
-    CohomologyType,
-    InvariantProfile,
-    Pi4,
-    lk_compatible,
-    negated_s_triple,
-    pi4_compatible,
-    reversed_profile,
-    same_invariants,
-)
+from . import atlas_search, bundle_families, classification, errors, eschenburg, exact_arith, profiles
+from .atlas_search import *
+from .bundle_families import *
+from .classification import *
+from .errors import *
+from .eschenburg import *
+from .exact_arith import *
+from .profiles import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtlasIndex",
-    "BundleSpec",
-    "ChenParams",
-    "CohomologyType",
-    "CongruenceFailure",
-    "DegenerateOrder",
-    "DivisibilityFailure",
-    "DomainError",
-    "EdiffeoProblem",
-    "EdiffeoSolution",
-    "EschenburgFixture",
-    "EschenburgInvariants",
-    "EschenburgSpace",
-    "Factorization",
-    "Family",
-    "HomotopyVerdict",
-    "InconsistentFixture",
-    "IndexEntry",
-    "InvariantProfile",
-    "MatchRecord",
-    "MismatchedOrder",
-    "MissingFixture",
-    "MnPair",
-    "ModuliNotCoprime",
-    "NotCoprime",
-    "Orientation",
-    "ParityFailure",
-    "ParseError",
-    "Pi4",
-    "ResidueClass",
-    "RowResult",
-    "Source",
-    "SphereCongruences",
-    "TABLE_A",
-    "TABLE_B",
-    "TableReport",
-    "TableRow",
-    "TorusReduction",
-    "UnequalSums",
-    "WrongFamily",
-    "build_index",
-    "chen_bundle",
-    "choose_mn",
-    "circle_grid",
-    "circle_s1",
-    "circle_s23",
-    "circle_source",
-    "crt_combine",
-    "describe_bundle_spec",
-    "ediffeo_solve",
-    "einstein_congruence",
-    "enumerate_positively_curved",
-    "eschenburg_descriptor",
-    "factorize",
-    "find_matches",
-    "fixture_entries",
-    "fixture_profile",
-    "fixture_source",
-    "inv_mod",
-    "invariants",
-    "is_free",
-    "is_positively_curved",
-    "ks_diffeomorphic",
-    "ks_homeomorphic",
-    "kruggel_homotopy",
-    "lk_compatible",
-    "lk_diffeomorphic",
-    "lk_homeomorphic",
-    "load_fixtures",
-    "match_all",
-    "mod_one",
-    "natural_partner",
-    "negated_s_triple",
-    "normalize",
-    "order_invariants",
-    "parse_bundle_spec",
-    "parse_source",
-    "parse_space",
-    "pi4_compatible",
-    "profile",
-    "profile_circle",
-    "profile_key",
-    "profile_sphere",
-    "profile_spin_circle",
-    "profile_spin_sphere",
-    "ratio_mod_one",
-    "render_matches_json",
-    "render_matches_text",
-    "render_matches_tsv",
-    "render_table_text",
-    "reproduce_table",
-    "reversed_profile",
-    "s1_bucket",
-    "same_invariants",
-    "sphere_congruence_classify",
-    "sphere_grid",
-    "sphere_s1",
-    "sphere_s23",
-    "sphere_source",
-    "sqrt_mod",
-    "torus_reduction",
-    "triple_key",
-]
+# Each library module declares its public names in its own __all__; the
+# package exports their union, sorted, so a name listed twice stays visible.
+__all__ = sorted(
+    [
+        *atlas_search.__all__,
+        *bundle_families.__all__,
+        *classification.__all__,
+        *errors.__all__,
+        *eschenburg.__all__,
+        *exact_arith.__all__,
+        *profiles.__all__,
+    ]
+)

@@ -43,12 +43,12 @@ from typing import Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Opti
 from .bundle_families import (
     BundleSpec,
     Family,
-    choose_mn,
     circle_profile_with,
     circle_s1,
     circle_s23,
     describe_bundle,
     describe_bundle_spec,
+    mn_pair,
     parse_bundle_spec,
     profile as bundle_profile,
     profile_circle,
@@ -587,13 +587,13 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
 
 def _circle_entry(hit: tuple[int, int, int], s_triple: STriple) -> tuple[str, InvariantProfile]:
     a, b, t = hit
-    m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+    m, n = mn_pair(Family.CIRCLE, a, b)
     return describe_bundle(Family.CIRCLE, a, b, t), circle_profile_with(t, a, b, m, n, s_triple)
 
 
 def _circle_key(r: int, hit: tuple[int, int, int], s1: S1Value) -> tuple[TripleKey, bool]:
     a, b, t = hit
-    m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+    m, n = mn_pair(Family.CIRCLE, a, b)
     return triple_key(CohomologyType.E, r, s1[2:], *circle_s23(t, a, b, m, n))
 
 

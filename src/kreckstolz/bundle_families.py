@@ -40,6 +40,25 @@ from .errors import DegenerateOrder, DomainError, NotCoprime
 from .exact_arith import ResidueClass, check_input_digits, ratio_mod_one
 from .profiles import CohomologyType, InvariantProfile, Pi4, STriple
 
+__all__ = [
+    "BundleSpec",
+    "Family",
+    "MnPair",
+    "choose_mn",
+    "circle_s1",
+    "circle_s23",
+    "describe_bundle_spec",
+    "natural_partner",
+    "parse_bundle_spec",
+    "profile",
+    "profile_circle",
+    "profile_sphere",
+    "profile_spin_circle",
+    "profile_spin_sphere",
+    "sphere_s1",
+    "sphere_s23",
+]
+
 
 class Family(Enum):
     """The four bundle families."""
@@ -136,14 +155,19 @@ def choose_mn(spec: BundleSpec) -> MnPair:
     """
     if spec.family not in _CIRCLE_FAMILIES:
         raise DomainError(f"(m, n) only exists for circle families, not {spec.family.value}")
-    g, u, v = _bezout(spec.a, spec.b)
+    return mn_pair(spec.family, spec.a, spec.b)
+
+
+def mn_pair(family: Family, a: int, b: int) -> MnPair:
+    """choose_mn's pair for a circle family and integers (a, b), with no BundleSpec to build."""
+    g, u, v = _bezout(a, b)
     if g != 1:
-        raise NotCoprime(f"parameters ({spec.a}, {spec.b}) must be coprime")
-    if spec.family is Family.CIRCLE:
+        raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
+    if family is Family.CIRCLE:
         return MnPair(u, -v)
     m, n = u, v
-    if spec.b % 2 == 1 and m % 2 == 0:
-        m, n = m + spec.b, n - spec.a
+    if b % 2 == 1 and m % 2 == 0:
+        m, n = m + b, n - a
     return MnPair(m, n)
 
 
@@ -215,7 +239,7 @@ def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
 def _checked_mn(family: Family, a: int, b: int, mn: Optional[tuple[int, int]]) -> MnPair:
     """choose_mn's pair for a coprime (a, b), or the given pair once validated."""
     if mn is None:
-        return choose_mn(BundleSpec(family, a, b, t=0))
+        return mn_pair(family, a, b)
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
     m, n = mn

@@ -34,6 +34,26 @@ from .profiles import (
     reversed_profile,
 )
 
+__all__ = [
+    "ChenParams",
+    "EdiffeoProblem",
+    "EdiffeoSolution",
+    "HomotopyVerdict",
+    "Orientation",
+    "SphereCongruences",
+    "TorusReduction",
+    "chen_bundle",
+    "ediffeo_solve",
+    "einstein_congruence",
+    "kruggel_homotopy",
+    "ks_diffeomorphic",
+    "ks_homeomorphic",
+    "lk_diffeomorphic",
+    "lk_homeomorphic",
+    "sphere_congruence_classify",
+    "torus_reduction",
+]
+
 
 class Orientation(Enum):
     """Orientation behaviour of an identification between two spaces."""

@@ -7,6 +7,22 @@ input from programming errors.
 
 from __future__ import annotations
 
+__all__ = [
+    "CongruenceFailure",
+    "DegenerateOrder",
+    "DivisibilityFailure",
+    "DomainError",
+    "InconsistentFixture",
+    "MismatchedOrder",
+    "MissingFixture",
+    "ModuliNotCoprime",
+    "NotCoprime",
+    "ParityFailure",
+    "ParseError",
+    "UnequalSums",
+    "WrongFamily",
+]
+
 
 class DomainError(ValueError):
     """Base class for all input-domain errors raised by this package."""

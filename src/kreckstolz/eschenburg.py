@@ -30,6 +30,20 @@ from .errors import (
 from .exact_arith import ModOneValue, ResidueClass, check_input_digits, inv_mod, mod_one
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
+__all__ = [
+    "EschenburgFixture",
+    "EschenburgInvariants",
+    "EschenburgSpace",
+    "enumerate_positively_curved",
+    "fixture_profile",
+    "invariants",
+    "is_free",
+    "is_positively_curved",
+    "load_fixtures",
+    "normalize",
+    "order_invariants",
+]
+
 Triple = tuple[int, int, int]
 
 _DEFAULT_FIXTURES = "eschenburg_fixtures.txt"

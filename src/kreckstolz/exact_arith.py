@@ -16,6 +16,17 @@ from typing import Iterable, Union
 
 from .errors import DomainError, ModuliNotCoprime, NotCoprime
 
+__all__ = [
+    "Factorization",
+    "ResidueClass",
+    "crt_combine",
+    "factorize",
+    "inv_mod",
+    "mod_one",
+    "ratio_mod_one",
+    "sqrt_mod",
+]
+
 # Exact rational number; alias documents intent in signatures.
 Rational = Fraction
 # A Rational canonically reduced to the interval [0, 1), i.e. an element of Q/Z.

@@ -15,6 +15,17 @@ from typing import Optional
 from .errors import DomainError
 from .exact_arith import ModOneValue, ResidueClass, ratio_mod_one
 
+__all__ = [
+    "CohomologyType",
+    "InvariantProfile",
+    "Pi4",
+    "lk_compatible",
+    "negated_s_triple",
+    "pi4_compatible",
+    "reversed_profile",
+    "same_invariants",
+]
+
 
 # The three characteristic numbers (s1, s2, s3) of a space, each in Q/Z.
 STriple = tuple[ModOneValue, ModOneValue, ModOneValue]

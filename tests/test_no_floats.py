@@ -3,8 +3,10 @@
 Every s-value is an exact element of Q/Z, so `src/kreckstolz` may hold no
 float literal, no use of the name `float` and no `math` function that
 returns a float.  Nor may it hold an `assert` statement: `python -O`
-strips them, so no guarantee may rest on one.  The checks read tokens, so
-comments and docstrings may still mention such things.
+strips them, so no guarantee may rest on one.  Only `__init__.py` may
+star-import, so that each module's names are visible where they are used.
+The checks read tokens, so comments and docstrings may still mention such
+things.
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ def assert_uses(path: Path) -> list[str]:
     return [f"{t.start[0]}: assert" for t in code_tokens(path) if t.type == tokenize.NAME and t.string == "assert"]
 
 
+def star_imports(path: Path) -> list[str]:
+    """'line: import *' for each star import in a file."""
+    tokens = code_tokens(path)
+    return [
+        f"{tok.start[0]}: import *"
+        for tok, follower in zip(tokens, tokens[1:])
+        if tok.type == tokenize.NAME and tok.string == "import" and follower.string == "*"
+    ]
+
+
 def test_the_guard_reads_every_module():
     assert {p.name for p in SOURCES} >= {"atlas_search.py", "bundle_families.py", "exact_arith.py"}
 
@@ -97,3 +109,22 @@ def test_the_assert_guard_catches_statements_only(tmp_path):
         "            and x)\n"
     )
     assert assert_uses(path) == ["3: assert", "5: assert"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_star_imports_outside_the_package_init(path):
+    assert star_imports(path) == []
+
+
+def test_the_star_import_guard_catches_statements_only(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        '"""from .errors import * in a docstring"""\n'
+        "from .errors import *\n"
+        "x = 'import *'  # from .profiles import *\n"
+        "from .profiles import (\n"
+        "    Pi4,\n"
+        ")\n"
+        "from .exact_arith import  *\n"
+    )
+    assert star_imports(path) == ["2: import *", "7: import *"]
