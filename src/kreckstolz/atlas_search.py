@@ -73,7 +73,7 @@ from .eschenburg import (
     invariants,
     load_fixtures,
 )
-from .exact_arith import ModOneValue, ResidueClass, check_input_digits, mod_one, ratio_mod_one
+from .exact_arith import ModOneValue, ResidueClass, mod_one, ratio_mod_one, read_int
 from .profiles import (
     CohomologyType,
     InvariantProfile,
@@ -484,16 +484,7 @@ def parse_space(
     k_text, sep, l_text = text.removeprefix("eschenburg:").partition("|")
     if not sep:
         raise DomainError(f"cannot parse {text!r}: expected eschenburg:k1,k2,k3|l1,l2,l3")
-    triples = []
-    for part in (k_text, l_text):
-        try:
-            triples.append(tuple(int(v) for v in part.split(",")))
-        except ValueError as exc:
-            raise DomainError(
-                f"cannot parse parameters {part!r}: expected comma-separated integers"
-            ) from exc
-    check_input_digits(*triples[0], *triples[1])
-    space = EschenburgSpace(*triples)
+    space = EschenburgSpace(*(tuple(read_int(v) for v in part.split(",")) for part in (k_text, l_text)))
     fixture = find_fixture(load_fixtures(), space.k, space.l)
     return eschenburg_descriptor(space), fixture_profile(fixture)
 
@@ -659,11 +650,7 @@ def parse_source(text: str, load_fixtures: Callable[[], Sequence[EschenburgFixtu
                 raise DomainError(f"cannot parse source parameter {pair!r}: expected key=value")
             if key in params:
                 raise DomainError(f"source parameter {key!r} given twice")
-            try:
-                params[key] = int(value)
-            except ValueError as exc:
-                raise DomainError(f"source parameter {pair!r} is not an integer") from exc
-    check_input_digits(*params.values())
+            params[key] = read_int(value)
     if head == "fixtures":
         if params:
             raise DomainError("source 'fixtures' takes no parameters")

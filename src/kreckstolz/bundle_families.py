@@ -37,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, check_input_digits, ratio_mod_one
+from .exact_arith import ResidueClass, ratio_mod_one, read_int
 from .profiles import CohomologyType, InvariantProfile, Pi4, STriple
 
 __all__ = [
@@ -77,6 +77,13 @@ class MnPair(NamedTuple):
     n: int
 
 
+def _require_ints(**params: object) -> None:
+    """DomainError naming the first parameter that is not an int."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise DomainError(f"parameter {name} must be an integer")
+
+
 @dataclass(frozen=True)
 class BundleSpec:
     """Parameters naming one member of one family."""
@@ -89,9 +96,7 @@ class BundleSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             raise DomainError(f"unknown family {self.family!r}")
-        for name in ("a", "b"):
-            if not isinstance(getattr(self, name), int):
-                raise DomainError(f"parameter {name} must be an integer")
+        _require_ints(a=self.a, b=self.b)
         if self.family in _CIRCLE_FAMILIES:
             if not isinstance(self.t, int):
                 raise DomainError(f"family {self.family.value} requires the Euler parameter t")
@@ -118,11 +123,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
         family = Family(name.strip())
     except ValueError:
         raise DomainError(f"unknown family {name!r}") from None
-    try:
-        values = [int(v.strip()) for v in rest.split(",")]
-    except ValueError:
-        raise DomainError(f"parameters of {text!r} must be integers") from None
-    check_input_digits(*values)
+    values = [read_int(v) for v in rest.split(",")]
     expected = 3 if family in _CIRCLE_FAMILIES else 2
     if len(values) != expected:
         raise DomainError(f"family {family.value} takes {expected} parameters, got {len(values)}")
@@ -201,6 +202,7 @@ def sphere_s23(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def profile_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
+    _require_ints(a=a, b=b)
     s1 = ratio_mod_one(*sphere_s1(a, b))
     s2, s3 = sphere_s23(a, b)
     return sphere_profile_with(a, b, (s1, ratio_mod_one(*s2), ratio_mod_one(*s3)))
@@ -220,6 +222,7 @@ def sphere_profile_with(a: int, b: int, s_triple: STriple) -> InvariantProfile:
 
 def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the spin 3-sphere bundle with parameters (a, b)."""
+    _require_ints(a=a, b=b)
     d = _sphere_order(a, b)
     r = abs(d)
     sgn = 1 if d > 0 else -1
@@ -334,6 +337,7 @@ def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None)
     The optional mn pins the auxiliary pair with am - bn = 1; the result
     does not depend on the admissible choice.
     """
+    _require_ints(t=t, a=a, b=b)
     m, n = _checked_mn(Family.CIRCLE, a, b, mn)
     s1 = ratio_mod_one(*circle_s1(t, a, b))
     s2, s3 = circle_s23(t, a, b, m, n)
@@ -372,6 +376,7 @@ def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = 
     Spin (type Ebar) exactly when b is odd. The optional mn pins the
     auxiliary pair with am + bn = 1 (m odd whenever b is odd).
     """
+    _require_ints(t=t, a=a, b=b)
     m, n = _checked_mn(Family.SPIN_CIRCLE, a, b, mn)
     s = a * a - t * b * b
     if s == 0:

@@ -24,11 +24,12 @@ from .errors import (
     ParityFailure,
     WrongFamily,
 )
-from .exact_arith import ModOneValue, Rational, ResidueClass, mod_one
+from .exact_arith import Rational, ResidueClass, mod_one
 from .profiles import (
     CohomologyType,
     InvariantProfile,
     Pi4,
+    STriple,
     lk_compatible,
     pi4_compatible,
     reversed_profile,
@@ -74,10 +75,8 @@ class HomotopyVerdict(Enum):
 # Diffeomorphism and homeomorphism.
 # ---------------------------------------------------------------------------
 
-_Triple = tuple[ModOneValue, ModOneValue, ModOneValue]
 
-
-def _homeo_triple(p: InvariantProfile) -> _Triple:
+def _homeo_triple(p: InvariantProfile) -> STriple:
     """The homeomorphism invariants: (28·s1, s2, s3) modulo 1."""
     return (mod_one(28 * p.s1), p.s2, p.s3)
 
@@ -309,7 +308,7 @@ class EdiffeoProblem:
                     f"{weight}·{self.r}·({value}) is not an integer; "
                     f"the denominator must divide {weight}·r"
                 )
-            object.__setattr__(self, name, int(scaled))
+            object.__setattr__(self, name, scaled.numerator)
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,7 @@ from .atlas_search import (
     render_table_text,
     reproduce_table,
 )
-from .bundle_families import (
-    BundleSpec,
-    Family,
-    describe_bundle_spec,
-    profile,
-)
+from .bundle_families import Family, describe_bundle
 from .classification import (
     EdiffeoProblem,
     Orientation,
@@ -59,7 +54,7 @@ from .errors import (
     ParityFailure,
 )
 from .eschenburg import enumerate_positively_curved, load_fixtures, order_invariants
-from .exact_arith import check_input_digits
+from .exact_arith import check_input_digits, read_int
 from .profiles import InvariantProfile
 
 __all__ = ["main", "run"]
@@ -82,13 +77,9 @@ def _fields(pairs, fmt: str) -> str:
 def _int(text: str) -> int:
     """argparse type for an integer flag, of at most MAX_INPUT_DIGITS digits."""
     try:
-        value = int(text)
-        check_input_digits(value)
-    except DomainError as exc:  # a ValueError too, so caught first
+        return read_int(text)
+    except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    return value
 
 
 def _fraction(text: str) -> Fraction:
@@ -142,9 +133,8 @@ def _cmd_invariants(args) -> tuple[int, str]:
     flag_style = args.family is not None or args.a is not None or args.b is not None or args.t is not None
     if args.space is not None and flag_style:
         raise _UsageError("give either a space descriptor or --family with -a/-b, not both")
-    if args.space is not None:
-        descriptor, prof = parse_space(args.space, partial(_get_fixtures, args))
-    elif args.family is not None:
+    space = args.space
+    if args.family is not None:
         if args.a is None or args.b is None:
             raise _UsageError("--family requires -a and -b")
         family = Family(args.family)
@@ -153,10 +143,10 @@ def _cmd_invariants(args) -> tuple[int, str]:
             raise _UsageError(f"family {family.value!r} requires -t")
         if not needs_t and args.t is not None:
             raise _UsageError(f"family {family.value!r} does not take -t")
-        spec = BundleSpec(family, args.a, args.b, t=args.t)
-        descriptor, prof = describe_bundle_spec(spec), profile(spec)
-    else:
+        space = describe_bundle(family, args.a, args.b, args.t)
+    elif space is None:
         raise _UsageError("give a space descriptor or --family with -a/-b")
+    descriptor, prof = parse_space(space, partial(_get_fixtures, args))
     payload = _profile_payload(descriptor, prof)
     if args.format == "json":
         return 0, _emit_json(payload)

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnequalSums,
 )
-from .exact_arith import ModOneValue, ResidueClass, check_input_digits, inv_mod, mod_one
+from .exact_arith import ModOneValue, ResidueClass, check_input_digits, inv_mod, mod_one, read_int
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 __all__ = [
@@ -328,26 +328,25 @@ def enumerate_positively_curved(r_max: int) -> list[EschenburgSpace]:
     return sorted(found, key=lambda s: (found[s], s.k, s.l))
 
 
-def _parse_int_triple(text: str, line_number: int, label: str) -> Triple:
+def _parse_int_triple(text: str, label: str) -> Triple:
     tokens = text.split()
     if len(tokens) != 3:
-        raise ParseError(line_number, f"{label} must have three entries, got {text!r}")
-    try:
-        return tuple(int(t) for t in tokens)  # type: ignore[return-value]
-    except ValueError:
-        raise ParseError(line_number, f"{label} entries must be integers, got {text!r}") from None
+        raise DomainError(f"{label} must have three entries, got {text!r}")
+    return tuple(read_int(t) for t in tokens)  # type: ignore[return-value]
 
 
-def _parse_fraction_triple(text: str, line_number: int) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_fraction_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     tokens = text.split()
     if len(tokens) != 3:
-        raise ParseError(line_number, f"expected three s-values, got {text!r}")
+        raise DomainError(f"expected three s-values, got {text!r}")
     try:
         if not all(_S_VALUE.fullmatch(t) for t in tokens):
             raise ValueError
-        return tuple(Fraction(t) for t in tokens)  # type: ignore[return-value]
+        values = tuple(Fraction(t) for t in tokens)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(line_number, f"s-values must be fractions, got {text!r}") from None
+        raise DomainError(f"s-values must be fractions, got {text!r}") from None
+    check_input_digits(*(n for s in values for n in (s.numerator, s.denominator)))
+    return values  # type: ignore[return-value]
 
 
 def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixture]:
@@ -389,13 +388,12 @@ def _parse_fixtures(data: bytes) -> list[EschenburgFixture]:
         if not content:
             continue
         parts = content.split("|")
-        if len(parts) != 3:
-            raise ParseError(line_number, "expected 'k1 k2 k3 | l1 l2 l3 | s1 s2 s3'")
-        k = _parse_int_triple(parts[0], line_number, "k")
-        l = _parse_int_triple(parts[1], line_number, "l")
-        s_values = _parse_fraction_triple(parts[2], line_number)
         try:
-            check_input_digits(*k, *l, *(n for s in s_values for n in (s.numerator, s.denominator)))
+            if len(parts) != 3:
+                raise DomainError("expected 'k1 k2 k3 | l1 l2 l3 | s1 s2 s3'")
+            k = _parse_int_triple(parts[0], "k")
+            l = _parse_int_triple(parts[1], "l")
+            s_values = _parse_fraction_triple(parts[2])
         except DomainError as exc:
             raise ParseError(line_number, str(exc)) from None
         space = EschenburgSpace(k, l)

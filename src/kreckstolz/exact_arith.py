@@ -41,7 +41,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BELOW = 3317044064679887385961981
 
 
-# The parsers and the CLI flags read integers of at most MAX_INPUT_DIGITS
+# read_int, the reader of every input integer, takes at most MAX_INPUT_DIGITS
 # decimal digits, because Python converts an int to text only up to 4,300
 # digits (its default limit) and raises ValueError beyond.  The printed
 # integer of highest degree in the inputs is the s1 denominator 672s of a
@@ -58,6 +58,16 @@ def check_input_digits(*values: int) -> None:
     for value in values:
         if not -_INPUT_BOUND < value < _INPUT_BOUND:
             raise DomainError(f"integers are limited to {MAX_INPUT_DIGITS} digits")
+
+
+def read_int(text: str) -> int:
+    """The integer `text` spells, of at most MAX_INPUT_DIGITS digits: the package's only text-to-int step."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise DomainError(f"{text!r} is not an integer") from None
+    check_input_digits(value)
+    return value
 
 
 def ratio_mod_one(n: int, d: int) -> ModOneValue:

@@ -579,6 +579,26 @@ class TestSpecPlumbing:
         with pytest.raises(DomainError):
             BundleSpec(Family.SPHERE, 1, 0, t=2)
 
+    @pytest.mark.parametrize("bad", [2.0, Fr(5, 2), "3"], ids=["float", "fraction", "str"])
+    @pytest.mark.parametrize(
+        "construct, names",
+        [
+            (profile_sphere, "ab"),
+            (profile_spin_sphere, "ab"),
+            (profile_circle, "tab"),
+            (profile_spin_circle, "tab"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_constructors_reject_non_int_parameters(self, construct, names, bad):
+        # A valid member of each family; each parameter in turn is replaced.
+        valid = {"t": 1, "a": 2, "b": 1} if len(names) == 3 else {"a": 2, "b": -1}
+        construct(*valid.values())
+        for name in names:
+            args = [bad if key == name else value for key, value in valid.items()]
+            with pytest.raises(DomainError, match=f"^parameter {name} must be an integer$"):
+                construct(*args)
+
     @given(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60))
     def test_reversal_involution(self, a, b):
         if a == b:

@@ -8,6 +8,8 @@ and its sphere-bundle partners, and the bundled catalog tables).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -16,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kreckstolz
 
@@ -57,6 +61,32 @@ def test_invariants_positional_descriptor_matches_flags(capsys):
     assert run(["invariants", "--family", "sphere", "-a", "2", "-b", "-1", "--format", "json"]) == 0
     flags, _ = out_err(capsys)
     assert positional == flags
+
+
+def _run_captured(argv):
+    """(exit status, stdout, stderr) of one run, for tests that cannot use capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Small ranges, so degenerate (|H^4| = 0) and non-coprime parameters are drawn often.
+@settings(deadline=None)
+@given(
+    st.sampled_from(["sphere", "spin-sphere", "circle", "spin-circle"]),
+    st.integers(-12, 12),
+    st.integers(-12, 12),
+    st.integers(-12, 12),
+    st.sampled_from(["text", "tsv", "json"]),
+)
+def test_invariants_flags_read_as_their_descriptor(family, a, b, t, fmt):
+    circle = family.endswith("circle")
+    descriptor = f"{family}:{t},{a},{b}" if circle else f"{family}:{a},{b}"
+    flags = ["--family", family, "-a", str(a), "-b", str(b)] + (["-t", str(t)] if circle else [])
+    by_flags = _run_captured(["invariants", *flags, "--format", fmt])
+    assert by_flags == _run_captured(["invariants", descriptor, "--format", fmt])
+    assert by_flags[0] in (0, 1)
 
 
 def test_invariants_text_fields(capsys):
@@ -375,21 +405,33 @@ LONG = str(10**MAX_INPUT_DIGITS)  # one digit past the bound
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, message",
     [
-        (["invariants", f"sphere:{LONG},1"], 1),
-        (["invariants", f"eschenburg:{LONG},0,0|0,0,0"], 1),
-        (["invariants", "--family", "sphere", "-a", LONG, "-b", "1"], 2),
-        (["ediffeo", "-r", "3", f"--s1=1/{LONG}", "--s2", "0", "--s3", "0"], 2),
-        (["enumerate", "--r-max", LONG], 2),
-        (["match", "--left", "fixtures", "--right", f"sphere:r=3,start={LONG},stop={LONG}1"], 1),
+        (["invariants", f"sphere:{LONG},1"], 1, DIGIT_BOUND_MESSAGE),
+        (["invariants", f"eschenburg:{LONG},0,0|0,0,0"], 1, DIGIT_BOUND_MESSAGE),
+        (["invariants", "--family", "sphere", "-a", LONG, "-b", "1"], 2, DIGIT_BOUND_MESSAGE),
+        (["ediffeo", "-r", "3", f"--s1=1/{LONG}", "--s2", "0", "--s3", "0"], 2, DIGIT_BOUND_MESSAGE),
+        (["enumerate", "--r-max", LONG], 2, DIGIT_BOUND_MESSAGE),
+        (["match", "--left", "fixtures", "--right", f"sphere:r=3,start={LONG},stop={LONG}1"], 1, DIGIT_BOUND_MESSAGE),
+        # Tokens that are not integers, named in the error.
+        (["invariants", "spin-circle:1,2.0,1"], 1, "DomainError: '2.0' is not an integer"),
+        (["invariants", "eschenburg:1,x,-2|0,0,0"], 1, "DomainError: 'x' is not an integer"),
+        (["invariants", "eschenburg:1,1,-2|0,1/2,0"], 1, "DomainError: '1/2' is not an integer"),
+        (["match", "--left", "fixtures", "--right", "circle:r=17,bound=1e3"], 1, "DomainError: '1e3' is not an integer"),
+        (["invariants", "--family", "sphere", "-a", "0x10", "-b", "1"], 2, "argument -a: '0x10' is not an integer"),
+        (["ediffeo", "-r", "3.0", "--s1", "0", "--s2", "0", "--s3", "0"], 2, "argument -r: '3.0' is not an integer"),
+        (["enumerate", "--r-max", "twelve"], 2, "argument --r-max: 'twelve' is not an integer"),
     ],
-    ids=["descriptor", "eschenburg", "flag", "fraction", "r_max", "source"],
+    ids=[
+        "descriptor", "eschenburg", "flag", "fraction", "r_max", "source",
+        "non_int_descriptor", "non_int_eschenburg_k", "non_int_eschenburg_l", "non_int_source",
+        "non_int_a", "non_int_r", "non_int_r_max",
+    ],
 )
-def test_integers_past_the_digit_bound_are_rejected(argv, code, capsys):
+def test_integers_past_the_digit_bound_are_rejected(argv, code, message, capsys):
     assert run(argv) == code
     out, err = out_err(capsys)
-    assert out == "" and DIGIT_BOUND_MESSAGE in err
+    assert out == "" and message in err
 
 
 def test_catalog_integer_past_the_digit_bound_is_parse_error(tmp_path, capsys):
@@ -398,6 +440,19 @@ def test_catalog_integer_past_the_digit_bound_is_parse_error(tmp_path, capsys):
     code = run(["invariants", "eschenburg:1,1,-2|0,0,0", "--fixtures", str(path)])
     out, err = out_err(capsys)
     assert (code, out, err) == (1, "", f"ParseError: line 2: {DIGIT_BOUND_MESSAGE}\n")
+
+
+@pytest.mark.parametrize(
+    "line, token",
+    [("1 1 -2.0 | 0 0 0 | 1/112 -1/36 1/18", "-2.0"), ("1 1 -2 | 0 0 zero | 1/112 -1/36 1/18", "zero")],
+    ids=["k", "l"],
+)
+def test_catalog_non_integer_entry_is_parse_error(line, token, tmp_path, capsys):
+    path = tmp_path / "catalog.txt"
+    path.write_text(W11_LINE + line + "\n")
+    code = run(["invariants", "eschenburg:1,1,-2|0,0,0", "--fixtures", str(path)])
+    out, err = out_err(capsys)
+    assert (code, out, err) == (1, "", f"ParseError: line 2: {token!r} is not an integer\n")
 
 
 def test_integers_at_the_digit_bound_are_read(capsys):

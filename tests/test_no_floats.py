@@ -5,6 +5,8 @@ float literal, no use of the name `float` and no `math` function that
 returns a float.  Nor may it hold an `assert` statement: `python -O`
 strips them, so no guarantee may rest on one.  Only `__init__.py` may
 star-import, so that each module's names are visible where they are used.
+Only `exact_arith.py` may call `int(`: every input integer is read by
+`exact_arith.read_int`, which applies the digit bound.
 The checks read tokens, so comments and docstrings may still mention such
 things.
 """
@@ -72,6 +74,16 @@ def star_imports(path: Path) -> list[str]:
     ]
 
 
+def int_calls(path: Path) -> list[str]:
+    """'line: int(' for each call of the builtin int in a file."""
+    tokens = code_tokens(path)
+    return [
+        f"{tok.start[0]}: int("
+        for prev, tok, follower in zip(tokens, tokens[1:], tokens[2:])
+        if tok.string == "int" and follower.string == "(" and prev.string not in (".", "def")
+    ]
+
+
 def test_the_guard_reads_every_module():
     assert {p.name for p in SOURCES} >= {"atlas_search.py", "bundle_families.py", "exact_arith.py"}
 
@@ -128,3 +140,21 @@ def test_the_star_import_guard_catches_statements_only(tmp_path):
         "from .exact_arith import  *\n"
     )
     assert star_imports(path) == ["2: import *", "7: import *"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact_arith.py"], ids=lambda p: p.name)
+def test_only_exact_arith_calls_int(path):
+    assert int_calls(path) == []
+
+
+def test_the_int_guard_catches_calls_only(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def f(x: int, y: tuple[int, ...]) -> int:\n"
+        '    """int(x) in a docstring"""\n'
+        "    if isinstance(x, int):  # int(x) in a comment\n"
+        "        return int(x) + int (y[0]) + 'int(x)'.count('int(')\n"
+        "    return x.int(2) + print_int(3)\n"
+        "def int(x): return x\n"
+    )
+    assert int_calls(path) == ["4: int(", "4: int("]
