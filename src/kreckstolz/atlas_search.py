@@ -10,15 +10,16 @@ depends only on a mod 56r.  `find_matches` first keeps the entries whose
 s1 bucket (s1 up to sign) occurs on both sides, walking each kept
 position of a period through the whole range; then gives each of those
 its triple key (the cleared s2 and s3 join s1, in canonical orientation)
-and keeps the entries whose triple key occurs on both sides.  Only
-those get a full invariant profile, whose s-values are read back from
-the triple key and flip bit (key_s_triple), one Fraction triple per key
-and bit, rather than computed again.  The triple key is the one bucket
-key of the module: `profile_key` gives it for a built profile, and
-`build_index` indexes by it too.  It is the orientation-insensitive part
-of the profile, so `match_all`, comparing two indexes bucket by bucket,
-finds matches of both orientations with each lookup.  The filters
-change no output: see `find_matches`.
+and keeps the entries whose triple key occurs on both sides.  Only those
+get a full invariant profile, whose s-values are read back from the
+triple key and flip bit (key_s_triple), one Fraction triple per key and
+bit, rather than computed again.  The s1 bucket keys the first stage
+only; the triple key is the bucket key of every index: `profile_key`
+gives it for a built profile, and `build_index` indexes by it too.  It
+is the orientation-insensitive part of the profile, so `match_all`,
+comparing two indexes bucket by bucket, finds matches of both
+orientations with each lookup.  The filters change no output: see
+`find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -41,7 +42,6 @@ from math import gcd, isqrt
 from typing import Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Optional, Sequence
 
 from .bundle_families import (
-    BundleSpec,
     Family,
     circle_profile_with,
     circle_s1,
@@ -67,6 +67,7 @@ from .errors import (
 )
 from .eschenburg import (
     EschenburgFixture,
+    EschenburgInvariants,
     EschenburgSpace,
     find_fixture,
     fixture_profile,
@@ -80,6 +81,7 @@ from .profiles import (
     STriple,
     lk_compatible,
     negated_lk,
+    negated_s_triple,
     pi4_conflict,
 )
 
@@ -138,20 +140,6 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _reverses(pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether the negation of an s-triple is its canonical orientation.
-
-    Each pair (n, d) is an s-value n/d in [0, 1).  Its negation (d - n)/d
-    shares the denominator d, so the comparison of the two reduces to 2n
-    against d: they tie when n = 0 or 2n = d, and otherwise the first
-    value that does not tie decides the lexicographic order.
-    """
-    for n, d in pairs:
-        if n and 2 * n != d:
-            return 2 * n > d
-    return False
-
-
 def triple_key(
     cohomology_type: CohomologyType, r: int, s1: tuple[int, int], s2: tuple[int, int], s3: tuple[int, int]
 ) -> tuple[TripleKey, bool]:
@@ -162,8 +150,16 @@ def triple_key(
     a profile with these values has exactly this key and bit (see
     profile_key).
     """
-    pairs = (_reduced(*s1), _reduced(*s2), _reduced(*s3))
-    flipped = _reverses(pairs)
+    return _oriented_key(cohomology_type, r, (_reduced(*s1), _reduced(*s2), _reduced(*s3)))
+
+
+def _oriented_key(cohomology_type: CohomologyType, r: int, pairs: Sequence[tuple[int, int]]) -> tuple[TripleKey, bool]:
+    """triple_key of s-values given as reduced pairs (n, d), 0 <= n < d.
+
+    The negation (d - n)/d of n/d shares d, so the two compare as 2n with d
+    (a tie when n = 0 or 2n = d); the first value that does not tie decides.
+    """
+    flipped = next((2 * n > d for n, d in pairs if n and 2 * n != d), False)
     if flipped:
         pairs = tuple(((d - n) % d, d) for n, d in pairs)
     (n1, d1), (n2, d2), (n3, d3) = pairs
@@ -194,8 +190,8 @@ def profile_key(profile: InvariantProfile) -> tuple[TripleKey, bool]:
     s-triple equals its own negation: then the bit is clear in both
     orientations.
     """
-    pairs = ((s.numerator, s.denominator) for s in profile.s_triple)
-    return triple_key(profile.cohomology_type, profile.r, *pairs)
+    pairs = tuple((s.numerator, s.denominator) for s in profile.s_triple)
+    return _oriented_key(profile.cohomology_type, profile.r, pairs)
 
 
 class IndexEntry(NamedTuple):
@@ -331,12 +327,12 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
     build_index of every entry of each side with its profile from the
     family's constructor (sphere_grid, circle_grid, fixture_entries):
 
-    1. Both pipelines key through triple_key.  A source's cleared
-       s-values equal those of the eager profile, and triple_key reduces
-       them, so Source.key gives profile_key of that profile: the buckets
-       and bits of build_index.  key_s_triple undoes the canonical
-       orientation on the key's reduced pairs, so it gives back that
-       profile's s-values, which triple_key only reduced; the build
+    1. Both pipelines key through _oriented_key.  A source's cleared
+       s-values equal those of the eager profile, and reduced they are the
+       profile's pairs, so Source.key gives profile_key of that profile:
+       the buckets and bits of build_index.  key_s_triple undoes the
+       canonical orientation on the key's reduced pairs, so it gives back
+       that profile's s-values, which the key only reduced; the build
        computes p1, lk, pi4 and the descriptor with the code of the
        eager constructor (sphere_profile_with, circle_profile_with; the
        catalog's profiles are built with the source).  So every built
@@ -521,7 +517,8 @@ def _sphere_entry(r: int, a: int, s_triple: STriple) -> tuple[str, InvariantProf
 
 
 def _sphere_key(r: int, a: int, s1: S1Value) -> tuple[TripleKey, bool]:
-    return triple_key(CohomologyType.E, r, s1[2:], *sphere_s23(a, a - r))
+    s2, s3 = sphere_s23(a, a - r)
+    return _oriented_key(CohomologyType.E, r, (s1[2:], _reduced(*s2), _reduced(*s3)))
 
 
 def sphere_source(r: int, start: int, stop: int) -> Source:
@@ -585,7 +582,8 @@ def _circle_entry(hit: tuple[int, int, int], s_triple: STriple) -> tuple[str, In
 def _circle_key(r: int, hit: tuple[int, int, int], s1: S1Value) -> tuple[TripleKey, bool]:
     a, b, t = hit
     m, n = mn_pair(Family.CIRCLE, a, b)
-    return triple_key(CohomologyType.E, r, s1[2:], *circle_s23(t, a, b, m, n))
+    s2, s3 = circle_s23(t, a, b, m, n)
+    return _oriented_key(CohomologyType.E, r, (s1[2:], _reduced(*s2), _reduced(*s3)))
 
 
 def circle_source(r: int, bound: int) -> Source:
@@ -755,33 +753,22 @@ class TableReport:
         return all(row.passed for row in self.rows)
 
 
-def _check_space(row: TableRow, inv, problems: list[str]) -> None:
-    if inv.r != row.r:
-        problems.append(f"recomputed |H^4| = {inv.r}, row says {row.r}")
-    if not inv.free:
-        problems.append("parameters do not define a free action")
-    if not inv.positively_curved:
-        problems.append("space is not positively curved")
-    # The residue solver presupposes the standard linking form; circle rows do not.
-    if row.bundle is None and inv.s_signed % row.r not in (1 % row.r, (-1) % row.r):
-        problems.append(
-            "linking form is not standard: sigma3(k) - sigma3(l) is not ±1 mod r"
-        )
+_Partner = tuple[Optional[Orientation], tuple[ResidueClass, ...], str, Optional[InvariantProfile]]
 
 
-def _row_s(row: TableRow, orientation: Orientation) -> tuple[ModOneValue, ...]:
-    """The row's s-values modulo 1: as printed when preserving, negated when reversing."""
-    sign = 1 if orientation is Orientation.PRESERVING else -1
-    return tuple(mod_one(sign * s) for s in row.s)
+def _sphere_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str]) -> _Partner:
+    """Solve a sphere row's s-values in both orientations against its residue list.
 
-
-_Partner = tuple[Optional[Orientation], tuple[ResidueClass, ...], BundleSpec]
-
-
-def _sphere_partner(row: TableRow, p1: ResidueClass, problems: list[str]) -> _Partner:
-    """Solve a sphere row's s-values in both orientations against its residue list."""
+    The listed bundles carry the solved s-values unchecked: each listed a is a
+    solved residue mod 168r, ediffeo_solve raises unless each solved residue's
+    bundle carries them, and S_{a,a-r}'s s-triple depends on a mod 168r only.
+    """
+    # The residue solver presupposes the standard linking form.
+    if inv.s_signed % row.r not in (1 % row.r, (-1) % row.r):
+        problems.append("linking form is not standard: sigma3(k) - sigma3(l) is not ±1 mod r")
     orientation: Optional[Orientation] = None
     solved: tuple[ResidueClass, ...] = ()
+    anchor, anchor_profile = min(row.residues), None
     target = {value % (168 * row.r) for value in row.residues}
     try:
         problem = EdiffeoProblem(row.r, *row.s)
@@ -807,28 +794,27 @@ def _sphere_partner(row: TableRow, p1: ResidueClass, problems: list[str]) -> _Pa
                 + "; ".join(f"{c.value}: {msg}" for c, msg in outcomes.items())
             )
         else:
-            expected = _row_s(row, orientation)
             for a in row.residues:
-                partner_profile = profile_sphere(a, a - row.r)
-                if partner_profile.s_triple != expected:
-                    problems.append(f"bundle at a={a} has s-values {partner_profile.s_triple}")
-                if partner_profile.p1 != p1:
-                    problems.append(f"p1 mismatch at a={a}: {partner_profile.p1} vs {p1}")
-    anchor = min(row.residues)
-    return orientation, solved, BundleSpec(Family.SPHERE, anchor, anchor - row.r)
+                bundle = profile_sphere(a, a - row.r)
+                if bundle.p1 != inv.p1:
+                    problems.append(f"p1 mismatch at a={a}: {bundle.p1} vs {inv.p1}")
+                if a == anchor:
+                    anchor_profile = bundle
+    return orientation, solved, describe_bundle(Family.SPHERE, anchor, anchor - row.r), anchor_profile
 
 
-def _circle_partner(row: TableRow, p1: ResidueClass, problems: list[str]) -> _Partner:
+def _circle_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str]) -> _Partner:
     """Match a circle row's bundle against its s-values up to sign."""
     a, b, t = row.bundle
-    orientation: Optional[Orientation] = None
-    if abs(t * (a + b) ** 2 - a * b) != row.r:
-        problems.append(f"|t(a+b)^2 - ab| = {abs(t * (a + b) ** 2 - a * b)}, row says {row.r}")
+    orientation = partner_profile = None
+    order = abs(t * (a + b) ** 2 - a * b)
+    if order != row.r:
+        problems.append(f"|t(a+b)^2 - ab| = {order}, row says {row.r}")
     else:
         partner_profile = profile_circle(t, a, b)
-        if partner_profile.r != row.r:
-            problems.append(f"bundle |H^4| = {partner_profile.r}, row says {row.r}")
-        orientation = next((o for o in Orientation if partner_profile.s_triple == _row_s(row, o)), None)
+        signs = (partner_profile.s_triple, negated_s_triple(partner_profile))  # preserving, reversing
+        tabulated = tuple(mod_one(s) for s in row.s)
+        orientation = next((o for o, s in zip(Orientation, signs) if s == tabulated), None)
         if orientation is None:
             problems.append(
                 f"bundle s-values {partner_profile.s_triple} match neither sign "
@@ -839,9 +825,9 @@ def _circle_partner(row: TableRow, p1: ResidueClass, problems: list[str]) -> _Pa
                 problems.append(
                     "orientation mark on the row disagrees with the computed identification"
                 )
-            if partner_profile.p1 != p1:
-                problems.append(f"p1 mismatch: {partner_profile.p1} vs {p1}")
-    return orientation, (), BundleSpec(Family.CIRCLE, a, b, t=t)
+            if partner_profile.p1 != inv.p1:
+                problems.append(f"p1 mismatch: {partner_profile.p1} vs {inv.p1}")
+    return orientation, (), describe_bundle(Family.CIRCLE, a, b, t), partner_profile
 
 
 def _verify_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
@@ -849,18 +835,23 @@ def _verify_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResu
     problems: list[str] = []
     fixture = find_fixture(fixtures, row.k, row.l, s1=row.s[0])
     inv = invariants(fixture.space)
-    _check_space(row, inv, problems)
+    if inv.r != row.r:
+        problems.append(f"recomputed |H^4| = {inv.r}, row says {row.r}")
+    if not inv.free:
+        problems.append("parameters do not define a free action")
+    if not inv.positively_curved:
+        problems.append("space is not positively curved")
     partner_step = _sphere_partner if row.bundle is None else _circle_partner
-    orientation, residues, partner = partner_step(row, inv.p1, problems)
+    orientation, residues, partner, partner_profile = partner_step(row, inv, problems)
     if orientation is not None:
-        verdict = ks_diffeomorphic(fixture_profile(fixture), bundle_profile(partner))
+        verdict = ks_diffeomorphic(fixture_profile(fixture), partner_profile)
         if verdict is not orientation:
             basis = "solver orientation" if row.bundle is None else "the s-value match"
             problems.append(f"full-profile verdict {verdict} disagrees with {basis}")
     return RowResult(
         row=row,
         space=eschenburg_descriptor(fixture.space),
-        partner=describe_bundle_spec(partner),
+        partner=partner,
         orientation=orientation,
         residues=residues,
         p1=inv.p1,
@@ -876,12 +867,12 @@ def reproduce_table(
     Table A (sphere partners): recomputes r, freeness, curvature, the
     standard-linking-form precondition, runs the residue solver in both
     orientations against the tabulated s-values, and requires exactly
-    the tabulated residue set; then re-verifies each listed bundle's
-    profile and p1 against the fixture space.  Table B (circle
-    partners): checks |t(a+b)^2 - ab| = r, matches the bundle's s-triple
-    against the tabulated values up to sign, and verifies p1 coherence
-    and the full-profile verdict, including the catalog's
-    orientation-reversal mark.
+    the tabulated residue set; then checks each listed bundle's p1
+    against the fixture space and the full-profile verdict on the
+    smallest.  Table B (circle partners): checks |t(a+b)^2 - ab| = r,
+    matches the bundle's s-triple against the tabulated values up to
+    sign, and verifies p1 coherence and the full-profile verdict,
+    including the catalog's orientation-reversal mark.
 
     `fixtures` defaults to the packaged catalog.  Raises MissingFixture
     when a row's space is absent from them.

@@ -54,7 +54,7 @@ from .errors import (
     ParityFailure,
 )
 from .eschenburg import enumerate_positively_curved, load_fixtures, order_invariants
-from .exact_arith import check_input_digits, read_int
+from .exact_arith import DECIMAL_INT, check_input_digits, excerpt, read_int
 from .profiles import InvariantProfile
 
 __all__ = ["main", "run"]
@@ -87,18 +87,21 @@ def _fraction(text: str) -> Fraction:
 
     A zero denominator is a usage error, and so is an exponent, the only
     place where Fraction reads an 'e': Fraction('1e1000000') builds a
-    million-digit power of ten before any check could bound it.  The
-    numerator and denominator have at most MAX_INPUT_DIGITS digits.
+    million-digit power of ten before any check could bound it.  Integer
+    parts go through read_int first (Fraction calls one of over 4,300 digits
+    invalid); numerator and denominator have at most MAX_INPUT_DIGITS digits.
     """
     try:
         if "e" in text.lower():
             raise ValueError
+        for part in filter(DECIMAL_INT.fullmatch, text.split("/")):
+            read_int(part)
         value = Fraction(text)
         check_input_digits(value.numerator, value.denominator)
     except DomainError as exc:  # a ValueError too, so caught first
         raise argparse.ArgumentTypeError(str(exc)) from None
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {excerpt(text)}") from None
     return value
 
 

@@ -96,10 +96,6 @@ class EschenburgFixture:
     s2: ModOneValue
     s3: ModOneValue
 
-    @property
-    def s_triple(self) -> tuple[ModOneValue, ModOneValue, ModOneValue]:
-        return (self.s1, self.s2, self.s3)
-
 
 def _sigma(t: Triple) -> tuple[int, int, int]:
     a, b, c = t

@@ -1,15 +1,16 @@
 """Exact modular and rational arithmetic used by every other module.
 
 All quantities are integers or fractions.Fraction; nothing here (or
-anywhere else in the package) touches floating point. Square roots
-modulo m are returned as the complete, sorted set of solutions, because
-the downstream solver must enumerate every admissible root.
+anywhere else in the package) touches floating point.  sqrt_mod, the
+complete sorted set of square roots modulo m, has no library caller: it
+is the solver tests' oracle, run by demo 03 and traced by the benchmark.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -51,6 +52,8 @@ _MR_PROVEN_BELOW = 3317044064679887385961981
 # keeps every printed integer to at most 3,004 digits.
 MAX_INPUT_DIGITS = 1000
 _INPUT_BOUND = 10**MAX_INPUT_DIGITS
+# Text that int() reads as a decimal integer: int() refuses it only past 4,300 digits.
+DECIMAL_INT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def check_input_digits(*values: int) -> None:
@@ -60,12 +63,19 @@ def check_input_digits(*values: int) -> None:
             raise DomainError(f"integers are limited to {MAX_INPUT_DIGITS} digits")
 
 
+def excerpt(text: str) -> str:
+    """repr(text) for an error message, cut after its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 def read_int(text: str) -> int:
     """The integer `text` spells, of at most MAX_INPUT_DIGITS digits: the package's only text-to-int step."""
     try:
         value = int(text)
     except ValueError:
-        raise DomainError(f"{text!r} is not an integer") from None
+        if DECIMAL_INT.fullmatch(text):
+            raise DomainError(f"integers are limited to {MAX_INPUT_DIGITS} digits") from None
+        raise DomainError(f"{excerpt(text)} is not an integer") from None
     check_input_digits(value)
     return value
 

@@ -64,7 +64,7 @@ from kreckstolz.bundle_families import (
 )
 from kreckstolz.classification import Orientation, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
-from kreckstolz.eschenburg import fixture_profile, load_fixtures
+from kreckstolz.eschenburg import EschenburgFixture, EschenburgSpace, fixture_profile, load_fixtures
 from kreckstolz.exact_arith import ResidueClass, mod_one
 from kreckstolz.profiles import (
     CohomologyType,
@@ -759,6 +759,21 @@ def test_circle_grid_rejects_nonpositive_order():
         circle_grid(0, 10)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: sphere_source(0, 0, 1), "|H^4| must be positive, got 0"),
+        (lambda: circle_source(3, -1), "bound must be nonnegative, got -1"),
+        (lambda: parse_source("fixtures:r=1", load_fixtures), "source 'fixtures' takes no parameters"),
+    ],
+    ids=["sphere_order", "circle_bound", "fixture_parameters"],
+)
+def test_sources_reject_bad_parameters(make, message):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
 # Full-scale recovery of the circle-bundle catalog rows.  The four catalog
 # fixtures matched against the full |a|, |b| <= 1000 grid produce exactly
 # the five tabulated bundles, each in its four parameter presentations
@@ -1031,6 +1046,68 @@ def test_reproduce_table_reports_fixture_that_contradicts_the_row(table, row, me
     (result,) = reproduce_table(table, doctored).rows
     assert result.orientation is PRESERVING
     assert result.problems == (message,)
+
+
+# Rows whose (k, l) is replaced by another space of the same order, each
+# verified against a one-line catalog that gives that space the row's
+# s-values: (table, row, k, l, partner, problems).  The space's own invariants then
+# disagree with the tabulated partner in the ways named.
+MISMATCHED_SPACES = {
+    "B space not free": (
+        "B",
+        TABLE_B[2],
+        (-7, 3, 3),
+        (0, -1, 0),
+        "circle:-17,805,-632",
+        (
+            "parameters do not define a free action",
+            "p1 mismatch: 21 mod 33 vs 2 mod 33",
+            "full-profile verdict None disagrees with the s-value match",
+        ),
+    ),
+    "B space not positively curved": (
+        "B",
+        B17,
+        (-12, -3, 5),
+        (4, -14, 0),
+        "circle:-403,638,-607",
+        ("space is not positively curved",),
+    ),
+    "B p1 of another space": (
+        "B",
+        B17,
+        (-5, 1, 3),
+        (0, -1, 0),
+        "circle:-403,638,-607",
+        ("p1 mismatch: 9 mod 17 vs 2 mod 17", "full-profile verdict None disagrees with the s-value match"),
+    ),
+    "A p1 of another space": (
+        "A",
+        A41,
+        (-8, -7, -7),
+        (-12, -10, 0),
+        "sphere:2285,2244",
+        (
+            "linking form is not standard: sigma3(k) - sigma3(l) is not ±1 mod r",
+            "p1 mismatch at a=2285: 1 mod 41 vs 2 mod 41",
+            "p1 mismatch at a=5237: 1 mod 41 vs 2 mod 41",
+            "full-profile verdict None disagrees with solver orientation",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHED_SPACES))
+def test_reproduce_table_reports_space_that_contradicts_the_row(case, monkeypatch):
+    table, base, k, l, partner, problems = MISMATCHED_SPACES[case]
+    row = dataclasses.replace(base, k=k, l=l)
+    catalog = [EschenburgFixture(EschenburgSpace(k, l), *(mod_one(s) for s in row.s))]
+    monkeypatch.setattr(atlas_search, f"TABLE_{table}", (row,))
+    (result,) = reproduce_table(table, catalog).rows
+    # The partner step reads the row alone, so it finds the genuine row's partner.
+    assert (result.orientation, result.partner) == (PRESERVING, partner)
+    assert tuple(c.value for c in result.residues) == base.residues
+    assert result.problems == problems
 
 
 # ---------------------------------------------------------------------------

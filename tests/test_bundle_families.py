@@ -573,6 +573,10 @@ class TestSpecPlumbing:
         with pytest.raises(DomainError):
             parse_bundle_spec("unknown:1,2")
 
+    def test_unknown_family(self):
+        with pytest.raises(DomainError, match="^unknown family 'sphere'$"):
+            BundleSpec("sphere", 1, 0)
+
     def test_t_required_exactly_for_circle_families(self):
         with pytest.raises(DomainError):
             BundleSpec(Family.CIRCLE, 1, 1)

@@ -338,6 +338,28 @@ def test_problem_rejects_bad_denominator():
         EdiffeoProblem(3, Fraction(1, 113), Fraction(-1, 36), Fraction(1, 18))
 
 
+def test_problem_rejects_nonpositive_order():
+    with pytest.raises(DomainError, match="^order must be a positive integer, got 0$"):
+        EdiffeoProblem(0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"r": 0}, "|H^4| must be positive, got 0"),
+        ({"s2": Fraction(37, 36)}, "s-value 37/36 not reduced modulo 1"),
+        ({"p1": ResidueClass(0, 5)}, "p1 must be a residue modulo r"),
+        ({"lk": frozenset()}, "linking classes must be nonempty residues modulo r"),
+    ],
+    ids=["order", "s_value", "p1", "lk"],
+)
+def test_invariant_profile_validation(change, message):
+    valid = profile_sphere(2, -1)
+    with pytest.raises(DomainError) as info:
+        dataclasses.replace(valid, **change)
+    assert str(info.value) == message
+
+
 def test_order_3_chain():
     problem = EdiffeoProblem(3, Fraction(1, 112), Fraction(-1, 36), Fraction(1, 18))
     assert len(sqrt_mod(9, 672)) == 8
@@ -670,9 +692,11 @@ def test_lk_substitution_rejects_inapplicable_type():
     assert even_nonspin.r % 2 == 0
     with pytest.raises(DomainError):
         lk_diffeomorphic(even_nonspin, even_nonspin)
-    # Spin type is applicable for every order.
+    # Spin type is applicable for every order, but not with the p1 substitution.
     even_spin = profile_spin_sphere(3, 1)
     assert lk_diffeomorphic(even_spin, even_spin) is Orientation.PRESERVING
+    with pytest.raises(DomainError, match="the p1 substitution applies only to non-spin type"):
+        lk_homeomorphic(even_spin, even_spin, use_p1=True)
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +730,11 @@ def test_einstein_circle_congruence():
     assert not einstein_congruence("L", (3, 1), (3, 2))
     with pytest.raises(MismatchedOrder):
         einstein_congruence("L", (3, 1), (4, 1))
+
+
+def test_einstein_congruence_rejects_unknown_family():
+    with pytest.raises(DomainError, match="^unknown Einstein family 'X'; expected 'L' or 'C'$"):
+        einstein_congruence("X", (3, 1), (3, 1))
 
 
 def test_einstein_chen_congruence():

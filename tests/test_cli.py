@@ -136,6 +136,10 @@ def test_invariants_requires_exactly_one_input_style(capsys):
     assert run(["invariants"]) == 2
     capsys.readouterr()
     assert run(["invariants", "sphere:2,-1", "--family", "sphere", "-a", "2", "-b", "-1"]) == 2
+    capsys.readouterr()
+    assert run(["invariants", "--family", "sphere", "-a", "1"]) == 2
+    out, err = out_err(capsys)
+    assert out == "" and "--family requires -a and -b" in err
 
 
 def test_invariants_t_flag_validation(capsys):
@@ -402,6 +406,8 @@ def test_ediffeo_order_past_the_int_to_str_limit_is_usage_error(capsys):
 
 
 LONG = str(10**MAX_INPUT_DIGITS)  # one digit past the bound
+# Past the 4,300 digits that int() and Fraction() read from text at all.
+NINES_4301, NINES_5000 = "9" * 4301, "9" * 5000
 
 
 @pytest.mark.parametrize(
@@ -413,6 +419,19 @@ LONG = str(10**MAX_INPUT_DIGITS)  # one digit past the bound
         (["ediffeo", "-r", "3", f"--s1=1/{LONG}", "--s2", "0", "--s3", "0"], 2, DIGIT_BOUND_MESSAGE),
         (["enumerate", "--r-max", LONG], 2, DIGIT_BOUND_MESSAGE),
         (["match", "--left", "fixtures", "--right", f"sphere:r=3,start={LONG},stop={LONG}1"], 1, DIGIT_BOUND_MESSAGE),
+        # Tokens that int() itself refuses for their length; a sign, _ and whitespace are allowed.
+        *(
+            case
+            for nines in (NINES_4301, NINES_5000)
+            for case in (
+                (["invariants", f"sphere:{nines},1"], 1, DIGIT_BOUND_MESSAGE),
+                (["match", "--left", "fixtures", "--right", f"sphere:r={nines},start=0,stop=1"], 1, DIGIT_BOUND_MESSAGE),
+                (["invariants", "--family", "sphere", "-a", nines, "-b", "1"], 2, DIGIT_BOUND_MESSAGE),
+                (["ediffeo", "-r", "3", "--s1", nines, "--s2", "0", "--s3", "0"], 2, DIGIT_BOUND_MESSAGE),
+            )
+        ),
+        (["invariants", f"sphere: -{'9_' * 4400}9 ,1"], 1, DIGIT_BOUND_MESSAGE),
+        (["ediffeo", "-r", "3", f"--s1=-1/{NINES_5000}", "--s2", "0", "--s3", "0"], 2, DIGIT_BOUND_MESSAGE),
         # Tokens that are not integers, named in the error.
         (["invariants", "spin-circle:1,2.0,1"], 1, "DomainError: '2.0' is not an integer"),
         (["invariants", "eschenburg:1,x,-2|0,0,0"], 1, "DomainError: 'x' is not an integer"),
@@ -421,17 +440,31 @@ LONG = str(10**MAX_INPUT_DIGITS)  # one digit past the bound
         (["invariants", "--family", "sphere", "-a", "0x10", "-b", "1"], 2, "argument -a: '0x10' is not an integer"),
         (["ediffeo", "-r", "3.0", "--s1", "0", "--s2", "0", "--s3", "0"], 2, "argument -r: '3.0' is not an integer"),
         (["enumerate", "--r-max", "twelve"], 2, "argument --r-max: 'twelve' is not an integer"),
+        # A long token that is not a number is named by its first 40 characters.
+        (["invariants", f"sphere:x{NINES_5000},1"], 1, f"DomainError: 'x{NINES_5000[:39]}'... is not an integer"),
+        (
+            ["ediffeo", "-r", "3", "--s1", f"x{NINES_5000}", "--s2", "0", "--s3", "0"],
+            2,
+            f"argument --s1: invalid Fraction value: 'x{NINES_5000[:39]}'...",
+        ),
     ],
     ids=[
         "descriptor", "eschenburg", "flag", "fraction", "r_max", "source",
+        *(
+            f"{entry}_{digits}"
+            for digits in (4301, 5000)
+            for entry in ("descriptor", "source", "flag_a", "fraction_s1")
+        ),
+        "descriptor_sign_underscores_spaces", "fraction_denominator_5000",
         "non_int_descriptor", "non_int_eschenburg_k", "non_int_eschenburg_l", "non_int_source",
-        "non_int_a", "non_int_r", "non_int_r_max",
+        "non_int_a", "non_int_r", "non_int_r_max", "non_int_long_descriptor", "non_int_long_fraction",
     ],
 )
 def test_integers_past_the_digit_bound_are_rejected(argv, code, message, capsys):
     assert run(argv) == code
     out, err = out_err(capsys)
     assert out == "" and message in err
+    assert len(err.splitlines()[-1].encode()) < 200
 
 
 def test_catalog_integer_past_the_digit_bound_is_parse_error(tmp_path, capsys):

@@ -66,6 +66,12 @@ def test_eschenburg_descriptor_round_trip_over_the_catalog():
         assert calls == [1]
 
 
+def test_eschenburg_descriptor_needs_both_triples():
+    with pytest.raises(DomainError) as caught:
+        parse_space("eschenburg:1,1,-2", _no_catalog)
+    assert str(caught.value) == "cannot parse 'eschenburg:1,1,-2': expected eschenburg:k1,k2,k3|l1,l2,l3"
+
+
 params = st.integers(-200, 200)
 
 

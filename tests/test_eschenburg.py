@@ -306,6 +306,10 @@ class TestEnumerate:
         # order 2p+1 >= 3, and those representatives are free and curved.
         assert {3, 5, 7, 9} <= orders
 
+    def test_rejects_nonpositive_bound(self):
+        with pytest.raises(DomainError, match="^r_max must be positive, got 0$"):
+            enumerate_positively_curved(0)
+
     @pytest.mark.parametrize("r_max", range(1, 17))
     def test_matches_box_scan(self, r_max):
         # The interval scan prunes by proven bounds only: same spaces, same order.

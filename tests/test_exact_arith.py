@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from kreckstolz.errors import DomainError, ModuliNotCoprime, NotCoprime
 from kreckstolz.exact_arith import (
+    DECIMAL_INT,
+    MAX_INPUT_DIGITS,
     Factorization,
     ResidueClass,
     crt_combine,
@@ -24,6 +26,7 @@ from kreckstolz.exact_arith import (
     inv_mod,
     mod_one,
     ratio_mod_one,
+    read_int,
     sqrt_mod,
 )
 
@@ -107,6 +110,10 @@ class TestInvMod:
     def test_modulus_one(self):
         assert inv_mod(5, 1) == 0
 
+    def test_nonpositive_modulus(self):
+        with pytest.raises(DomainError, match="^modulus must be positive, got 0$"):
+            inv_mod(3, 0)
+
     def test_negative_argument(self):
         a, m = -10, 17
         v = inv_mod(a, m)
@@ -183,6 +190,11 @@ class TestFactorize:
         assert factorize(12) == Factorization(pairs=((2, 2), (3, 1)))
         assert hash(factorize(12)) == hash(factorize(12))
 
+    @pytest.mark.parametrize("pairs", [((3, 1), (2, 1)), ((2, 0),), ((1, 1),)], ids=["unordered", "zero_exponent", "one"])
+    def test_factorization_validation(self, pairs):
+        with pytest.raises(DomainError):
+            Factorization(pairs)
+
 
 class TestResidueClass:
     def test_str(self):
@@ -248,6 +260,10 @@ class TestSqrtMod:
         assert sqrt_mod(0, 1) == (0,)
         assert sqrt_mod(12, 1) == (0,)
 
+    def test_nonpositive_modulus(self):
+        with pytest.raises(DomainError, match="^modulus must be positive, got 0$"):
+            sqrt_mod(1, 0)
+
     def test_input_reduced_mod_m(self):
         assert sqrt_mod(9 + 672, 672) == ROOTS_9_MOD_672
         assert sqrt_mod(9 - 672, 672) == ROOTS_9_MOD_672
@@ -287,3 +303,46 @@ class TestSqrtMod:
         for y in roots:
             assert y * y % m == a
             assert (m - y) % m in roots
+
+
+class TestReadInt:
+    # Signs, digits (ASCII and Arabic-Indic), underscores and whitespace:
+    # the characters of every text int() reads as a decimal integer.
+    int_like = st.text(alphabet="0123456789\u0663_+- \t", max_size=12)
+
+    @given(int_like)
+    def test_decimal_int_matches_what_int_reads(self, text):
+        try:
+            int(text)
+        except ValueError:
+            assert DECIMAL_INT.fullmatch(text) is None
+        else:
+            assert DECIMAL_INT.fullmatch(text) is not None
+
+    @given(int_like)
+    def test_agrees_with_int(self, text):
+        try:
+            expected = int(text)
+        except ValueError:
+            with pytest.raises(DomainError, match=r"^'.*' is not an integer$"):
+                read_int(text)
+        else:
+            assert read_int(text) == expected
+
+    def test_leading_zeros(self):
+        assert read_int("0" * 2000 + "7") == 7
+
+    @pytest.mark.parametrize(
+        "text",
+        ["9" * 4301, "9" * 5000, " -" + "9_" * 4400 + "9\t", "+" + "9" * (MAX_INPUT_DIGITS + 1)],
+        ids=["4301", "5000", "sign_underscores_spaces", "under_the_int_limit"],
+    )
+    def test_long_decimal_text_is_past_the_digit_bound(self, text):
+        with pytest.raises(DomainError, match=f"^integers are limited to {MAX_INPUT_DIGITS} digits$"):
+            read_int(text)
+
+    def test_long_text_is_named_by_its_first_40_characters(self):
+        text = "x" + "9" * 5000
+        with pytest.raises(DomainError) as info:
+            read_int(text)
+        assert str(info.value) == f"{text[:40]!r}... is not an integer"
