@@ -6,8 +6,8 @@ answer is a finite set of residue classes mod 168r, computed through
 integer E-values and a square-root search that needs no factorization:
 an admissible root s of r + e1 modulo 224r must satisfy s = 1 - e2
 (mod 8r), and 224r = 28 · 8r, so the solver tests just those 28 lifts —
-every step exact.  The complete root set from sqrt_mod, filtered mod 8r,
-gives the same roots.
+every step exact.  A brute-force scan of every s in [0, 224r), filtered
+mod 8r, gives the same roots.
 
 Run:  python3 demos/03_residue_solver.py
 """
@@ -20,7 +20,6 @@ from kreckstolz import (
     ediffeo_solve,
     load_fixtures,
     profile_sphere,
-    sqrt_mod,
 )
 from kreckstolz.errors import CongruenceFailure, DivisibilityFailure, ParityFailure
 
@@ -32,8 +31,9 @@ problem = EdiffeoProblem(3, Fraction(1, 112), Fraction(-1, 36), Fraction(1, 18))
 print("order 3, s = (1/112, -1/36, 1/18)")
 print(f"  integer E-values: ({problem.e1}, {problem.e2}, {problem.e3})")
 
-roots = sqrt_mod(problem.r + problem.e1, 224 * problem.r)
-print(f"  square roots of {problem.r + problem.e1} mod {224 * problem.r}: {roots}")
+modulus = 224 * problem.r
+roots = tuple(s for s in range(modulus) if (s * s - problem.r - problem.e1) % modulus == 0)
+print(f"  square roots of {problem.r + problem.e1} mod {modulus}, by scanning all {modulus}: {roots}")
 
 solution = ediffeo_solve(problem, Orientation.PRESERVING)
 filtered = tuple(s for s in roots if (s + problem.e2 - 1) % (8 * problem.r) == 0)

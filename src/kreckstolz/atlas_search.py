@@ -43,12 +43,11 @@ from typing import Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Opti
 
 from .bundle_families import (
     Family,
+    choose_mn,
     circle_profile_with,
     circle_s1,
     circle_s23,
     describe_bundle,
-    describe_bundle_spec,
-    mn_pair,
     parse_bundle_spec,
     profile as bundle_profile,
     profile_circle,
@@ -74,7 +73,7 @@ from .eschenburg import (
     invariants,
     load_fixtures,
 )
-from .exact_arith import ModOneValue, ResidueClass, mod_one, ratio_mod_one, read_int
+from .exact_arith import ModOneValue, ResidueClass, excerpt, mod_one, ratio_mod_one, read_int
 from .profiles import (
     CohomologyType,
     InvariantProfile,
@@ -476,10 +475,10 @@ def parse_space(
     """
     if not text.startswith("eschenburg:"):
         spec = parse_bundle_spec(text)
-        return describe_bundle_spec(spec), bundle_profile(spec)
+        return describe_bundle(spec.family, spec.a, spec.b, spec.t), bundle_profile(spec)
     k_text, sep, l_text = text.removeprefix("eschenburg:").partition("|")
     if not sep:
-        raise DomainError(f"cannot parse {text!r}: expected eschenburg:k1,k2,k3|l1,l2,l3")
+        raise DomainError(f"cannot parse {excerpt(text)}: expected eschenburg:k1,k2,k3|l1,l2,l3")
     space = EschenburgSpace(*(tuple(read_int(v) for v in part.split(",")) for part in (k_text, l_text)))
     fixture = find_fixture(load_fixtures(), space.k, space.l)
     return eschenburg_descriptor(space), fixture_profile(fixture)
@@ -575,13 +574,13 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
 
 def _circle_entry(hit: tuple[int, int, int], s_triple: STriple) -> tuple[str, InvariantProfile]:
     a, b, t = hit
-    m, n = mn_pair(Family.CIRCLE, a, b)
+    m, n = choose_mn(Family.CIRCLE, a, b)
     return describe_bundle(Family.CIRCLE, a, b, t), circle_profile_with(t, a, b, m, n, s_triple)
 
 
 def _circle_key(r: int, hit: tuple[int, int, int], s1: S1Value) -> tuple[TripleKey, bool]:
     a, b, t = hit
-    m, n = mn_pair(Family.CIRCLE, a, b)
+    m, n = choose_mn(Family.CIRCLE, a, b)
     s2, s3 = circle_s23(t, a, b, m, n)
     return _oriented_key(CohomologyType.E, r, (s1[2:], _reduced(*s2), _reduced(*s3)))
 
@@ -629,7 +628,7 @@ def _require_keys(head: str, params: dict[str, int], keys: tuple[str, ...]) -> N
         raise DomainError(f"{head} source needs {', '.join(keys)} (missing {sorted(missing)})")
     unknown = params.keys() - set(keys)
     if unknown:
-        raise DomainError(f"unknown {head} source parameter {sorted(unknown)[0]!r}")
+        raise DomainError(f"unknown {head} source parameter {excerpt(sorted(unknown)[0])}")
 
 
 def parse_source(text: str, load_fixtures: Callable[[], Sequence[EschenburgFixture]]) -> Source:
@@ -645,9 +644,9 @@ def parse_source(text: str, load_fixtures: Callable[[], Sequence[EschenburgFixtu
         for pair in rest.split(","):
             key, sep, value = pair.partition("=")
             if not sep:
-                raise DomainError(f"cannot parse source parameter {pair!r}: expected key=value")
+                raise DomainError(f"cannot parse source parameter {excerpt(pair)}: expected key=value")
             if key in params:
-                raise DomainError(f"source parameter {key!r} given twice")
+                raise DomainError(f"source parameter {excerpt(key)} given twice")
             params[key] = read_int(value)
     if head == "fixtures":
         if params:
@@ -660,7 +659,7 @@ def parse_source(text: str, load_fixtures: Callable[[], Sequence[EschenburgFixtu
         _require_keys(head, params, ("r", "bound"))
         return circle_source(params["r"], params["bound"])
     raise DomainError(
-        f"unknown source {head!r}: expected fixtures, sphere:r=..,start=..,stop=.., or circle:r=..,bound=.."
+        f"unknown source {excerpt(head)}: expected fixtures, sphere:r=..,start=..,stop=.., or circle:r=..,bound=.."
     )
 
 
@@ -844,7 +843,7 @@ def _verify_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResu
     partner_step = _sphere_partner if row.bundle is None else _circle_partner
     orientation, residues, partner, partner_profile = partner_step(row, inv, problems)
     if orientation is not None:
-        verdict = ks_diffeomorphic(fixture_profile(fixture), partner_profile)
+        verdict = ks_diffeomorphic(inv.profile(fixture.s1, fixture.s2, fixture.s3), partner_profile)
         if verdict is not orientation:
             basis = "solver orientation" if row.bundle is None else "the s-value match"
             problems.append(f"full-profile verdict {verdict} disagrees with {basis}")
@@ -879,7 +878,7 @@ def reproduce_table(
     """
     table = which.strip().upper()
     if table not in ("A", "B"):
-        raise DomainError(f"unknown table {which!r}: expected 'A' or 'B'")
+        raise DomainError(f"unknown table {excerpt(which)}: expected 'A' or 'B'")
     if fixtures is None:
         fixtures = load_fixtures()
     rows = TABLE_A if table == "A" else TABLE_B

@@ -15,8 +15,8 @@ Families and parameter conventions:
 
 The circle families need an auxiliary pair (m, n) with am - bn = 1
 (respectively am + bn = 1, m odd whenever b is odd); every profile is
-independent of the admissible choice, which choose_mn makes
-deterministically.
+independent of the admissible choice.  choose_mn(family, a, b) makes it
+deterministically, and is the only place that computes one.
 
 All characteristic numbers are computed over a single cleared
 denominator; the term-by-term rational evaluation lives in the test
@@ -37,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, ratio_mod_one, read_int
+from .exact_arith import ResidueClass, excerpt, ratio_mod_one, read_int
 from .profiles import CohomologyType, InvariantProfile, Pi4, STriple
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
     "choose_mn",
     "circle_s1",
     "circle_s23",
-    "describe_bundle_spec",
+    "describe_bundle",
     "natural_partner",
     "parse_bundle_spec",
     "profile",
@@ -95,7 +95,7 @@ class BundleSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
-            raise DomainError(f"unknown family {self.family!r}")
+            raise DomainError(f"unknown family {excerpt(self.family)}")
         _require_ints(a=self.a, b=self.b)
         if self.family in _CIRCLE_FAMILIES:
             if not isinstance(self.t, int):
@@ -105,15 +105,10 @@ class BundleSpec:
 
 
 def describe_bundle(family: Family, a: int, b: int, t: Optional[int] = None) -> str:
-    """Compact text form of a family member, 'family:a,b' or, with t, 'family:t,a,b'."""
+    """Compact text form of a family member, 'family:a,b' or, with t, 'family:t,a,b' (parse_bundle_spec reads it)."""
     if t is None:
         return f"{family.value}:{a},{b}"
     return f"{family.value}:{t},{a},{b}"
-
-
-def describe_bundle_spec(spec: BundleSpec) -> str:
-    """Compact text form, inverse of parse_bundle_spec."""
-    return describe_bundle(spec.family, spec.a, spec.b, spec.t)
 
 
 def parse_bundle_spec(text: str) -> BundleSpec:
@@ -122,7 +117,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
     try:
         family = Family(name.strip())
     except ValueError:
-        raise DomainError(f"unknown family {name!r}") from None
+        raise DomainError(f"unknown family {excerpt(name)}") from None
     values = [read_int(v) for v in rest.split(",")]
     expected = 3 if family in _CIRCLE_FAMILIES else 2
     if len(values) != expected:
@@ -147,20 +142,15 @@ def _bezout(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def choose_mn(spec: BundleSpec) -> MnPair:
-    """A deterministic admissible (m, n) for a circle-family spec.
+def choose_mn(family: Family, a: int, b: int) -> MnPair:
+    """A deterministic admissible (m, n) for a circle family and coprime integers (a, b).
 
     circle: am - bn = 1. spin-circle: am + bn = 1 with m odd whenever b
     is odd (one parity correction (m, n) -> (m + b, n - a) suffices; for
     even b the relation already forces m odd).
     """
-    if spec.family not in _CIRCLE_FAMILIES:
-        raise DomainError(f"(m, n) only exists for circle families, not {spec.family.value}")
-    return mn_pair(spec.family, spec.a, spec.b)
-
-
-def mn_pair(family: Family, a: int, b: int) -> MnPair:
-    """choose_mn's pair for a circle family and integers (a, b), with no BundleSpec to build."""
+    if family not in _CIRCLE_FAMILIES:
+        raise DomainError(f"(m, n) only exists for circle families, not {excerpt(getattr(family, 'value', family))}")
     g, u, v = _bezout(a, b)
     if g != 1:
         raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
@@ -242,7 +232,7 @@ def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
 def _checked_mn(family: Family, a: int, b: int, mn: Optional[tuple[int, int]]) -> MnPair:
     """choose_mn's pair for a coprime (a, b), or the given pair once validated."""
     if mn is None:
-        return mn_pair(family, a, b)
+        return choose_mn(family, a, b)
     if math.gcd(a, b) != 1:
         raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
     m, n = mn
@@ -432,15 +422,15 @@ def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = 
     )
 
 
-def profile(spec: BundleSpec, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:
+def profile(spec: BundleSpec) -> InvariantProfile:
     """Invariant profile of any bundle spec."""
     if spec.family is Family.SPHERE:
         return profile_sphere(spec.a, spec.b)
     if spec.family is Family.SPIN_SPHERE:
         return profile_spin_sphere(spec.a, spec.b)
     if spec.family is Family.CIRCLE:
-        return profile_circle(spec.t, spec.a, spec.b, mn=mn)
-    return profile_spin_circle(spec.t, spec.a, spec.b, mn=mn)
+        return profile_circle(spec.t, spec.a, spec.b)
+    return profile_spin_circle(spec.t, spec.a, spec.b)
 
 
 def natural_partner(spec: BundleSpec) -> Optional[BundleSpec]:

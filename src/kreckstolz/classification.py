@@ -24,7 +24,7 @@ from .errors import (
     ParityFailure,
     WrongFamily,
 )
-from .exact_arith import Rational, ResidueClass, mod_one
+from .exact_arith import Rational, ResidueClass, excerpt, mod_one
 from .profiles import (
     CohomologyType,
     InvariantProfile,
@@ -469,7 +469,7 @@ def einstein_congruence(
                 "(the two members lie in different bundle families)"
             )
         return (p.q1**2 + p.q2**2 - q.q1**2 - q.q2**2) % (672 * abs(p.order)) == 0
-    raise DomainError(f"unknown Einstein family {kind!r}; expected 'L' or 'C'")
+    raise DomainError(f"unknown Einstein family {excerpt(kind)}; expected 'L' or 'C'")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +502,7 @@ def torus_reduction(spec: BundleSpec) -> TorusReduction:
     else:
         raise WrongFamily(
             f"structure-group reduction applies to sphere bundles, "
-            f"not {spec.family.value!r}"
+            f"not {excerpt(spec.family.value)}"
         )
     u2 = _is_square(p_plus)
     return TorusReduction(u2, u2 and _is_square(p_minus))

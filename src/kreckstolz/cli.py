@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
@@ -54,7 +53,7 @@ from .errors import (
     ParityFailure,
 )
 from .eschenburg import enumerate_positively_curved, load_fixtures, order_invariants
-from .exact_arith import DECIMAL_INT, check_input_digits, excerpt, read_int
+from .exact_arith import excerpt, read_fraction, read_int
 from .profiles import InvariantProfile
 
 __all__ = ["main", "run"]
@@ -74,35 +73,12 @@ def _fields(pairs, fmt: str) -> str:
     return "".join(f"{label}{sep}{value}\n" for label, value in pairs)
 
 
-def _int(text: str) -> int:
-    """argparse type for an integer flag, of at most MAX_INPUT_DIGITS digits."""
+def _flag(reader, text: str):
+    """argparse type: `reader` applied to a flag's text, its DomainError a usage error."""
     try:
-        return read_int(text)
+        return reader(text)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _fraction(text: str) -> Fraction:
-    """argparse type for an exact fraction, 'n', 'n/d' or a decimal.
-
-    A zero denominator is a usage error, and so is an exponent, the only
-    place where Fraction reads an 'e': Fraction('1e1000000') builds a
-    million-digit power of ten before any check could bound it.  Integer
-    parts go through read_int first (Fraction calls one of over 4,300 digits
-    invalid); numerator and denominator have at most MAX_INPUT_DIGITS digits.
-    """
-    try:
-        if "e" in text.lower():
-            raise ValueError
-        for part in filter(DECIMAL_INT.fullmatch, text.split("/")):
-            read_int(part)
-        value = Fraction(text)
-        check_input_digits(value.numerator, value.denominator)
-    except DomainError as exc:  # a ValueError too, so caught first
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {excerpt(text)}") from None
-    return value
 
 
 def _get_fixtures(args):
@@ -143,9 +119,9 @@ def _cmd_invariants(args) -> tuple[int, str]:
         family = Family(args.family)
         needs_t = family in (Family.CIRCLE, Family.SPIN_CIRCLE)
         if needs_t and args.t is None:
-            raise _UsageError(f"family {family.value!r} requires -t")
+            raise _UsageError(f"family {excerpt(family.value)} requires -t")
         if not needs_t and args.t is not None:
-            raise _UsageError(f"family {family.value!r} does not take -t")
+            raise _UsageError(f"family {excerpt(family.value)} does not take -t")
         space = describe_bundle(family, args.a, args.b, args.t)
     elif space is None:
         raise _UsageError("give a space descriptor or --family with -a/-b")
@@ -304,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_inv.add_argument("space", nargs="?", help="space descriptor, e.g. sphere:2,-1 or eschenburg:1,1,-2|0,0,0")
     p_inv.add_argument("--family", choices=[f.value for f in Family])
-    p_inv.add_argument("-a", type=_int, default=None)
-    p_inv.add_argument("-b", type=_int, default=None)
-    p_inv.add_argument("-t", type=_int, default=None, help="twisting parameter (circle families only)")
+    p_inv.add_argument("-a", type=partial(_flag, read_int), default=None)
+    p_inv.add_argument("-b", type=partial(_flag, read_int), default=None)
+    p_inv.add_argument("-t", type=partial(_flag, read_int), default=None, help="twisting parameter (circle families only)")
     p_inv.set_defaults(handler=_cmd_invariants)
 
     p_cls = sub.add_parser(
@@ -327,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
             "residues are reported mod 168r."
         ),
     )
-    p_ed.add_argument("-r", type=_int, required=True)
-    p_ed.add_argument("--s1", type=_fraction, required=True)
-    p_ed.add_argument("--s2", type=_fraction, required=True)
-    p_ed.add_argument("--s3", type=_fraction, required=True)
+    p_ed.add_argument("-r", type=partial(_flag, read_int), required=True)
+    p_ed.add_argument("--s1", type=partial(_flag, read_fraction), required=True)
+    p_ed.add_argument("--s2", type=partial(_flag, read_fraction), required=True)
+    p_ed.add_argument("--s3", type=partial(_flag, read_fraction), required=True)
     p_ed.add_argument(
         "--orientation",
         choices=("preserving", "reversing", "both"),
@@ -345,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument(
         "--r-max",
-        type=_int,
+        type=partial(_flag, read_int),
         required=True,
         help="list the spaces with 1 <= r < R_MAX; parameter entries are bounded by 3*R_MAX",
     )

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     UnequalSums,
 )
-from .exact_arith import ModOneValue, ResidueClass, check_input_digits, inv_mod, mod_one, read_int
+from .exact_arith import ModOneValue, ResidueClass, excerpt, inv_mod, mod_one, read_fraction, read_int
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 __all__ = [
@@ -47,9 +47,7 @@ __all__ = [
 Triple = tuple[int, int, int]
 
 _DEFAULT_FIXTURES = "eschenburg_fixtures.txt"
-# An s-value token: an integer or n/d.  Fraction also reads decimals and
-# exponents, and a token like 1e100000000 would make it build a power of
-# ten with a hundred million digits.
+# An s-value token: an integer or n/d.  read_fraction also reads decimals.
 _S_VALUE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
 # Largest possible denominators of s1, s2, s3 relative to r for this type.
 _DENOMINATOR_BOUNDS = (224, 24, 6)
@@ -66,7 +64,7 @@ class EschenburgSpace:
         for name in ("k", "l"):
             triple = tuple(getattr(self, name))
             if len(triple) != 3 or not all(isinstance(v, int) for v in triple):
-                raise DomainError(f"{name} must be a triple of integers, got {triple}")
+                raise DomainError(f"{name} must be a triple of integers, got {excerpt(triple)}")
             object.__setattr__(self, name, triple)
 
     @classmethod
@@ -85,6 +83,14 @@ class EschenburgInvariants:
     lk_pair: Optional[frozenset[ResidueClass]]
     free: bool
     positively_curved: bool
+
+    def profile(self, s1: ModOneValue, s2: ModOneValue, s3: ModOneValue) -> InvariantProfile:
+        """The full invariant profile of the space, given its s-values mod 1.
+
+        Eschenburg spaces are non-spin with pi4 = 0; the linking class is
+        only known up to sign, so both candidates are listed.
+        """
+        return InvariantProfile(CohomologyType.E, self.r, s1, s2, s3, self.p1, self.lk_pair, Pi4.ZERO)
 
 
 @dataclass(frozen=True)
@@ -327,22 +333,17 @@ def enumerate_positively_curved(r_max: int) -> list[EschenburgSpace]:
 def _parse_int_triple(text: str, label: str) -> Triple:
     tokens = text.split()
     if len(tokens) != 3:
-        raise DomainError(f"{label} must have three entries, got {text!r}")
+        raise DomainError(f"{label} must have three entries, got {excerpt(text)}")
     return tuple(read_int(t) for t in tokens)  # type: ignore[return-value]
 
 
 def _parse_fraction_triple(text: str) -> tuple[Fraction, Fraction, Fraction]:
     tokens = text.split()
     if len(tokens) != 3:
-        raise DomainError(f"expected three s-values, got {text!r}")
-    try:
-        if not all(_S_VALUE.fullmatch(t) for t in tokens):
-            raise ValueError
-        values = tuple(Fraction(t) for t in tokens)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"s-values must be fractions, got {text!r}") from None
-    check_input_digits(*(n for s in values for n in (s.numerator, s.denominator)))
-    return values  # type: ignore[return-value]
+        raise DomainError(f"expected three s-values, got {excerpt(text)}")
+    if not all(map(_S_VALUE.fullmatch, tokens)):
+        raise DomainError(f"s-values must be fractions, got {excerpt(text)}")
+    return tuple(map(read_fraction, tokens))  # type: ignore[return-value]
 
 
 def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixture]:
@@ -427,19 +428,5 @@ def find_fixture(
 
 
 def fixture_profile(fixture: EschenburgFixture) -> InvariantProfile:
-    """The full invariant profile of a fixture space.
-
-    Eschenburg spaces are non-spin with pi4 = 0; the linking class is
-    only known up to sign, so both candidates are listed.
-    """
-    inv = invariants(fixture.space)
-    return InvariantProfile(
-        cohomology_type=CohomologyType.E,
-        r=inv.r,
-        s1=fixture.s1,
-        s2=fixture.s2,
-        s3=fixture.s3,
-        p1=inv.p1,
-        lk=inv.lk_pair,
-        pi4=Pi4.ZERO,
-    )
+    """The full invariant profile of a fixture space (see EschenburgInvariants.profile)."""
+    return invariants(fixture.space).profile(fixture.s1, fixture.s2, fixture.s3)

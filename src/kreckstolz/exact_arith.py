@@ -3,7 +3,7 @@
 All quantities are integers or fractions.Fraction; nothing here (or
 anywhere else in the package) touches floating point.  sqrt_mod, the
 complete sorted set of square roots modulo m, has no library caller: it
-is the solver tests' oracle, run by demo 03 and traced by the benchmark.
+is the solver tests' oracle and is traced by the benchmark.
 """
 
 from __future__ import annotations
@@ -63,9 +63,19 @@ def check_input_digits(*values: int) -> None:
             raise DomainError(f"integers are limited to {MAX_INPUT_DIGITS} digits")
 
 
-def excerpt(text: str) -> str:
-    """repr(text) for an error message, cut after its first 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+def excerpt(value: object) -> str:
+    """repr(value) for an error message, cut after its first 40 characters.
+
+    A str is cut before repr, so its quotes stay; a value whose repr fails
+    (an int past the 4,300-digit text limit) is named by its type.
+    """
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}..."
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
+    return text if len(text) <= 40 else f"{text[:40]}..."
 
 
 def read_int(text: str) -> int:
@@ -77,6 +87,28 @@ def read_int(text: str) -> int:
             raise DomainError(f"integers are limited to {MAX_INPUT_DIGITS} digits") from None
         raise DomainError(f"{excerpt(text)} is not an integer") from None
     check_input_digits(value)
+    return value
+
+
+def read_fraction(text: str) -> Fraction:
+    """The rational `text` spells, 'n', 'n/d' or a decimal: the package's only text-to-Fraction step.
+
+    An exponent is refused: Fraction('1e1000000') would build a million-digit
+    power of ten before any check.  The digit runs around '/' and '.' go
+    through read_int first, and numerator and denominator have at most
+    MAX_INPUT_DIGITS digits.
+    """
+    try:
+        if "e" in text.lower():
+            raise ValueError
+        for part in filter(DECIMAL_INT.fullmatch, text.replace(".", "/").split("/")):
+            read_int(part)
+        value = Fraction(text)
+    except DomainError:  # a ValueError too, so let through first
+        raise
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"invalid Fraction value: {excerpt(text)}") from None
+    check_input_digits(value.numerator, value.denominator)
     return value
 
 

@@ -340,7 +340,7 @@ def test_criterion_06_auxiliary_choice_and_symmetry_laws():
             except DegenerateOrder:
                 base_c = None
             if base_c is not None:
-                m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+                m, n = choose_mn(Family.CIRCLE, a, b)
                 for j in range(-5, 6):
                     got = profile_circle(t, a, b, mn=(m + b * j, n + a * j))
                     checked_mn += 1
@@ -351,7 +351,7 @@ def test_criterion_06_auxiliary_choice_and_symmetry_laws():
             except DegenerateOrder:
                 base_s = None
             if base_s is not None:
-                m, n = choose_mn(BundleSpec(Family.SPIN_CIRCLE, a, b, t=t))
+                m, n = choose_mn(Family.SPIN_CIRCLE, a, b)
                 for j in range(-5, 6):
                     m2, n2 = m + b * j, n - a * j
                     if b % 2 == 1 and m2 % 2 == 0:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from kreckstolz import atlas_search
+from kreckstolz import atlas_search, eschenburg
 from kreckstolz.atlas_search import (
     TABLE_A,
     TABLE_B,
@@ -55,7 +55,7 @@ from kreckstolz.bundle_families import (
     choose_mn,
     circle_s1,
     circle_s23,
-    describe_bundle_spec,
+    describe_bundle,
     profile_circle,
     profile_sphere,
     profile_spin_sphere,
@@ -64,7 +64,7 @@ from kreckstolz.bundle_families import (
 )
 from kreckstolz.classification import Orientation, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
-from kreckstolz.eschenburg import EschenburgFixture, EschenburgSpace, fixture_profile, load_fixtures
+from kreckstolz.eschenburg import EschenburgFixture, EschenburgSpace, fixture_profile, invariants, load_fixtures
 from kreckstolz.exact_arith import ResidueClass, mod_one
 from kreckstolz.profiles import (
     CohomologyType,
@@ -176,7 +176,7 @@ def test_profile_key_is_fraction_lexicographic_minimum(s_triple):
 def entry(spec: BundleSpec):
     from kreckstolz.bundle_families import profile
 
-    return (describe_bundle_spec(spec), profile(spec))
+    return (describe_bundle(spec.family, spec.a, spec.b, spec.t), profile(spec))
 
 
 def test_index_circle_parameter_swap_shares_bucket_and_bit():
@@ -383,7 +383,7 @@ def match_sources(fixtures):
         "sphere r=4 period": sphere_grid(4, -336, 336),
         "sphere r=1 period": sphere_grid(1, -84, 84),
         "spin-sphere r=5 run": [
-            (describe_bundle_spec(BundleSpec(Family.SPIN_SPHERE, a, a - 5)), profile_spin_sphere(a, a - 5))
+            (describe_bundle(Family.SPIN_SPHERE, a, a - 5), profile_spin_sphere(a, a - 5))
             for a in range(-150, 150)
         ],
         "circle grid": circle_grid(3, 40) + circle_grid(4, 30),
@@ -518,7 +518,7 @@ def test_sphere_triple_key_agrees_with_profile_key(a, d):
 def test_circle_triple_key_agrees_with_profile_key(t, a, b):
     s = t * (a + b) ** 2 - a * b
     assume(gcd(a, b) == 1 and s != 0)
-    m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+    m, n = choose_mn(Family.CIRCLE, a, b)
     got = triple_key(CohomologyType.E, abs(s), circle_s1(t, a, b), *circle_s23(t, a, b, m, n))
     assert_keys_agree(got, profile_circle(t, a, b))
 
@@ -742,8 +742,7 @@ def reference_circle_grid(r, bound):
             for shifted in (ab - r, ab + r):
                 if shifted % square == 0 and gcd(a, b) == 1:
                     t = shifted // square
-                    spec = BundleSpec(Family.CIRCLE, a, b, t=t)
-                    entries.append((describe_bundle_spec(spec), profile_circle(t, a, b)))
+                    entries.append((describe_bundle(Family.CIRCLE, a, b, t), profile_circle(t, a, b)))
     return entries
 
 
@@ -887,6 +886,15 @@ def test_reproduce_table_a(fixtures):
     assert ResidueClass(17230, 21336) in row127.residues
     sigma1, sigma2 = 17 + 16 - 7, 17 * 16 - 17 * 7 - 16 * 7
     assert row127.p1 == ResidueClass((2 * sigma1**2 - 6 * sigma2) % 127, 127)
+
+
+@pytest.mark.parametrize("table, calls", [("A", 13), ("B", 5)])
+def test_reproduce_table_computes_each_rows_invariants_once(table, calls, fixtures, monkeypatch):
+    spaces = []
+    for module in (atlas_search, eschenburg):
+        monkeypatch.setattr(module, "invariants", lambda space: spaces.append(space) or invariants(space))
+    assert reproduce_table(table, fixtures).passed
+    assert len(spaces) == calls == len(TABLE_A if table == "A" else TABLE_B)
 
 
 def test_reproduce_table_b(fixtures):

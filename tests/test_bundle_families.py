@@ -19,7 +19,7 @@ from kreckstolz.bundle_families import (
     BundleSpec,
     Family,
     choose_mn,
-    describe_bundle_spec,
+    describe_bundle,
     natural_partner,
     parse_bundle_spec,
     profile,
@@ -265,23 +265,28 @@ class TestSpinSphere:
 class TestChooseMn:
     def test_circle(self):
         for a, b in coprime_pairs(12):
-            m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=0))
+            m, n = choose_mn(Family.CIRCLE, a, b)
             assert a * m - b * n == 1
 
     def test_spin_circle_parity(self):
         for a, b in coprime_pairs(12):
-            m, n = choose_mn(BundleSpec(Family.SPIN_CIRCLE, a, b, t=0))
+            m, n = choose_mn(Family.SPIN_CIRCLE, a, b)
             assert a * m + b * n == 1
             if b % 2 == 1:
                 assert m % 2 == 1
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
-            choose_mn(BundleSpec(Family.CIRCLE, 2, 4, t=1))
+            choose_mn(Family.CIRCLE, 2, 4)
 
     def test_wrong_family(self):
-        with pytest.raises(DomainError):
-            choose_mn(BundleSpec(Family.SPHERE, 2, 1))
+        with pytest.raises(DomainError, match="^\\(m, n\\) only exists for circle families, not 'sphere'$"):
+            choose_mn(Family.SPHERE, 2, 1)
+
+    @pytest.mark.parametrize("family, shown", [("circle", "'circle'"), (None, "None")])
+    def test_a_family_that_is_no_family_member_is_domain_error(self, family, shown):
+        with pytest.raises(DomainError, match=f"^\\(m, n\\) only exists for circle families, not {shown}$"):
+            choose_mn(family, 2, 1)
 
 
 class TestExplicitMn:
@@ -307,9 +312,9 @@ class TestExplicitMn:
             profile_spin_circle(1, 2, 4, mn=(0, 1))
 
     def test_valid_non_default_pair(self):
-        m, n = choose_mn(BundleSpec(Family.CIRCLE, 2, 1, t=1))
+        m, n = choose_mn(Family.CIRCLE, 2, 1)
         assert profile_circle(1, 2, 1, mn=(m + 3, n + 6)) == profile_circle(1, 2, 1)
-        m, n = choose_mn(BundleSpec(Family.SPIN_CIRCLE, 3, 1, t=1))
+        m, n = choose_mn(Family.SPIN_CIRCLE, 3, 1)
         assert profile_spin_circle(1, 3, 1, mn=(m + 2, n - 6)) == profile_spin_circle(1, 3, 1)
 
 
@@ -352,7 +357,7 @@ class TestCircle:
                 s = t * (a + b) ** 2 - a * b
                 if s == 0:
                     continue
-                mn = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+                mn = choose_mn(Family.CIRCLE, a, b)
                 p = profile_circle(t, a, b)
                 o1, o2, o3, olk = oracle_circle(t, a, b, *mn)
                 assert p.s_triple == (o1, o2, o3)
@@ -369,7 +374,7 @@ class TestCircle:
                 if s == 0:
                     continue
                 base = profile_circle(t, a, b)
-                m, n = choose_mn(BundleSpec(Family.CIRCLE, a, b, t=t))
+                m, n = choose_mn(Family.CIRCLE, a, b)
                 for j in range(-5, 6):
                     assert profile_circle(t, a, b, mn=(m + j * b, n + j * a)) == base
 
@@ -434,7 +439,7 @@ class TestSpinCircle:
                 s = a * a - t * b * b
                 if s == 0:
                     continue
-                mn = choose_mn(BundleSpec(Family.SPIN_CIRCLE, a, b, t=t))
+                mn = choose_mn(Family.SPIN_CIRCLE, a, b)
                 p = profile_spin_circle(t, a, b)
                 o1, o2, o3, olk = oracle_spin_circle(t, a, b, *mn)
                 assert p.s_triple == (o1, o2, o3)
@@ -450,7 +455,7 @@ class TestSpinCircle:
                 if a * a - t * b * b == 0:
                     continue
                 base = profile_spin_circle(t, a, b)
-                m, n = choose_mn(BundleSpec(Family.SPIN_CIRCLE, a, b, t=t))
+                m, n = choose_mn(Family.SPIN_CIRCLE, a, b)
                 for j in range(-5, 6):
                     m2, n2 = m + j * b, n - j * a
                     if b % 2 == 1 and m2 % 2 == 0:
@@ -563,7 +568,7 @@ class TestSpecPlumbing:
             BundleSpec(Family.CIRCLE, 638, -607, t=-403),
             BundleSpec(Family.SPIN_CIRCLE, 70, 5899, t=0),
         ]:
-            assert parse_bundle_spec(describe_bundle_spec(spec)) == spec
+            assert parse_bundle_spec(describe_bundle(spec.family, spec.a, spec.b, spec.t)) == spec
 
     def test_parse_errors(self):
         with pytest.raises(DomainError):
@@ -576,6 +581,16 @@ class TestSpecPlumbing:
     def test_unknown_family(self):
         with pytest.raises(DomainError, match="^unknown family 'sphere'$"):
             BundleSpec("sphere", 1, 0)
+
+    @pytest.mark.parametrize(
+        "family, shown",
+        [(5, "5"), (10**5000, "<int>"), ("x" * 5000, f"{'x' * 40!r}...")],
+        ids=["int", "long_int", "long_str"],
+    )
+    def test_unknown_family_is_echoed_in_at_most_40_characters(self, family, shown):
+        with pytest.raises(DomainError) as caught:
+            BundleSpec(family, 1, 0)
+        assert str(caught.value) == f"unknown family {shown}"
 
     def test_t_required_exactly_for_circle_families(self):
         with pytest.raises(DomainError):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import kreckstolz
 
+from kreckstolz import BundleSpec, DomainError, EschenburgSpace, einstein_congruence, reproduce_table
 from kreckstolz.cli import run
 from kreckstolz.exact_arith import MAX_INPUT_DIGITS
 
@@ -486,6 +487,55 @@ def test_catalog_non_integer_entry_is_parse_error(line, token, tmp_path, capsys)
     code = run(["invariants", "eschenburg:1,1,-2|0,0,0", "--fixtures", str(path)])
     out, err = out_err(capsys)
     assert (code, out, err) == (1, "", f"ParseError: line 2: {token!r} is not an integer\n")
+
+
+X5000 = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, catalog_line, error",
+    [
+        (["invariants", f"{X5000}:1"], None, "DomainError"),
+        (["invariants", f"eschenburg:{X5000}"], None, "DomainError"),
+        (["invariants", "eschenburg:" + ",".join("1" * 3000) + "|0,0,0"], None, "DomainError"),
+        (["match", "--left", "fixtures", "--right", X5000], None, "DomainError"),
+        (["match", "--left", "fixtures", "--right", f"sphere:{X5000}"], None, "DomainError"),
+        (["match", "--left", "fixtures", "--right", f"sphere:r=1,start=0,stop=1,{X5000}=1"], None, "DomainError"),
+        (["match", "--left", "fixtures", "--right", f"sphere:{X5000}=1,{X5000}=2"], None, "DomainError"),
+        (["invariants", "eschenburg:1,1,-2|0,0,0"], " ".join("1" * 3002) + " | 0 0 0 | 0 0 0", "ParseError"),
+        (["invariants", "eschenburg:1,1,-2|0,0,0"], "1 1 -2 | 0 0 0 | " + " ".join("0" * 3000), "ParseError"),
+        (["invariants", "eschenburg:1,1,-2|0,0,0"], f"1 1 -2 | 0 0 0 | 0 0 {X5000}", "ParseError"),
+    ],
+    ids=[
+        "bundle_family", "eschenburg_descriptor", "eschenburg_triple", "source", "source_pair",
+        "source_unknown_key", "source_repeated_key", "catalog_k", "catalog_s_count", "catalog_s_text",
+    ],
+)
+def test_long_input_is_echoed_in_at_most_40_characters(argv, catalog_line, error, tmp_path, capsys):
+    if catalog_line is not None:
+        path = tmp_path / "catalog.txt"
+        path.write_text(catalog_line + "\n")
+        argv = [*argv, "--fixtures", str(path)]
+    assert run(argv) == 1
+    out, err = out_err(capsys)
+    assert out == "" and err.startswith(f"{error}: ") and "..." in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BundleSpec(10**5000, 1, 0),
+        lambda: EschenburgSpace((10**5000,) * 4, (0, 0, 0)),
+        lambda: einstein_congruence(X5000, (3, 1), (3, 1)),
+        lambda: reproduce_table(X5000),
+    ],
+    ids=["bundle_spec_family", "eschenburg_space_triple", "einstein_family", "table"],
+)
+def test_library_echoes_raise_only_bounded_domain_errors(call):
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert len(str(caught.value)) < 200
 
 
 def test_integers_at_the_digit_bound_are_read(capsys):

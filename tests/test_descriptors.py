@@ -1,7 +1,7 @@
 """Tests for the descriptor grammars: parse_space, parse_source, parse_bundle_spec.
 
 Round trips pin `parse_space` as the inverse of `eschenburg_descriptor`
-over the bundled catalog and of `describe_bundle_spec` over drawn specs.
+over the bundled catalog and of `describe_bundle` over drawn specs.
 Two hypothesis properties feed generated descriptor text to the parsers
 and to the CLI: a parser returns or raises DomainError, and `cli.run`
 ends with exit status 0, 1 or 2, never with an exception.
@@ -20,7 +20,7 @@ from kreckstolz import (
     BundleSpec,
     DomainError,
     Family,
-    describe_bundle_spec,
+    describe_bundle,
     eschenburg_descriptor,
     fixture_profile,
     load_fixtures,
@@ -82,9 +82,13 @@ def bundle_specs(draw):
     return BundleSpec(family, draw(params), draw(params), t=t)
 
 
+def spec_text(spec: BundleSpec) -> str:
+    return describe_bundle(spec.family, spec.a, spec.b, spec.t)
+
+
 @given(bundle_specs())
 def test_bundle_descriptor_round_trip(spec):
-    text = describe_bundle_spec(spec)
+    text = spec_text(spec)
     try:
         expected = (text, profile(spec))
     except DomainError as exc:
@@ -115,7 +119,7 @@ descriptors = st.one_of(
     st.builds("{}:{}".format, heads, body),
     st.builds("{}:{}|{}".format, heads, body, body),
     heads,
-    bundle_specs().map(describe_bundle_spec),
+    bundle_specs().map(spec_text),
     st.sampled_from(CATALOG_DESCRIPTORS),
     st.text(alphabet="0123456789-+,:|= abcehilnoprstuxyz", max_size=16),
     st.text(max_size=16),

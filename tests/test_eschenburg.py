@@ -30,7 +30,7 @@ from kreckstolz.eschenburg import (
     load_fixtures,
     normalize,
 )
-from kreckstolz.exact_arith import ResidueClass
+from kreckstolz.exact_arith import MAX_INPUT_DIGITS, ResidueClass
 from kreckstolz.profiles import CohomologyType, Pi4
 
 W11 = EschenburgSpace((1, 1, -2), (0, 0, 0))
@@ -407,6 +407,23 @@ class TestFixtures:
             path.write_text(f"1 1 -2 | 0 0 0 | 1/112 35/36 {token}\n")
             with pytest.raises(ParseError, match="s-values must be fractions"):
                 load_fixtures(path)
+
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    @pytest.mark.parametrize("spell", ["{}", "-1/{}"], ids=["numerator", "denominator"])
+    def test_long_s_value_is_past_the_digit_bound(self, tmp_path, spell, digits):
+        # The same reader as the --s flags: int() alone refuses these for their length.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1 1 -2 | 0 0 0 | 1/112 35/36 {spell.format('9' * digits)}\n")
+        with pytest.raises(ParseError) as exc:
+            load_fixtures(path)
+        assert str(exc.value) == f"line 1: integers are limited to {MAX_INPUT_DIGITS} digits"
+
+    def test_zero_denominator_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 1 -2 | 0 0 0 | 1/112 35/36 1/0\n")
+        with pytest.raises(ParseError) as exc:
+            load_fixtures(path)
+        assert str(exc.value) == "line 1: invalid Fraction value: '1/0'"
 
     def test_inconsistent_space(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -22,10 +22,12 @@ from kreckstolz.exact_arith import (
     Factorization,
     ResidueClass,
     crt_combine,
+    excerpt,
     factorize,
     inv_mod,
     mod_one,
     ratio_mod_one,
+    read_fraction,
     read_int,
     sqrt_mod,
 )
@@ -346,3 +348,49 @@ class TestReadInt:
         with pytest.raises(DomainError) as info:
             read_int(text)
         assert str(info.value) == f"{text[:40]!r}... is not an integer"
+
+
+class TestReadFraction:
+    @given(st.fractions(), st.sampled_from(["", " ", "\t"]))
+    def test_reads_its_own_text(self, q, space):
+        assert read_fraction(f"{space}{q}{space}") == q
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("3", 3), ("-3/4", Fraction(-3, 4)), ("+6/8", Fraction(3, 4)), ("0.25", Fraction(1, 4)),
+         ("-.5", Fraction(-1, 2)), ("1_000/3", Fraction(1000, 3)), (" 5/6\t", Fraction(5, 6))],
+    )
+    def test_accepts_integers_ratios_and_decimals(self, text, expected):
+        assert read_fraction(text) == expected
+
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "1/2e3", "1/0", "0/0", "1//2", "x", "", "1/2/3", "0x10"])
+    def test_refuses_exponents_zero_denominators_and_other_text(self, text):
+        with pytest.raises(DomainError) as info:
+            read_fraction(text)
+        assert str(info.value) == f"invalid Fraction value: {text!r}"
+
+    def test_long_text_is_named_by_its_first_40_characters(self):
+        text = "x" + "9" * 5000
+        with pytest.raises(DomainError) as info:
+            read_fraction(text)
+        assert str(info.value) == f"invalid Fraction value: {text[:40]!r}..."
+
+    @pytest.mark.parametrize("digits", [MAX_INPUT_DIGITS + 1, 4301, 5000])
+    @pytest.mark.parametrize(
+        "spell", [lambda n: n, lambda n: f"-{n}/7", lambda n: f"1/{n}", lambda n: f"0.{n}"],
+        ids=["integer", "numerator", "denominator", "decimal"],
+    )
+    def test_long_parts_are_past_the_digit_bound(self, spell, digits):
+        with pytest.raises(DomainError, match=f"^integers are limited to {MAX_INPUT_DIGITS} digits$"):
+            read_fraction(spell("9" * digits))
+
+
+class TestExcerpt:
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("sphere", "'sphere'"), ("x" * 41, f"{'x' * 40!r}..."), (5, "5"), ((1, 1), "(1, 1)"),
+         (tuple(range(30)), f"{str(tuple(range(30)))[:40]}..."), (10**5000, "<int>"), ((10**5000,), "<tuple>")],
+        ids=["str", "long_str", "int", "tuple", "long_tuple", "int_past_the_text_limit", "tuple_past_the_text_limit"],
+    )
+    def test_shows_at_most_40_characters_of_any_value(self, value, shown):
+        assert excerpt(value) == shown

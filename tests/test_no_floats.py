@@ -6,13 +6,16 @@ returns a float.  Nor may it hold an `assert` statement: `python -O`
 strips them, so no guarantee may rest on one.  Only `__init__.py` may
 star-import, so that each module's names are visible where they are used.
 Only `exact_arith.py` may call `int(`: every input integer is read by
-`exact_arith.read_int`, which applies the digit bound.
-The checks read tokens, so comments and docstrings may still mention such
-things.
+`exact_arith.read_int`, which applies the digit bound.  Nor may any other
+module use the `!r` conversion in an f-string: input text is echoed
+through `exact_arith.excerpt`, which shows at most 40 characters of it.
+The checks read tokens, or for `!r` the syntax tree, so comments and
+docstrings may still mention such things.
 """
 
 from __future__ import annotations
 
+import ast
 import tokenize
 from pathlib import Path
 
@@ -82,6 +85,13 @@ def int_calls(path: Path) -> list[str]:
         for prev, tok, follower in zip(tokens, tokens[1:], tokens[2:])
         if tok.string == "int" and follower.string == "(" and prev.string not in (".", "def")
     ]
+
+
+def repr_conversions(path: Path) -> list[str]:
+    """'line: !r' for each f-string field with the `!r` conversion in a file."""
+    nodes = ast.walk(ast.parse(path.read_bytes(), str(path)))
+    lines = [n.lineno for n in nodes if isinstance(n, ast.FormattedValue) and n.conversion == ord("r")]
+    return [f"{line}: !r" for line in sorted(lines)]
 
 
 def test_the_guard_reads_every_module():
@@ -158,3 +168,20 @@ def test_the_int_guard_catches_calls_only(tmp_path):
         "def int(x): return x\n"
     )
     assert int_calls(path) == ["4: int(", "4: int("]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact_arith.py"], ids=lambda p: p.name)
+def test_only_exact_arith_echoes_with_repr(path):
+    assert repr_conversions(path) == []
+
+
+def test_the_repr_guard_catches_f_string_fields_only(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        'def f(x):\n'
+        '    """f"{x!r}" in a docstring"""\n'
+        '    a = f"{x!r}" + "{x!r}" + "{!r}".format(x)  # f"{x!r}" in a comment\n'
+        '    b = f"{x!s} {x!a} {x} {x:>4} {excerpt(x)}"\n'
+        "    return a + b + f'{x}' f'{x!r:>10}' + f'{f\"{x!r}\"}'\n"
+    )
+    assert repr_conversions(path) == ["3: !r", "5: !r", "5: !r"]
