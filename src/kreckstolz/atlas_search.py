@@ -73,7 +73,7 @@ from .eschenburg import (
     invariants,
     load_fixtures,
 )
-from .exact_arith import ModOneValue, ResidueClass, excerpt, mod_one, ratio_mod_one, read_int
+from .exact_arith import ModOneValue, ResidueClass, excerpt, mod_one, ratio_mod_one, read_fraction, read_int, require_text
 from .profiles import (
     CohomologyType,
     InvariantProfile,
@@ -473,7 +473,7 @@ def parse_space(
     order is used.  `load_fixtures` is called for an Eschenburg descriptor
     and for nothing else.  Malformed text raises DomainError.
     """
-    if not text.startswith("eschenburg:"):
+    if not require_text(text, "a space descriptor").startswith("eschenburg:"):
         spec = parse_bundle_spec(text)
         return describe_bundle(spec.family, spec.a, spec.b, spec.t), bundle_profile(spec)
     k_text, sep, l_text = text.removeprefix("eschenburg:").partition("|")
@@ -638,7 +638,7 @@ def parse_source(text: str, load_fixtures: Callable[[], Sequence[EschenburgFixtu
     called for no other source.  Malformed, unknown, missing or repeated
     parameters raise DomainError.
     """
-    head, _, rest = text.partition(":")
+    head, _, rest = require_text(text, "a source").partition(":")
     params = {}
     if rest:
         for pair in rest.split(","):
@@ -689,7 +689,7 @@ class TableRow:
 
 
 def _row(r, starred, k, l, s1, s2, s3, residues=(), bundle=None):
-    return TableRow(r, starred, k, l, (Fraction(s1), Fraction(s2), Fraction(s3)), tuple(residues), bundle)
+    return TableRow(r, starred, k, l, tuple(map(read_fraction, (s1, s2, s3))), tuple(residues), bundle)
 
 
 TABLE_A: tuple[TableRow, ...] = (
@@ -732,7 +732,7 @@ class RowResult:
     partner: str
     orientation: Optional[Orientation]
     residues: tuple[ResidueClass, ...]
-    p1: Optional[ResidueClass]
+    p1: ResidueClass
     problems: tuple[str, ...]
 
     @property
@@ -805,12 +805,11 @@ def _sphere_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str
 def _circle_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str]) -> _Partner:
     """Match a circle row's bundle against its s-values up to sign."""
     a, b, t = row.bundle
-    orientation = partner_profile = None
-    order = abs(t * (a + b) ** 2 - a * b)
-    if order != row.r:
-        problems.append(f"|t(a+b)^2 - ab| = {order}, row says {row.r}")
+    orientation = None
+    partner_profile = profile_circle(t, a, b)
+    if partner_profile.r != row.r:
+        problems.append(f"|t(a+b)^2 - ab| = {partner_profile.r}, row says {row.r}")
     else:
-        partner_profile = profile_circle(t, a, b)
         signs = (partner_profile.s_triple, negated_s_triple(partner_profile))  # preserving, reversing
         tabulated = tuple(mod_one(s) for s in row.s)
         orientation = next((o for o, s in zip(Orientation, signs) if s == tabulated), None)
@@ -876,13 +875,12 @@ def reproduce_table(
     `fixtures` defaults to the packaged catalog.  Raises MissingFixture
     when a row's space is absent from them.
     """
-    table = which.strip().upper()
-    if table not in ("A", "B"):
+    if which not in ("A", "B"):
         raise DomainError(f"unknown table {excerpt(which)}: expected 'A' or 'B'")
     if fixtures is None:
         fixtures = load_fixtures()
-    rows = TABLE_A if table == "A" else TABLE_B
-    return TableReport(table=table, rows=tuple(_verify_row(row, fixtures) for row in rows))
+    rows = TABLE_A if which == "A" else TABLE_B
+    return TableReport(table=which, rows=tuple(_verify_row(row, fixtures) for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ Families and parameter conventions:
 The circle families need an auxiliary pair (m, n) with am - bn = 1
 (respectively am + bn = 1, m odd whenever b is odd); every profile is
 independent of the admissible choice.  choose_mn(family, a, b) makes it
-deterministically, and is the only place that computes one.
+deterministically, and is the only place that computes one: the profile
+constructors take no pair from their caller.
 
 All characteristic numbers are computed over a single cleared
 denominator; the term-by-term rational evaluation lives in the test
@@ -31,13 +32,12 @@ from its integer keys instead of computing them again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, excerpt, ratio_mod_one, read_int
+from .exact_arith import ResidueClass, excerpt, ratio_mod_one, read_int, require_text
 from .profiles import CohomologyType, InvariantProfile, Pi4, STriple
 
 __all__ = [
@@ -113,7 +113,7 @@ def describe_bundle(family: Family, a: int, b: int, t: Optional[int] = None) -> 
 
 def parse_bundle_spec(text: str) -> BundleSpec:
     """Parse 'sphere:a,b', 'spin-sphere:a,b', 'circle:t,a,b', 'spin-circle:t,a,b'."""
-    name, _, rest = text.partition(":")
+    name, _, rest = require_text(text, "a bundle descriptor").partition(":")
     try:
         family = Family(name.strip())
     except ValueError:
@@ -229,27 +229,25 @@ def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     )
 
 
-def _checked_mn(family: Family, a: int, b: int, mn: Optional[tuple[int, int]]) -> MnPair:
-    """choose_mn's pair for a coprime (a, b), or the given pair once validated."""
-    if mn is None:
-        return choose_mn(family, a, b)
-    if math.gcd(a, b) != 1:
-        raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
-    m, n = mn
-    sign = -1 if family is Family.CIRCLE else 1
-    if a * m + sign * b * n != 1:
-        raise DomainError(f"(m, n) = {mn} does not satisfy am {'-' if sign < 0 else '+'} bn = 1")
-    if family is Family.SPIN_CIRCLE and b % 2 == 1 and m % 2 == 0:
-        raise DomainError(f"(m, n) = {mn} needs odd m when b is odd")
-    return MnPair(m, n)
-
-
 def _circle_order(t: int, a: int, b: int) -> int:
     """s = t(a+b)^2 - ab, the signed order of H^4 of the circle bundle (t, a, b); never 0."""
     s = t * (a + b) ** 2 - a * b
     if s == 0:
         raise DegenerateOrder(f"parameters (t={t}, {a}, {b}) give |H^4| = 0")
     return s
+
+
+def _switch(s: int, border: int) -> int:
+    """The switch term of a circle family's s1: 0 if the signed order s > 0, else 2 sign(border).
+
+    No border term vanishes when s < 0: circle, b = (t-1)(a+b) gives s = (a+b)^2((t-1)^2 + 1);
+    spin circle, b(t+1) = 0 gives s = a^2 or a^2 + b^2.
+    """
+    if s > 0:
+        return 0
+    if border == 0:
+        raise AssertionError("impossible: s < 0 forces a nonzero border term")
+    return 2 if border > 0 else -2
 
 
 def circle_s1(t: int, a: int, b: int) -> tuple[int, int]:
@@ -259,13 +257,7 @@ def circle_s1(t: int, a: int, b: int) -> tuple[int, int]:
     neither the auxiliary pair (m, n) nor coprimality of (a, b).
     """
     s = _circle_order(t, a, b)
-    if s > 0:
-        sw = 0
-    else:
-        border = b + (1 - t) * (a + b)
-        if border == 0:
-            raise AssertionError("impossible: s < 0 forces a nonzero border term")
-        sw = 2 if border > 0 else -2
+    sw = _switch(s, b + (1 - t) * (a + b))
     A = a + b
     x = 3 * a * b + (t - 1) * (8 + A * A)
     return -3 * s * sw - 12 * A * (t - 1) ** 2 + A * x * s, 672 * s
@@ -321,14 +313,14 @@ def circle_s23(t: int, a: int, b: int, m: int, n: int) -> tuple[tuple[int, int],
     return (brace1 * s + brace2, 24 * s), (brace1p * s + 2 * brace2p, 6 * s)
 
 
-def profile_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:
-    """Invariant profile of the circle bundle over the non-spin 2-sphere bundle.
-
-    The optional mn pins the auxiliary pair with am - bn = 1; the result
-    does not depend on the admissible choice.
-    """
+def profile_circle(t: int, a: int, b: int) -> InvariantProfile:
+    """Invariant profile of the circle bundle over the non-spin 2-sphere bundle."""
     _require_ints(t=t, a=a, b=b)
-    m, n = _checked_mn(Family.CIRCLE, a, b, mn)
+    return _circle_profile(t, a, b, *choose_mn(Family.CIRCLE, a, b))
+
+
+def _circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantProfile:
+    """profile_circle with the auxiliary pair given; (m, n) must satisfy am - bn = 1 (not checked)."""
     s1 = ratio_mod_one(*circle_s1(t, a, b))
     s2, s3 = circle_s23(t, a, b, m, n)
     return circle_profile_with(t, a, b, m, n, (s1, ratio_mod_one(*s2), ratio_mod_one(*s3)))
@@ -360,26 +352,20 @@ def circle_profile_with(t: int, a: int, b: int, m: int, n: int, s_triple: STripl
     return InvariantProfile(CohomologyType.E, r, *s_triple, p1, _lk_set(sgn * lk_bracket, r), pi4)
 
 
-def profile_spin_circle(t: int, a: int, b: int, mn: Optional[tuple[int, int]] = None) -> InvariantProfile:
-    """Invariant profile of the circle bundle over the spin 2-sphere bundle.
-
-    Spin (type Ebar) exactly when b is odd. The optional mn pins the
-    auxiliary pair with am + bn = 1 (m odd whenever b is odd).
-    """
+def profile_spin_circle(t: int, a: int, b: int) -> InvariantProfile:
+    """Invariant profile of the circle bundle over the spin 2-sphere bundle; spin (type Ebar) exactly when b is odd."""
     _require_ints(t=t, a=a, b=b)
-    m, n = _checked_mn(Family.SPIN_CIRCLE, a, b, mn)
+    return _spin_circle_profile(t, a, b, *choose_mn(Family.SPIN_CIRCLE, a, b))
+
+
+def _spin_circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantProfile:
+    """profile_spin_circle with the pair given; am + bn = 1, m odd if b is odd (not checked)."""
     s = a * a - t * b * b
     if s == 0:
         raise DegenerateOrder(f"parameters (t={t}, {a}, {b}) give |H^4| = 0")
     r = abs(s)
     sgn = 1 if s > 0 else -1
-    if s > 0:
-        sw = 0
-    else:
-        border = b * (t + 1)
-        if border == 0:
-            raise AssertionError("impossible: s < 0 forces b(t+1) nonzero")
-        sw = 2 if border > 0 else -2
+    sw = _switch(s, b * (t + 1))
     q = n * n + t * m * m
     g = b * q - 2 * a * n * m
     alpha = a * q + 2 * t * b * n * m

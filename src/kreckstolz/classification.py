@@ -280,8 +280,10 @@ class EdiffeoProblem:
     The derived integers e1 = 224r·s1, e2 = 24r·s2, e3 = 6r·s3 exist exactly
     when the denominators of the s-values divide the stated weights times r;
     otherwise no sphere bundle can carry these invariants and construction
-    fails.  The s-values may be given by any rational representatives; the
-    e-values depend on the representatives, the solution set does not.
+    fails.  r is an int and the s-values are ints or Fractions, kept as
+    given (text goes through exact_arith.read_fraction first); any rational
+    representatives will do: the e-values depend on the representatives,
+    the solution set does not.
     """
 
     r: int
@@ -293,22 +295,18 @@ class EdiffeoProblem:
     e3: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise DomainError(f"order must be a positive integer, got {self.r}")
-        for name, value in (("s1", self.s1), ("s2", self.s2), ("s3", self.s3)):
-            object.__setattr__(self, name, Fraction(value))
-        for name, weight, value in (
-            ("e1", 224, self.s1),
-            ("e2", 24, self.s2),
-            ("e3", 6, self.s3),
-        ):
+        if not isinstance(self.r, int) or self.r < 1:
+            raise DomainError(f"order must be a positive integer, got {excerpt(self.r)}")
+        for i, weight, value in ((1, 224, self.s1), (2, 24, self.s2), (3, 6, self.s3)):
+            if not isinstance(value, (int, Fraction)):
+                raise DomainError(f"s{i} must be an int or a Fraction, got {excerpt(value)}")
             scaled = weight * self.r * value
             if scaled.denominator != 1:
                 raise DivisibilityFailure(
                     f"{weight}·{self.r}·({value}) is not an integer; "
                     f"the denominator must divide {weight}·r"
                 )
-            object.__setattr__(self, name, scaled.numerator)
+            object.__setattr__(self, f"e{i}", scaled.numerator)
 
 
 @dataclass(frozen=True)
@@ -440,7 +438,7 @@ def einstein_congruence(
 
     kind "L": params are pairs (a, b) describing L_{a,b}; two members with
     the same a != 0 are diffeomorphic when b ≡ b' mod 56·a^2.
-    kind "C": params are ChenParams (or raw pairs); two members with the
+    kind "C": params are ChenParams; two members with the
     same order q1·q2 and the same parity of q1 + q2 are diffeomorphic when
     q1^2 + q2^2 ≡ q1'^2 + q2'^2 mod 672·|q1·q2|.
     Both congruences are sufficient, not necessary: members may also be
@@ -457,8 +455,10 @@ def einstein_congruence(
             )
         return (b - b2) % (56 * a * a) == 0
     if kind == "C":
-        p = params if isinstance(params, ChenParams) else ChenParams(*params)
-        q = params2 if isinstance(params2, ChenParams) else ChenParams(*params2)
+        p, q = params, params2
+        for x in (p, q):
+            if not isinstance(x, ChenParams):
+                raise DomainError(f"C-family parameters must be ChenParams, got {excerpt(x)}")
         if p.order != q.order:
             raise MismatchedOrder(
                 f"C-family comparison requires equal q1·q2, got {p.order} and {q.order}"

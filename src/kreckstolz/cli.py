@@ -12,9 +12,9 @@ error name is written to stderr), and 2 on a usage error.  Negative
 parameter values are accepted either as plain arguments (`-b -607`) or
 with `=` (`--s2=-1/36`).
 
-Fixture spaces are read from `--fixtures PATH`, else from the
-KRECKSTOLZ_FIXTURES environment variable, else from the catalog bundled
-with the package.
+The subcommands that read fixture spaces (all but `ediffeo` and
+`enumerate`) take them from `--fixtures PATH`, else from the
+KRECKSTOLZ_FIXTURES environment variable, else from the bundled catalog.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _cmd_tables(args) -> tuple[int, str]:
                     "partner": result.partner,
                     "orientation": result.orientation.value if result.orientation else None,
                     "residues": [str(c) for c in result.residues],
-                    "p1": str(result.p1) if result.p1 is not None else None,
+                    "p1": str(result.p1),
                     "passed": result.passed,
                     "problems": list(result.problems),
                 }
@@ -259,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
-        "--fixtures",
-        metavar="PATH",
-        default=None,
-        help="fixture catalog path (default: $KRECKSTOLZ_FIXTURES, else the bundled catalog)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="kreckstolz",
@@ -272,9 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_inv = sub.add_parser(
+    def catalog_reader(name: str, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand that reads the catalog, so takes --fixtures."""
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.add_argument(
+            "--fixtures",
+            metavar="PATH",
+            help="fixture catalog path (default: $KRECKSTOLZ_FIXTURES, else the bundled catalog)",
+        )
+        return p
+
+    p_inv = catalog_reader(
         "invariants",
-        parents=[common],
         help="invariant profile of one space",
         description="Compute the invariant profile of a bundle or fixture space.",
     )
@@ -285,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("-t", type=partial(_flag, read_int), default=None, help="twisting parameter (circle families only)")
     p_inv.set_defaults(handler=_cmd_invariants)
 
-    p_cls = sub.add_parser(
+    p_cls = catalog_reader(
         "classify",
-        parents=[common],
         help="diffeomorphism/homeomorphism/homotopy verdicts for two spaces",
     )
     p_cls.add_argument("left")
@@ -327,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.set_defaults(handler=_cmd_enumerate)
 
-    p_match = sub.add_parser(
+    p_match = catalog_reader(
         "match",
-        parents=[common],
         help="all diffeomorphic pairs between two collections",
         description=(
             "Sources: 'fixtures', 'sphere:r=3,start=0,stop=504', or 'circle:r=17,bound=1000'."
@@ -344,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_match.set_defaults(handler=_cmd_match)
 
-    p_tab = sub.add_parser(
+    p_tab = catalog_reader(
         "tables",
-        parents=[common],
         help="verify a bundled catalog table row by row",
     )
     p_tab.add_argument("table", choices=("A", "B"))

@@ -10,6 +10,7 @@ here from (k, l); they enter through fixture files of known values.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +63,11 @@ class EschenburgSpace:
 
     def __post_init__(self) -> None:
         for name in ("k", "l"):
-            triple = tuple(getattr(self, name))
+            value = getattr(self, name)
+            try:
+                triple = tuple(value)
+            except TypeError:  # not iterable
+                raise DomainError(f"{name} must be a triple of integers, got {excerpt(value)}") from None
             if len(triple) != 3 or not all(isinstance(v, int) for v in triple):
                 raise DomainError(f"{name} must be a triple of integers, got {excerpt(triple)}")
             object.__setattr__(self, name, triple)
@@ -362,6 +367,8 @@ def load_fixtures(source: Union[str, Path, None] = None) -> list[EschenburgFixtu
     """
     if source is None:
         return list(_packaged_fixtures())
+    if not isinstance(source, (str, os.PathLike)):
+        raise DomainError(f"a fixture source must be a path, got {excerpt(source)}")
     return _parse_fixtures(Path(source).read_bytes())
 
 

@@ -78,6 +78,13 @@ def excerpt(value: object) -> str:
     return text if len(text) <= 40 else f"{text[:40]}..."
 
 
+def require_text(value: object, what: str) -> str:
+    """`value` itself if it is a str, else a DomainError saying that `what` must be text."""
+    if not isinstance(value, str):
+        raise DomainError(f"{what} must be text, got {excerpt(value)}")
+    return value
+
+
 def read_int(text: str) -> int:
     """The integer `text` spells, of at most MAX_INPUT_DIGITS digits: the package's only text-to-int step."""
     try:

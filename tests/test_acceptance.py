@@ -56,6 +56,7 @@ from kreckstolz import (
     sphere_congruence_classify,
     sqrt_mod,
 )
+from kreckstolz.bundle_families import _circle_profile, _spin_circle_profile
 from kreckstolz.errors import (
     CongruenceFailure,
     DegenerateOrder,
@@ -342,7 +343,7 @@ def test_criterion_06_auxiliary_choice_and_symmetry_laws():
             if base_c is not None:
                 m, n = choose_mn(Family.CIRCLE, a, b)
                 for j in range(-5, 6):
-                    got = profile_circle(t, a, b, mn=(m + b * j, n + a * j))
+                    got = _circle_profile(t, a, b, m + b * j, n + a * j)
                     checked_mn += 1
                     if got != base_c:
                         failures.append(f"(a) circle t={t}, a={a}, b={b}, j={j} differs")
@@ -356,7 +357,7 @@ def test_criterion_06_auxiliary_choice_and_symmetry_laws():
                     m2, n2 = m + b * j, n - a * j
                     if b % 2 == 1 and m2 % 2 == 0:
                         continue
-                    got = profile_spin_circle(t, a, b, mn=(m2, n2))
+                    got = _spin_circle_profile(t, a, b, m2, n2)
                     checked_mn += 1
                     if got != base_s:
                         failures.append(f"(a) spin t={t}, a={a}, b={b}, j={j} differs")

@@ -949,6 +949,13 @@ def test_reproduce_table_rejects_unknown_table():
         reproduce_table("C")
 
 
+@pytest.mark.parametrize("which, shown", [("a", "'a'"), (" A ", "' A '"), (5, "5"), (None, "None")])
+def test_reproduce_table_takes_exactly_a_or_b(which, shown):
+    with pytest.raises(DomainError) as caught:
+        reproduce_table(which)
+    assert str(caught.value) == f"unknown table {shown}: expected 'A' or 'B'"
+
+
 def test_reproduce_table_defaults_to_packaged_fixtures(fixtures):
     assert reproduce_table("B") == reproduce_table("B", fixtures)
 

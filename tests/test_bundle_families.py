@@ -27,6 +27,8 @@ from kreckstolz.bundle_families import (
     profile_sphere,
     profile_spin_circle,
     profile_spin_sphere,
+    _circle_profile,
+    _spin_circle_profile,
 )
 from kreckstolz.errors import DegenerateOrder, DomainError, NotCoprime
 from kreckstolz.exact_arith import ResidueClass, mod_one
@@ -289,33 +291,14 @@ class TestChooseMn:
             choose_mn(family, 2, 1)
 
 
-class TestExplicitMn:
-    """Validation of a caller-supplied auxiliary pair (m, n)."""
+class TestNoCallerPair:
+    """The profile constructors take their pair from choose_mn only."""
 
-    def test_circle_pair_off_the_relation(self):
-        with pytest.raises(DomainError, match=r"does not satisfy am - bn = 1"):
+    def test_mn_keyword_is_gone(self):
+        with pytest.raises(TypeError):
             profile_circle(1, 2, 1, mn=(1, 0))
-
-    def test_spin_circle_pair_off_the_relation(self):
-        with pytest.raises(DomainError, match=r"does not satisfy am \+ bn = 1"):
+        with pytest.raises(TypeError):
             profile_spin_circle(1, 3, 1, mn=(1, 0))
-
-    def test_spin_circle_even_m_with_odd_b(self):
-        # (0, 1) satisfies 3m + n = 1; only the parity rule rejects it.
-        with pytest.raises(DomainError, match=r"needs odd m when b is odd"):
-            profile_spin_circle(1, 3, 1, mn=(0, 1))
-
-    def test_not_coprime_comes_first(self):
-        with pytest.raises(NotCoprime):
-            profile_circle(1, 2, 4, mn=(1, 0))
-        with pytest.raises(NotCoprime):
-            profile_spin_circle(1, 2, 4, mn=(0, 1))
-
-    def test_valid_non_default_pair(self):
-        m, n = choose_mn(Family.CIRCLE, 2, 1)
-        assert profile_circle(1, 2, 1, mn=(m + 3, n + 6)) == profile_circle(1, 2, 1)
-        m, n = choose_mn(Family.SPIN_CIRCLE, 3, 1)
-        assert profile_spin_circle(1, 3, 1, mn=(m + 2, n - 6)) == profile_spin_circle(1, 3, 1)
 
 
 class TestCircle:
@@ -376,7 +359,7 @@ class TestCircle:
                 base = profile_circle(t, a, b)
                 m, n = choose_mn(Family.CIRCLE, a, b)
                 for j in range(-5, 6):
-                    assert profile_circle(t, a, b, mn=(m + j * b, n + j * a)) == base
+                    assert _circle_profile(t, a, b, m + j * b, n + j * a) == base
 
     def test_parameter_swap(self):
         for t in range(-4, 5):
@@ -460,7 +443,7 @@ class TestSpinCircle:
                     m2, n2 = m + j * b, n - j * a
                     if b % 2 == 1 and m2 % 2 == 0:
                         continue
-                    assert profile_spin_circle(t, a, b, mn=(m2, n2)) == base
+                    assert _spin_circle_profile(t, a, b, m2, n2) == base
 
     def test_negation_laws(self):
         for t in range(-4, 5):

@@ -8,6 +8,7 @@ invariant comparisons they must agree with.
 """
 
 import dataclasses
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -341,6 +342,29 @@ def test_problem_rejects_bad_denominator():
 def test_problem_rejects_nonpositive_order():
     with pytest.raises(DomainError, match="^order must be a positive integer, got 0$"):
         EdiffeoProblem(0, 0, 0, 0)
+
+
+def test_problem_keeps_int_and_fraction_s_values_as_given():
+    problem = EdiffeoProblem(3, Fraction(1, 112), -1, Fraction(1, 18))
+    assert (problem.s1, problem.s2, problem.s3) == (Fraction(1, 112), -1, Fraction(1, 18))
+    assert type(problem.s2) is int
+    assert (problem.e1, problem.e2, problem.e3) == (6, -72, 1)
+
+
+@pytest.mark.parametrize(
+    "s_values, shown",
+    [
+        (("1/112", 0, 0), "s1 must be an int or a Fraction, got '1/112'"),
+        (("1e200000", 0, 0), "s1 must be an int or a Fraction, got '1e200000'"),
+        ((0, 0.5, 0), "s2 must be an int or a Fraction, got 0.5"),
+        ((0, 0, Decimal("0.5")), "s3 must be an int or a Fraction, got Decimal('0.5')"),
+    ],
+    ids=["text", "text_exponent", "float", "decimal"],
+)
+def test_problem_refuses_s_values_that_are_not_int_or_fraction(s_values, shown):
+    with pytest.raises(DomainError) as caught:
+        EdiffeoProblem(3, *s_values)
+    assert str(caught.value) == shown
 
 
 @pytest.mark.parametrize(
@@ -745,6 +769,16 @@ def test_einstein_chen_congruence():
         einstein_congruence("C", ChenParams(1, 6), ChenParams(1, 5))
     with pytest.raises(MismatchedOrder):
         einstein_congruence("C", ChenParams(2, 4), ChenParams(1, 8))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [((1, 6), (2, 3)), (ChenParams(1, 6), (2, 3)), ((1, 6), ChenParams(2, 3))],
+    ids=["both", "right", "left"],
+)
+def test_einstein_chen_congruence_takes_chen_params_only(left, right):
+    with pytest.raises(DomainError, match=r"^C-family parameters must be ChenParams, got \(\d, \d\)$"):
+        einstein_congruence("C", left, right)
 
 
 def test_torus_reduction_examples():

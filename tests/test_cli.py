@@ -23,7 +23,18 @@ from hypothesis import strategies as st
 
 import kreckstolz
 
-from kreckstolz import BundleSpec, DomainError, EschenburgSpace, einstein_congruence, reproduce_table
+from kreckstolz import (
+    BundleSpec,
+    DomainError,
+    EdiffeoProblem,
+    EschenburgSpace,
+    einstein_congruence,
+    load_fixtures,
+    parse_bundle_spec,
+    parse_source,
+    parse_space,
+    reproduce_table,
+)
 from kreckstolz.cli import run
 from kreckstolz.exact_arith import MAX_INPUT_DIGITS
 
@@ -538,6 +549,29 @@ def test_library_echoes_raise_only_bounded_domain_errors(call):
     assert len(str(caught.value)) < 200
 
 
+# Library entry points and values of the wrong type for them: each takes text
+# or a path, except EdiffeoProblem, whose r is an int.  load_fixtures(None)
+# is the packaged catalog.
+WRONG_TYPE_CALLS = {
+    "parse_bundle_spec": (lambda v: parse_bundle_spec(v), (5, None)),
+    "parse_space": (lambda v: parse_space(v, load_fixtures), (5, None)),
+    "parse_source": (lambda v: parse_source(v, load_fixtures), (5, None)),
+    "eschenburg_space": (lambda v: EschenburgSpace(v, (0, 0, 0)), (5, None)),
+    "load_fixtures": (lambda v: load_fixtures(v), (5,)),
+    "ediffeo_problem": (lambda v: EdiffeoProblem(v, 0, 0, 0), ("3", None)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value", [(name, value) for name, (_, values) in WRONG_TYPE_CALLS.items() for value in values]
+)
+def test_wrong_type_is_a_domain_error_that_echoes_it(name, value):
+    call, _ = WRONG_TYPE_CALLS[name]
+    with pytest.raises(DomainError) as caught:
+        call(value)
+    assert str(caught.value).endswith(f"got {value!r}")
+
+
 def test_integers_at_the_digit_bound_are_read(capsys):
     big = 10**MAX_INPUT_DIGITS - 1
     assert run(["invariants", f"sphere:{big},1"]) == 0
@@ -625,6 +659,38 @@ def test_fixture_env_var_file_is_reread_per_run(tmp_path, monkeypatch, capsys):
     assert _w11_s1(capsys, []) == "111/112"
     path.write_text(W11_LINE, encoding="utf-8")
     assert _w11_s1(capsys, []) == "1/112"
+
+
+# The four subcommands that read the catalog, each reading it once.
+CATALOG_READERS = {
+    "invariants": ["invariants", "eschenburg:1,1,-2|0,0,0"],
+    "classify": ["classify", "eschenburg:1,1,-2|0,0,0", "sphere:2,-1"],
+    "match": ["match", "--left", "fixtures", "--right", "sphere:r=3,start=0,stop=1"],
+    "tables": ["tables", "A"],
+}
+
+
+@pytest.mark.parametrize("argv", list(CATALOG_READERS.values()), ids=list(CATALOG_READERS))
+def test_catalog_readers_take_the_flag_and_the_env_var(argv, tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert run([*argv, "--fixtures", missing]) == 1
+    monkeypatch.setenv("KRECKSTOLZ_FIXTURES", missing)
+    assert run(argv) == 1
+    _, err = out_err(capsys)
+    assert err.count("FileNotFoundError") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ediffeo", "-r", "3", "--s1=1/112", "--s2=-1/36", "--s3=1/18"], ["enumerate", "--r-max", "5"]],
+    ids=["ediffeo", "enumerate"],
+)
+def test_commands_without_a_catalog_take_no_fixtures_flag(argv, tmp_path, monkeypatch, capsys):
+    assert run([*argv, "--fixtures", "x"]) == 2
+    _, err = out_err(capsys)
+    assert "unrecognized arguments: --fixtures x" in err
+    monkeypatch.setenv("KRECKSTOLZ_FIXTURES", str(tmp_path / "missing.txt"))
+    assert run(argv) == 0
 
 
 def test_missing_fixture_file_is_reported(tmp_path, capsys):

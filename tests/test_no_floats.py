@@ -6,8 +6,10 @@ returns a float.  Nor may it hold an `assert` statement: `python -O`
 strips them, so no guarantee may rest on one.  Only `__init__.py` may
 star-import, so that each module's names are visible where they are used.
 Only `exact_arith.py` may call `int(`: every input integer is read by
-`exact_arith.read_int`, which applies the digit bound.  Nor may any other
-module use the `!r` conversion in an f-string: input text is echoed
+`exact_arith.read_int`, which applies the digit bound.  For the same
+reason only `exact_arith.py` may call `Fraction(`: rational text is read by
+`exact_arith.read_fraction`, and every other rational is built there from
+integers.  Nor may any other module use the `!r` conversion in an f-string: input text is echoed
 through `exact_arith.excerpt`, which shows at most 40 characters of it.
 The checks read tokens, or for `!r` the syntax tree, so comments and
 docstrings may still mention such things.
@@ -84,6 +86,16 @@ def int_calls(path: Path) -> list[str]:
         f"{tok.start[0]}: int("
         for prev, tok, follower in zip(tokens, tokens[1:], tokens[2:])
         if tok.string == "int" and follower.string == "(" and prev.string not in (".", "def")
+    ]
+
+
+def fraction_calls(path: Path) -> list[str]:
+    """'line: Fraction(' for each call of Fraction in a file, qualified or not."""
+    tokens = code_tokens(path)
+    return [
+        f"{tok.start[0]}: Fraction("
+        for prev, tok, follower in zip(tokens, tokens[1:], tokens[2:])
+        if tok.string == "Fraction" and follower.string == "(" and prev.string not in ("def", "class")
     ]
 
 
@@ -168,6 +180,26 @@ def test_the_int_guard_catches_calls_only(tmp_path):
         "def int(x): return x\n"
     )
     assert int_calls(path) == ["4: int(", "4: int("]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact_arith.py"], ids=lambda p: p.name)
+def test_only_exact_arith_calls_fraction(path):
+    assert fraction_calls(path) == []
+
+
+def test_the_fraction_guard_catches_calls_only(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from fractions import Fraction\n"
+        "def f(x: Fraction) -> tuple[Fraction, ...]:\n"
+        '    """Fraction(x) in a docstring"""\n'
+        "    if isinstance(x, Fraction):  # Fraction(x) in a comment\n"
+        "        return Fraction(x), fractions.Fraction (1, 2), 'Fraction(x)'\n"
+        "    return (Fraction\n"
+        "            (x),)\n"
+        "class Fraction(int): pass\n"
+    )
+    assert fraction_calls(path) == ["5: Fraction(", "5: Fraction(", "6: Fraction("]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "exact_arith.py"], ids=lambda p: p.name)
