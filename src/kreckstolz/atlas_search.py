@@ -73,7 +73,17 @@ from .eschenburg import (
     invariants,
     load_fixtures,
 )
-from .exact_arith import ModOneValue, ResidueClass, excerpt, mod_one, ratio_mod_one, read_fraction, read_int, require_text
+from .exact_arith import (
+    ModOneValue,
+    ResidueClass,
+    excerpt,
+    mod_one,
+    ratio_mod_one,
+    read_fraction,
+    read_int,
+    require_ints,
+    require_text,
+)
 from .profiles import (
     CohomologyType,
     InvariantProfile,
@@ -529,6 +539,7 @@ def sphere_source(r: int, start: int, stop: int) -> Source:
     unchanged.  A range of more than sys.maxsize values, which has no
     length in Python and would ask for unbounded work, is refused.
     """
+    require_ints(r=r, start=start, stop=stop)
     if r < 1:
         raise DomainError(f"|H^4| must be positive, got {r}")
     if stop - start > sys.maxsize:
@@ -556,6 +567,11 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
     a^2 - s*a + (t*s^2 + o) = 0, an integer exactly when the discriminant
     s^2 - 4*(t*s^2 + o) >= 0 is a square q^2 (then q = s mod 2, as q^2 =
     s^2 mod 4, and a = (s - q)/2 or (s + q)/2).  The cheaper walk is taken.
+
+    Either walk yields only a in [lo, hi] (the t-walk keeps no other root),
+    so |a| <= bound, and b = s - a has |b| <= bound too: a >= s - bound
+    gives b <= bound, and a <= s + bound gives b >= -bound.  circle_source
+    therefore tests no bound itself.
     """
     lo, hi = max(-bound, s - bound), min(bound, s + bound)
     square = s * s
@@ -592,10 +608,12 @@ def circle_source(r: int, bound: int) -> Source:
     integers t with |t (a+b)^2 - ab| = r are admitted when they exist,
     however large.  Entries come ordered by a, then b, then t with
     ab - r = t (a+b)^2 before ab + r = t (a+b)^2.  Each diagonal a + b = s
-    is searched output-sensitively (see _circle_candidates), and every
-    candidate passes the same divisibility, coprimality and bound tests.
+    is searched output-sensitively (see _circle_candidates, which also
+    keeps every candidate within the bound), and every candidate passes the
+    same divisibility and coprimality tests.
     The parameters of an entry are (a, b, t).
     """
+    require_ints(r=r, bound=bound)
     if r < 1:
         raise DomainError(f"|H^4| must be positive, got {r}")
     if bound < 0:
@@ -609,7 +627,7 @@ def circle_source(r: int, bound: int) -> Source:
             b = s - a
             ab = a * b
             for shifted in (ab - r, ab + r):
-                if shifted % square == 0 and gcd(a, b) == 1 and abs(a) <= bound and abs(b) <= bound:
+                if shifted % square == 0 and gcd(a, b) == 1:
                     hits.append((a, b, shifted // square))
     hits.sort()  # by (a, b, t); ab - r = t (a+b)^2 has the smaller t
     s1 = tuple(_s1_value(CohomologyType.E, r, *circle_s1(t, a, b)) for a, b, t in hits)

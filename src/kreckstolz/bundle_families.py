@@ -37,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, excerpt, ratio_mod_one, read_int, require_text
+from .exact_arith import ResidueClass, excerpt, ratio_mod_one, read_int, require_ints, require_text
 from .profiles import CohomologyType, InvariantProfile, Pi4, STriple
 
 __all__ = [
@@ -77,13 +77,6 @@ class MnPair(NamedTuple):
     n: int
 
 
-def _require_ints(**params: object) -> None:
-    """DomainError naming the first parameter that is not an int."""
-    for name, value in params.items():
-        if not isinstance(value, int):
-            raise DomainError(f"parameter {name} must be an integer")
-
-
 @dataclass(frozen=True)
 class BundleSpec:
     """Parameters naming one member of one family."""
@@ -96,7 +89,7 @@ class BundleSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):
             raise DomainError(f"unknown family {excerpt(self.family)}")
-        _require_ints(a=self.a, b=self.b)
+        require_ints(a=self.a, b=self.b)
         if self.family in _CIRCLE_FAMILIES:
             if not isinstance(self.t, int):
                 raise DomainError(f"family {self.family.value} requires the Euler parameter t")
@@ -192,7 +185,7 @@ def sphere_s23(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def profile_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
-    _require_ints(a=a, b=b)
+    require_ints(a=a, b=b)
     s1 = ratio_mod_one(*sphere_s1(a, b))
     s2, s3 = sphere_s23(a, b)
     return sphere_profile_with(a, b, (s1, ratio_mod_one(*s2), ratio_mod_one(*s3)))
@@ -212,7 +205,7 @@ def sphere_profile_with(a: int, b: int, s_triple: STriple) -> InvariantProfile:
 
 def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the spin 3-sphere bundle with parameters (a, b)."""
-    _require_ints(a=a, b=b)
+    require_ints(a=a, b=b)
     d = _sphere_order(a, b)
     r = abs(d)
     sgn = 1 if d > 0 else -1
@@ -315,7 +308,7 @@ def circle_s23(t: int, a: int, b: int, m: int, n: int) -> tuple[tuple[int, int],
 
 def profile_circle(t: int, a: int, b: int) -> InvariantProfile:
     """Invariant profile of the circle bundle over the non-spin 2-sphere bundle."""
-    _require_ints(t=t, a=a, b=b)
+    require_ints(t=t, a=a, b=b)
     return _circle_profile(t, a, b, *choose_mn(Family.CIRCLE, a, b))
 
 
@@ -354,7 +347,7 @@ def circle_profile_with(t: int, a: int, b: int, m: int, n: int, s_triple: STripl
 
 def profile_spin_circle(t: int, a: int, b: int) -> InvariantProfile:
     """Invariant profile of the circle bundle over the spin 2-sphere bundle; spin (type Ebar) exactly when b is odd."""
-    _require_ints(t=t, a=a, b=b)
+    require_ints(t=t, a=a, b=b)
     return _spin_circle_profile(t, a, b, *choose_mn(Family.SPIN_CIRCLE, a, b))
 
 

@@ -24,7 +24,7 @@ from .errors import (
     ParityFailure,
     WrongFamily,
 )
-from .exact_arith import Rational, ResidueClass, excerpt, mod_one
+from .exact_arith import Rational, ResidueClass, excerpt, mod_one, require_ints
 from .profiles import (
     CohomologyType,
     InvariantProfile,
@@ -247,6 +247,7 @@ def sphere_congruence_classify(
     particular a homeomorphism, and the bare product congruence alone admits
     pairs (such as a=0, a'=7 at order 1, non-spin) that fail it.
     """
+    require_ints(a=a, b=b, a2=a2, b2=b2)
     r = a - b
     if r != a2 - b2 or r < 1:
         raise MismatchedOrder(
@@ -404,6 +405,7 @@ class ChenParams:
     q2: int
 
     def __post_init__(self) -> None:
+        require_ints(q1=self.q1, q2=self.q2)
         if self.q1 == 0 or self.q2 == 0:
             raise DomainError("both parameters must be nonzero")
 
@@ -446,8 +448,11 @@ def einstein_congruence(
     Raises MismatchedOrder when the comparison does not apply.
     """
     if kind == "L":
-        a, b = params
-        a2, b2 = params2
+        for x in (params, params2):
+            if not (isinstance(x, tuple) and len(x) == 2):
+                raise DomainError(f"L-family parameters must be pairs (a, b), got {excerpt(x)}")
+        (a, b), (a2, b2) = params, params2
+        require_ints(a=a, b=b, a2=a2, b2=b2)
         if a != a2 or a == 0:
             raise MismatchedOrder(
                 f"L-family comparison requires equal nonzero first parameter, "

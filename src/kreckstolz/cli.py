@@ -209,41 +209,29 @@ def _cmd_match(args) -> tuple[int, str]:
 def _cmd_tables(args) -> tuple[int, str]:
     report = reproduce_table(args.table, _get_fixtures(args))
     code = 0 if report.passed else 1
+    if args.format == "text":
+        return code, render_table_text(report)
+    rows = [
+        {
+            "r": result.row.r,
+            "starred": result.row.starred,
+            "space": result.space,
+            "partner": result.partner,
+            "orientation": result.orientation.value if result.orientation else None,
+            "residues": [str(c) for c in result.residues],
+            "p1": str(result.p1),
+            "passed": result.passed,
+            "problems": list(result.problems),
+        }
+        for result in report.rows
+    ]
     if args.format == "json":
-        rows = []
-        for result in report.rows:
-            rows.append(
-                {
-                    "r": result.row.r,
-                    "starred": result.row.starred,
-                    "space": result.space,
-                    "partner": result.partner,
-                    "orientation": result.orientation.value if result.orientation else None,
-                    "residues": [str(c) for c in result.residues],
-                    "p1": str(result.p1),
-                    "passed": result.passed,
-                    "problems": list(result.problems),
-                }
-            )
         return code, _emit_json({"table": report.table, "passed": report.passed, "rows": rows})
-    if args.format == "tsv":
-        lines = []
-        for result in report.rows:
-            lines.append(
-                "\t".join(
-                    (
-                        report.table,
-                        str(result.row.r),
-                        "*" if result.row.starred else "",
-                        result.orientation.value if result.orientation else "undetermined",
-                        result.partner,
-                        "pass" if result.passed else "fail",
-                        "; ".join(result.problems),
-                    )
-                )
-            )
-        return code, "".join(line + "\n" for line in lines)
-    return code, render_table_text(report)
+    return code, "".join(
+        f"{report.table}\t{row['r']}\t{'*' if row['starred'] else ''}\t{row['orientation'] or 'undetermined'}\t"
+        f"{row['partner']}\t{'pass' if row['passed'] else 'fail'}\t{'; '.join(row['problems'])}\n"
+        for row in rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,89 +240,75 @@ def _cmd_tables(args) -> tuple[int, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "tsv"),
-        default="text",
-        help="output format (default: text)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="kreckstolz",
         description="Exact classification invariants for five families of 7-manifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    integer, fraction = partial(_flag, read_int), partial(_flag, read_fraction)
 
-    def catalog_reader(name: str, **kwargs) -> argparse.ArgumentParser:
-        """A subcommand that reads the catalog, so takes --fixtures."""
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.add_argument(
-            "--fixtures",
-            metavar="PATH",
-            help="fixture catalog path (default: $KRECKSTOLZ_FIXTURES, else the bundled catalog)",
-        )
+    def subcommand(name: str, handler, catalog: bool, **parser_kwargs) -> argparse.ArgumentParser:
+        """A subcommand taking --format, and --fixtures when it reads the catalog, run by `handler`."""
+        p = sub.add_parser(name, **parser_kwargs)
+        p.add_argument("--format", choices=("text", "json", "tsv"), default="text", help="output format (default: text)")
+        if catalog:
+            p.add_argument(
+                "--fixtures",
+                metavar="PATH",
+                help="fixture catalog path (default: $KRECKSTOLZ_FIXTURES, else the bundled catalog)",
+            )
+        p.set_defaults(handler=handler)
         return p
 
-    p_inv = catalog_reader(
+    p_inv = subcommand(
         "invariants",
+        _cmd_invariants,
+        True,
         help="invariant profile of one space",
         description="Compute the invariant profile of a bundle or fixture space.",
     )
     p_inv.add_argument("space", nargs="?", help="space descriptor, e.g. sphere:2,-1 or eschenburg:1,1,-2|0,0,0")
     p_inv.add_argument("--family", choices=[f.value for f in Family])
-    p_inv.add_argument("-a", type=partial(_flag, read_int), default=None)
-    p_inv.add_argument("-b", type=partial(_flag, read_int), default=None)
-    p_inv.add_argument("-t", type=partial(_flag, read_int), default=None, help="twisting parameter (circle families only)")
-    p_inv.set_defaults(handler=_cmd_invariants)
+    p_inv.add_argument("-a", type=integer)
+    p_inv.add_argument("-b", type=integer)
+    p_inv.add_argument("-t", type=integer, help="twisting parameter (circle families only)")
 
-    p_cls = catalog_reader(
-        "classify",
-        help="diffeomorphism/homeomorphism/homotopy verdicts for two spaces",
+    p_cls = subcommand(
+        "classify", _cmd_classify, True, help="diffeomorphism/homeomorphism/homotopy verdicts for two spaces"
     )
     p_cls.add_argument("left")
     p_cls.add_argument("right")
-    p_cls.set_defaults(handler=_cmd_classify)
 
-    p_ed = sub.add_parser(
+    p_ed = subcommand(
         "ediffeo",
-        parents=[common],
+        _cmd_ediffeo,
+        False,
         help="sphere-bundle residues realizing given s-values",
-        description=(
-            "Solve for all a with S_{a,a-r} carrying the given s-values; "
-            "residues are reported mod 168r."
-        ),
+        description="Solve for all a with S_{a,a-r} carrying the given s-values; residues are reported mod 168r.",
     )
-    p_ed.add_argument("-r", type=partial(_flag, read_int), required=True)
-    p_ed.add_argument("--s1", type=partial(_flag, read_fraction), required=True)
-    p_ed.add_argument("--s2", type=partial(_flag, read_fraction), required=True)
-    p_ed.add_argument("--s3", type=partial(_flag, read_fraction), required=True)
+    p_ed.add_argument("-r", type=integer, required=True)
+    for flag in ("--s1", "--s2", "--s3"):
+        p_ed.add_argument(flag, type=fraction, required=True)
     p_ed.add_argument(
         "--orientation",
         choices=("preserving", "reversing", "both"),
         default="both",
     )
-    p_ed.set_defaults(handler=_cmd_ediffeo)
 
-    p_enum = sub.add_parser(
-        "enumerate",
-        parents=[common],
-        help="positively curved parameter pairs up to a bound on r",
-    )
+    p_enum = subcommand("enumerate", _cmd_enumerate, False, help="positively curved parameter pairs up to a bound on r")
     p_enum.add_argument(
         "--r-max",
-        type=partial(_flag, read_int),
+        type=integer,
         required=True,
         help="list the spaces with 1 <= r < R_MAX; parameter entries are bounded by 3*R_MAX",
     )
-    p_enum.set_defaults(handler=_cmd_enumerate)
 
-    p_match = catalog_reader(
+    p_match = subcommand(
         "match",
+        _cmd_match,
+        True,
         help="all diffeomorphic pairs between two collections",
-        description=(
-            "Sources: 'fixtures', 'sphere:r=3,start=0,stop=504', or 'circle:r=17,bound=1000'."
-        ),
+        description="Sources: 'fixtures', 'sphere:r=3,start=0,stop=504', or 'circle:r=17,bound=1000'.",
     )
     p_match.add_argument("--left", required=True)
     p_match.add_argument("--right", required=True)
@@ -343,14 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not let a proven pi4 difference block a match",
     )
-    p_match.set_defaults(handler=_cmd_match)
 
-    p_tab = catalog_reader(
-        "tables",
-        help="verify a bundled catalog table row by row",
-    )
+    p_tab = subcommand("tables", _cmd_tables, True, help="verify a bundled catalog table row by row")
     p_tab.add_argument("table", choices=("A", "B"))
-    p_tab.set_defaults(handler=_cmd_tables)
 
     return parser
 

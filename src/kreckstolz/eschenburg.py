@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     UnequalSums,
 )
-from .exact_arith import ModOneValue, ResidueClass, excerpt, inv_mod, mod_one, read_fraction, read_int
+from .exact_arith import ModOneValue, ResidueClass, excerpt, inv_mod, mod_one, read_fraction, read_int, require_ints
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 __all__ = [
@@ -328,6 +328,7 @@ def enumerate_positively_curved(r_max: int) -> list[EschenburgSpace]:
     by 3*r_max in absolute value (the documented convention of this
     enumeration), deduplicated by normalize() and sorted by (r, k, l).
     """
+    require_ints(r_max=r_max)
     if r_max < 1:
         raise DomainError(f"r_max must be positive, got {r_max}")
     # r is invariant under the symmetries normalize() uses.

@@ -85,8 +85,16 @@ def require_text(value: object, what: str) -> str:
     return value
 
 
+def require_ints(**params: object) -> None:
+    """DomainError naming the first parameter that is not an int."""
+    for name, value in params.items():
+        if not isinstance(value, int):
+            raise DomainError(f"parameter {name} must be an integer")
+
+
 def read_int(text: str) -> int:
     """The integer `text` spells, of at most MAX_INPUT_DIGITS digits: the package's only text-to-int step."""
+    require_text(text, "integer input")
     try:
         value = int(text)
     except ValueError:
@@ -105,6 +113,7 @@ def read_fraction(text: str) -> Fraction:
     through read_int first, and numerator and denominator have at most
     MAX_INPUT_DIGITS digits.
     """
+    require_text(text, "rational input")
     try:
         if "e" in text.lower():
             raise ValueError

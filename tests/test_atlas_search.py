@@ -19,7 +19,7 @@ from fractions import Fraction as Fr
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kreckstolz import atlas_search, eschenburg
@@ -532,6 +532,10 @@ def sources_with_eager_entries(r, bound):
     )
 
 
+# No deadline: an example takes 2-50 ms, so only a stall of the machine
+# reaches Hypothesis' default 200 ms, and it then fails as FlakyFailure
+# although every (r, bound) drawn here passes.
+@settings(deadline=None)
 @given(st.integers(1, 60), st.integers(0, 12))
 def test_source_triple_keys_agree_with_profile_key(r, bound):
     for source, eager in sources_with_eager_entries(r, bound):

@@ -25,18 +25,24 @@ import kreckstolz
 
 from kreckstolz import (
     BundleSpec,
+    ChenParams,
     DomainError,
     EdiffeoProblem,
     EschenburgSpace,
+    chen_bundle,
+    circle_source,
     einstein_congruence,
+    enumerate_positively_curved,
     load_fixtures,
     parse_bundle_spec,
     parse_source,
     parse_space,
     reproduce_table,
+    sphere_congruence_classify,
+    sphere_source,
 )
 from kreckstolz.cli import run
-from kreckstolz.exact_arith import MAX_INPUT_DIGITS
+from kreckstolz.exact_arith import MAX_INPUT_DIGITS, read_fraction, read_int
 
 W11_LINE = "1 1 -2 | 0 0 0 | 1/112 -1/36 1/18\n"
 
@@ -553,6 +559,8 @@ def test_library_echoes_raise_only_bounded_domain_errors(call):
 # or a path, except EdiffeoProblem, whose r is an int.  load_fixtures(None)
 # is the packaged catalog.
 WRONG_TYPE_CALLS = {
+    "read_int": (read_int, (5.7, None)),
+    "read_fraction": (read_fraction, (5, None)),
     "parse_bundle_spec": (lambda v: parse_bundle_spec(v), (5, None)),
     "parse_space": (lambda v: parse_space(v, load_fixtures), (5, None)),
     "parse_source": (lambda v: parse_source(v, load_fixtures), (5, None)),
@@ -570,6 +578,38 @@ def test_wrong_type_is_a_domain_error_that_echoes_it(name, value):
     with pytest.raises(DomainError) as caught:
         call(value)
     assert str(caught.value).endswith(f"got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ChenParams(None, 1),
+        lambda: chen_bundle(ChenParams("x", 1)),
+        lambda: sphere_congruence_classify(1.5, 0.5, 13.5, 12.5),
+        lambda: einstein_congruence("L", (3.0, 1), (3, 505)),
+        lambda: einstein_congruence("L", (3, "x"), (3, 1)),
+        lambda: einstein_congruence("L", 5, (3, 1)),
+        lambda: sphere_source("3", 0, 5),
+        lambda: sphere_source(3, 0.5, 4),
+        lambda: circle_source(3.0, 5),
+        lambda: enumerate_positively_curved(3.5),
+    ],
+    ids=[
+        "chen_params",
+        "chen_bundle",
+        "sphere_congruences",
+        "lens_float",
+        "lens_text",
+        "lens_not_a_pair",
+        "sphere_source_r",
+        "sphere_source_start",
+        "circle_source",
+        "enumerate",
+    ],
+)
+def test_integer_parameters_of_another_type_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_integers_at_the_digit_bound_are_read(capsys):
@@ -730,15 +770,31 @@ def test_help_exits_cleanly(capsys):
     assert run(["--help"]) == 0
 
 
+@pytest.mark.parametrize("name", ["invariants", "classify", "ediffeo", "enumerate", "match", "tables"])
+def test_every_subcommand_takes_format_and_only_catalog_readers_take_fixtures(name, capsys):
+    assert run([name, "--help"]) == 0
+    out, _ = out_err(capsys)
+    usage = " ".join(out.split())
+    head = f"usage: kreckstolz {name} [-h] [--format {{text,json,tsv}}]"
+    assert usage.startswith(head)
+    assert usage[len(head) :].startswith(" [--fixtures PATH]") == (name in CATALOG_READERS)
+
+
 def test_module_entry_point():
     src = str(Path(kreckstolz.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "kreckstolz.cli", "tables", "B"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "5/5 rows verified" in done.stdout
+    # One request per exit status: success, a domain error, a usage error.
+    for argv, code, stream, text in [
+        (["tables", "B"], 0, "stdout", "5/5 rows verified"),
+        (["invariants", "sphere:3,3"], 1, "stderr", "DegenerateOrder: "),
+        (["tables", "C"], 2, "stderr", "invalid choice: 'C'"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "kreckstolz.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        assert text in getattr(done, stream)
