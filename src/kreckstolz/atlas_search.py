@@ -13,13 +13,13 @@ its triple key (the cleared s2 and s3 join s1, in canonical orientation)
 and keeps the entries whose triple key occurs on both sides.  Only those
 get a full invariant profile, whose s-values are read back from the
 triple key and flip bit (key_s_triple), one Fraction triple per key and
-bit, rather than computed again.  The s1 bucket keys the first stage
-only; the triple key is the bucket key of every index: `profile_key`
-gives it for a built profile, and `build_index` indexes by it too.  It
-is the orientation-insensitive part of the profile, so `match_all`,
-comparing two indexes bucket by bucket, finds matches of both
-orientations with each lookup.  The filters change no output: see
-`find_matches`.
+bit, rather than computed again.  The s1 bucket, the triple key's first
+four fields, keys the first stage only; the triple key is the bucket key
+of every index: `profile_key` gives it for a built profile, and
+`build_index` indexes by it too.  It is the orientation-insensitive part
+of the profile, so `match_all`, comparing two indexes bucket by bucket,
+finds matches of both orientations with each lookup.  The filters change
+no output: see `find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -120,10 +120,8 @@ __all__ = [
     "render_matches_tsv",
     "render_table_text",
     "reproduce_table",
-    "s1_bucket",
     "sphere_grid",
     "sphere_source",
-    "triple_key",
 ]
 
 
@@ -149,21 +147,8 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def triple_key(
-    cohomology_type: CohomologyType, r: int, s1: tuple[int, int], s2: tuple[int, int], s3: tuple[int, int]
-) -> tuple[TripleKey, bool]:
-    """The bucket key and flip bit of a space, from cleared s-values.
-
-    Each s-value is a pair (n, d) with d != 0 meaning n/d.  The pairs are
-    reduced as Fraction reduces them and put in canonical orientation, so
-    a profile with these values has exactly this key and bit (see
-    profile_key).
-    """
-    return _oriented_key(cohomology_type, r, (_reduced(*s1), _reduced(*s2), _reduced(*s3)))
-
-
 def _oriented_key(cohomology_type: CohomologyType, r: int, pairs: Sequence[tuple[int, int]]) -> tuple[TripleKey, bool]:
-    """triple_key of s-values given as reduced pairs (n, d), 0 <= n < d.
+    """The triple key and flip bit of s-values given as reduced pairs (n, d), 0 <= n < d.
 
     The negation (d - n)/d of n/d shares d, so the two compare as 2n with d
     (a tie when n = 0 or 2n = d); the first value that does not tie decides.
@@ -180,8 +165,8 @@ def key_s_triple(key: TripleKey, flipped: bool) -> STriple:
 
     The key holds the canonical s-triple as reduced pairs (n, d); a set
     bit means the space carries its negation, -n/d = ((d - n) mod d)/d.
-    So this is the inverse of triple_key on its pairs, and profile_key of
-    a profile with these s-values gives back the key and the bit.
+    So this undoes the orientation that _oriented_key chose, and profile_key
+    of a profile with these s-values gives back the key and the bit.
     """
     _, _, n1, d1, n2, d2, n3, d3 = key
     if flipped:
@@ -346,13 +331,17 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
        eager constructor (sphere_profile_with, circle_profile_with; the
        catalog's profiles are built with the source).  So every built
        entry equals the eager one.
-    2. Equal triple keys imply equal s1 buckets, as the key holds the type,
-       r and s1 up to a sign common to the triple, and s1 up to sign is
-       what the s1 bucket records.  So every entry of a bucket that occurs
-       on both sides passes both stages on both sides; a bucket that
-       occurs on one side only pairs nothing in match_all.  Survivors keep
-       their relative order, so the shared buckets come in the eager order
-       and hold the same entries in the same order.
+    2. An entry's s1 bucket is the first four fields of its triple key.
+       For s1 = n/d reduced, both hold the type, r and d; the bucket
+       holds min(n, d - n), the key n or (d - n) mod d.  These agree: s1
+       decides the canonical orientation, taking the smaller numerator,
+       unless 2n = d or n = 0, where n and (d - n) mod d are equal.  So
+       equal triple keys imply equal s1 buckets, and every entry of a
+       bucket that occurs on both sides passes both stages on both
+       sides; a bucket that occurs on one side only pairs nothing in
+       match_all.  Survivors keep their relative order, so the shared
+       buckets come in the eager order and hold the same entries in the
+       same order.
     3. match_all therefore visits the same pairs in the same order, so
        the records, their order and the first InconsistentFixture (type
        and message) are those of the eager pipeline.
@@ -403,16 +392,6 @@ def _sign_blind(value: S1Value) -> S1Bucket:
     return cohomology_type, r, min(n, d - n), d
 
 
-def s1_bucket(cohomology_type: CohomologyType, r: int, n: int, d: int) -> S1Bucket:
-    """The s1 bucket of a space with s1 = n/d, as a reduced integer pair.
-
-    The bucket holds the smaller of the numerators of s1 and -s1 over
-    their common reduced denominator, the same pair for every cleared
-    form n/d of the value.
-    """
-    return _sign_blind(_s1_value(cohomology_type, r, n, d))
-
-
 @dataclass(frozen=True)
 class Source:
     """A collection of spaces whose profiles are built on demand.
@@ -420,7 +399,7 @@ class Source:
     Entry i has parameters `params[i]` and s1 value `s1[i % len(s1)]`: a
     listed source holds one value per entry, a sphere range one period of
     values.  `key(params[i], s1 value)` gives the entry's triple key and
-    flip bit (see triple_key), and `build(params[i], s_triple)` its
+    flip bit, those of profile_key, and `build(params[i], s_triple)` its
     (descriptor, profile) index entry, given its s-values modulo 1: those
     that key_s_triple reads back from the key and bit, which the build
     does not compute again.

@@ -248,6 +248,8 @@ def sphere_congruence_classify(
     pairs (such as a=0, a'=7 at order 1, non-spin) that fail it.
     """
     require_ints(a=a, b=b, a2=a2, b2=b2)
+    if not isinstance(spin, bool):
+        raise DomainError(f"spin must be a bool, got {excerpt(spin)}")
     r = a - b
     if r != a2 - b2 or r < 1:
         raise MismatchedOrder(
@@ -296,7 +298,7 @@ class EdiffeoProblem:
     e3: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or self.r < 1:
+        if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
             raise DomainError(f"order must be a positive integer, got {excerpt(self.r)}")
         for i, weight, value in ((1, 224, self.s1), (2, 24, self.s2), (3, 6, self.s3)):
             if not isinstance(value, (int, Fraction)):
@@ -352,6 +354,8 @@ def ediffeo_solve(
     ascending order, and testing the first congruence on each finds every
     admissible root.
     """
+    if not isinstance(orientation, Orientation):
+        raise DomainError(f"orientation must be an Orientation, got {excerpt(orientation)}")
     if orientation is Orientation.REVERSING:
         base = EdiffeoProblem(problem.r, -problem.s1, -problem.s2, -problem.s3)
     else:

@@ -155,27 +155,22 @@ def _cmd_classify(args) -> tuple[int, str]:
 
 def _cmd_ediffeo(args) -> tuple[int, str]:
     problem = EdiffeoProblem(args.r, args.s1, args.s2, args.s3)
-    wanted = (
-        list(Orientation)
-        if args.orientation == "both"
-        else [Orientation(args.orientation)]
-    )
-    payload: dict = {"r": args.r}
-    pairs = []
+    wanted = list(Orientation) if args.orientation == "both" else [Orientation(args.orientation)]
+    solutions = {}
     for orientation in wanted:
         try:
-            solution = ediffeo_solve(problem, orientation)
+            residues = [str(c) for c in ediffeo_solve(problem, orientation).residues]
         except (DivisibilityFailure, ParityFailure, CongruenceFailure) as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            payload[orientation.value] = {"residues": None, "reason": reason}
-            pairs.append((orientation.value, f"no solution ({reason})"))
+            solutions[orientation.value] = {"residues": None, "reason": f"{type(exc).__name__}: {exc}"}
         else:
-            residues = [str(c) for c in solution.residues]
-            payload[orientation.value] = {"residues": residues}
-            pairs.append((orientation.value, ", ".join(residues)))
+            solutions[orientation.value] = {"residues": residues}
     if args.format == "json":
-        return 0, _emit_json(payload)
-    return 0, _fields(pairs, args.format)
+        return 0, _emit_json({"r": args.r, **solutions})
+    text = {
+        label: ", ".join(solved["residues"]) if solved["residues"] is not None else f"no solution ({solved['reason']})"
+        for label, solved in solutions.items()
+    }
+    return 0, _fields(text.items(), args.format)
 
 
 def _cmd_enumerate(args) -> tuple[int, str]:

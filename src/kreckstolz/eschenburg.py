@@ -56,7 +56,7 @@ _DENOMINATOR_BOUNDS = (224, 24, 6)
 
 @dataclass(frozen=True)
 class EschenburgSpace:
-    """Parameter pair (k, l) of an Eschenburg biquotient."""
+    """Parameter pair (k, l) of an Eschenburg biquotient; unequal sums raise UnequalSums."""
 
     k: Triple
     l: Triple
@@ -71,6 +71,8 @@ class EschenburgSpace:
             if len(triple) != 3 or not all(isinstance(v, int) for v in triple):
                 raise DomainError(f"{name} must be a triple of integers, got {excerpt(triple)}")
             object.__setattr__(self, name, triple)
+        if sum(self.k) != sum(self.l):
+            raise UnequalSums(f"sum {sum(self.k)} != {sum(self.l)} for {self.k}, {self.l}")
 
     @classmethod
     def homogeneous(cls, p: int, q: int) -> "EschenburgSpace":
@@ -113,11 +115,6 @@ def _sigma(t: Triple) -> tuple[int, int, int]:
     return (a + b + c, a * b + a * c + b * c, a * b * c)
 
 
-def _require_balanced(space: EschenburgSpace) -> None:
-    if sum(space.k) != sum(space.l):
-        raise UnequalSums(f"sum {sum(space.k)} != {sum(space.l)} for {space.k}, {space.l}")
-
-
 def is_free(space: EschenburgSpace) -> bool:
     """Whether the circle action with these parameters is free.
 
@@ -126,7 +123,6 @@ def is_free(space: EschenburgSpace) -> bool:
     constraint this is equivalent to every pair of differences taken at
     distinct indices being coprime.
     """
-    _require_balanced(space)
     return all(
         math.gcd(
             space.k[0] - space.l[p[0]],
@@ -145,7 +141,6 @@ def is_positively_curved(space: EschenburgSpace) -> bool:
     l-entry lies outside [min(k), max(k)]. For equal-sum triples this
     global form is equivalent to the per-index form of the condition.
     """
-    _require_balanced(space)
     lo_l, hi_l = min(space.l), max(space.l)
     lo_k, hi_k = min(space.k), max(space.k)
     return all(not lo_l <= v <= hi_l for v in space.k) or all(
@@ -161,7 +156,6 @@ def order_invariants(space: EschenburgSpace) -> tuple[int, int, ResidueClass]:
     """
     sig_k = _sigma(space.k)
     sig_l = _sigma(space.l)
-    _require_balanced(space)
     r_signed = sig_k[1] - sig_l[1]
     if r_signed == 0:
         raise DegenerateOrder(f"sigma2 coincide for {space.k}, {space.l}")
@@ -401,8 +395,8 @@ def _parse_fixtures(data: bytes) -> list[EschenburgFixture]:
             s_values = _parse_fraction_triple(parts[2])
         except DomainError as exc:
             raise ParseError(line_number, str(exc)) from None
-        space = EschenburgSpace(k, l)
         try:
+            space = EschenburgSpace(k, l)
             inv = invariants(space)
         except DomainError as exc:
             raise InconsistentFixture(f"line {line_number}: {exc}") from exc

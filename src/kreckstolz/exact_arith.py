@@ -86,9 +86,9 @@ def require_text(value: object, what: str) -> str:
 
 
 def require_ints(**params: object) -> None:
-    """DomainError naming the first parameter that is not an int."""
+    """DomainError naming the first parameter that is not an int; a bool is not one."""
     for name, value in params.items():
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise DomainError(f"parameter {name} must be an integer")
 
 

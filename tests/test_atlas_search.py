@@ -28,6 +28,9 @@ from kreckstolz.atlas_search import (
     TABLE_B,
     AtlasIndex,
     MatchRecord,
+    _circle_key,
+    _s1_value,
+    _sign_blind,
     build_index,
     circle_grid,
     circle_source,
@@ -44,23 +47,18 @@ from kreckstolz.atlas_search import (
     render_matches_tsv,
     render_table_text,
     reproduce_table,
-    s1_bucket,
     sphere_grid,
     sphere_source,
-    triple_key,
 )
 from kreckstolz.bundle_families import (
     BundleSpec,
     Family,
-    choose_mn,
     circle_s1,
-    circle_s23,
     describe_bundle,
     profile_circle,
     profile_sphere,
     profile_spin_sphere,
     sphere_s1,
-    sphere_s23,
 )
 from kreckstolz.classification import Orientation, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
@@ -457,8 +455,9 @@ def test_match_all_rejects_incoherent_reversing_pair(corrupt, message):
 # ---------------------------------------------------------------------------
 
 
-def profile_s1_bucket(p):
-    return s1_bucket(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator)
+def s1_bucket_of(cohomology_type, r, n, d):
+    """The s1 bucket that a source gives an entry with s1 = n/d."""
+    return _sign_blind(_s1_value(cohomology_type, r, n, d))
 
 
 nonzero = st.integers(-10**6, 10**6).filter(bool)
@@ -467,7 +466,7 @@ nonzero = st.integers(-10**6, 10**6).filter(bool)
 @given(st.integers(-10**6, 10**6), nonzero)
 def test_sphere_s1_bucket_agrees_with_profile(a, d):
     p = profile_sphere(a, a - d)
-    assert s1_bucket(CohomologyType.E, abs(d), *sphere_s1(a, a - d)) == profile_s1_bucket(p)
+    assert s1_bucket_of(CohomologyType.E, abs(d), *sphere_s1(a, a - d)) == profile_key(p)[0][:4]
 
 
 @given(st.integers(-10**4, 10**4), st.integers(-300, 300), st.integers(-300, 300))
@@ -475,52 +474,49 @@ def test_circle_s1_bucket_agrees_with_profile(t, a, b):
     s = t * (a + b) ** 2 - a * b
     assume(gcd(a, b) == 1 and s != 0)
     p = profile_circle(t, a, b)
-    assert s1_bucket(CohomologyType.E, abs(s), *circle_s1(t, a, b)) == profile_s1_bucket(p)
+    assert s1_bucket_of(CohomologyType.E, abs(s), *circle_s1(t, a, b)) == profile_key(p)[0][:4]
 
 
-@given(st.tuples(s_values, s_values, s_values), st.tuples(s_values, s_values, s_values), st.booleans())
-def test_equal_profile_buckets_have_equal_s1_buckets(s_triple, other_triple, reverse):
-    # The lemma behind find_matches: the s1 bucket is a function of the
-    # bucket key that profile_key gives.  q shares p's key; o mostly does not.
+@given(st.tuples(s_values, s_values, s_values), st.booleans())
+def test_s1_bucket_is_the_head_of_the_triple_key(s_triple, reverse):
+    # The identity behind find_matches (its point 2): a space's s1 bucket is
+    # the first four fields of its triple key, so equal triple keys give
+    # equal s1 buckets.  s_values draws the self-negating 0 and 1/2 often.
     p = profile_with(s_triple)
-    q = reversed_profile(p) if reverse else p
-    assert profile_key(p)[0] == profile_key(q)[0]
-    for other in (q, profile_with(other_triple)):
-        if profile_key(p)[0] == profile_key(other)[0]:
-            assert profile_s1_bucket(p) == profile_s1_bucket(other)
+    p = reversed_profile(p) if reverse else p
+    assert s1_bucket_of(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator) == profile_key(p)[0][:4]
 
 
 def test_s1_bucket_is_reduced_and_sign_blind():
-    assert s1_bucket(CohomologyType.E, 3, 9, 12) == (CohomologyType.E, 3, 1, 4)
-    assert s1_bucket(CohomologyType.E, 3, -9, 12) == (CohomologyType.E, 3, 1, 4)
-    assert s1_bucket(CohomologyType.E, 3, 9, -12) == (CohomologyType.E, 3, 1, 4)
-    assert s1_bucket(CohomologyType.E, 3, 6, 12) == (CohomologyType.E, 3, 1, 2)
-    assert s1_bucket(CohomologyType.E, 3, -24, 12) == (CohomologyType.E, 3, 0, 1)
+    assert s1_bucket_of(CohomologyType.E, 3, 9, 12) == (CohomologyType.E, 3, 1, 4)
+    assert s1_bucket_of(CohomologyType.E, 3, -9, 12) == (CohomologyType.E, 3, 1, 4)
+    assert s1_bucket_of(CohomologyType.E, 3, 9, -12) == (CohomologyType.E, 3, 1, 4)
+    assert s1_bucket_of(CohomologyType.E, 3, 6, 12) == (CohomologyType.E, 3, 1, 2)
+    assert s1_bucket_of(CohomologyType.E, 3, -24, 12) == (CohomologyType.E, 3, 0, 1)
 
 
 # The triple stage of find_matches.
 
 
-def assert_keys_agree(got, profile):
-    assert got == profile_key(profile)
+def assert_entry_keys_agree(source, i, profile):
+    """Entry i of `source` has the triple key and flip bit of `profile`, and its s1 bucket heads that key."""
+    value = source.s1[i % len(source.s1)]
+    key, flipped = source.key(source.params[i], value)
+    assert (key, flipped) == profile_key(profile)
+    assert _sign_blind(value) == key[:4]
 
 
-@given(st.integers(-10**6, 10**6), nonzero)
-def test_sphere_triple_key_agrees_with_profile_key(a, d):
-    b = a - d
-    assert_keys_agree(triple_key(CohomologyType.E, abs(d), sphere_s1(a, b), *sphere_s23(a, b)), profile_sphere(a, b))
-    if d > 0:
-        source = sphere_source(d, a, a + 1)
-        assert_keys_agree(source.key(a, source.s1[0]), profile_sphere(a, b))
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_sphere_triple_key_agrees_with_profile_key(a, r):
+    assert_entry_keys_agree(sphere_source(r, a, a + 1), 0, profile_sphere(a, a - r))
 
 
 @given(st.integers(-10**4, 10**4), st.integers(-300, 300), st.integers(-300, 300))
 def test_circle_triple_key_agrees_with_profile_key(t, a, b):
     s = t * (a + b) ** 2 - a * b
     assume(gcd(a, b) == 1 and s != 0)
-    m, n = choose_mn(Family.CIRCLE, a, b)
-    got = triple_key(CohomologyType.E, abs(s), circle_s1(t, a, b), *circle_s23(t, a, b, m, n))
-    assert_keys_agree(got, profile_circle(t, a, b))
+    got = _circle_key(abs(s), (a, b, t), _s1_value(CohomologyType.E, abs(s), *circle_s1(t, a, b)))
+    assert got == profile_key(profile_circle(t, a, b))
 
 
 def sources_with_eager_entries(r, bound):
@@ -540,8 +536,8 @@ def sources_with_eager_entries(r, bound):
 def test_source_triple_keys_agree_with_profile_key(r, bound):
     for source, eager in sources_with_eager_entries(r, bound):
         assert len(source.params) == len(eager)
-        for i, (params, (_, profile)) in enumerate(zip(source.params, eager)):
-            assert_keys_agree(source.key(params, source.s1[i % len(source.s1)]), profile)
+        for i, (_, profile) in enumerate(eager):
+            assert_entry_keys_agree(source, i, profile)
 
 
 @given(st.integers(1, 50), st.integers(0, 12))
@@ -563,15 +559,15 @@ def test_entries_built_from_the_key_equal_the_eager_entries(r, bound):
 
 def test_fixture_triple_keys_agree_with_profile_key(fixtures):
     source = fixture_source(fixtures)
-    for i, entry in enumerate(source.params):
-        assert_keys_agree(source.key(entry, source.s1[i]), entry[1])
+    for i, (_, profile) in enumerate(source.params):
+        assert_entry_keys_agree(source, i, profile)
 
 
 @given(st.integers(1, 300), st.integers(-10**12, 10**12), st.integers(0, 10**6))
 def test_sphere_s1_has_period_56r(r, start, offset):
     a = start + offset
-    bucket = s1_bucket(CohomologyType.E, r, *sphere_s1(a, a - r))
-    assert s1_bucket(CohomologyType.E, r, *sphere_s1(a + 56 * r, a + 55 * r)) == bucket
+    value = _s1_value(CohomologyType.E, r, *sphere_s1(a, a - r))
+    assert _s1_value(CohomologyType.E, r, *sphere_s1(a + 56 * r, a + 55 * r)) == value
     # The source stores one period and gives entry i the value at i mod period.
     source = sphere_source(r, start, a + 1)
     value = Fr(*sphere_s1(a, a - r)) % 1

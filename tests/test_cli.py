@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from kreckstolz import (
     EschenburgSpace,
     chen_bundle,
     circle_source,
+    ediffeo_solve,
     einstein_congruence,
     enumerate_positively_curved,
     load_fixtures,
@@ -141,6 +143,14 @@ def test_invariants_eschenburg_wrong_length_is_domain_error(descriptor, name, tr
     out, err = out_err(capsys)
     assert (code, out) == (1, "")
     assert err == f"DomainError: {name} must be a triple of integers, got {triple}\n"
+
+
+def test_invariants_unbalanced_eschenburg_is_unequal_sums(capsys):
+    # The space is refused when built, before the catalog is searched for it.
+    code = run(["invariants", "eschenburg:9,9,9|0,0,0"])
+    out, err = out_err(capsys)
+    assert (code, out) == (1, "")
+    assert err == "UnequalSums: sum 27 != 0 for (9, 9, 9), (0, 0, 0)\n"
 
 
 def test_invariants_degenerate_order_is_domain_error(capsys):
@@ -555,9 +565,13 @@ def test_library_echoes_raise_only_bounded_domain_errors(call):
     assert len(str(caught.value)) < 200
 
 
+# The s-values of W_{1,1} at r = 3: solvable preserving, not reversing.
+W11_PROBLEM = EdiffeoProblem(3, Fraction(1, 112), Fraction(-1, 36), Fraction(1, 18))
+
 # Library entry points and values of the wrong type for them: each takes text
-# or a path, except EdiffeoProblem, whose r is an int.  load_fixtures(None)
-# is the packaged catalog.
+# or a path, except EdiffeoProblem, whose r is an int (not a bool), and
+# ediffeo_solve, whose orientation is an Orientation, not its text.
+# load_fixtures(None) is the packaged catalog.
 WRONG_TYPE_CALLS = {
     "read_int": (read_int, (5.7, None)),
     "read_fraction": (read_fraction, (5, None)),
@@ -566,7 +580,8 @@ WRONG_TYPE_CALLS = {
     "parse_source": (lambda v: parse_source(v, load_fixtures), (5, None)),
     "eschenburg_space": (lambda v: EschenburgSpace(v, (0, 0, 0)), (5, None)),
     "load_fixtures": (lambda v: load_fixtures(v), (5,)),
-    "ediffeo_problem": (lambda v: EdiffeoProblem(v, 0, 0, 0), ("3", None)),
+    "ediffeo_problem": (lambda v: EdiffeoProblem(v, 0, 0, 0), ("3", None, True)),
+    "ediffeo_solve": (lambda v: ediffeo_solve(W11_PROBLEM, v), ("reversing",)),
 }
 
 
@@ -584,8 +599,10 @@ def test_wrong_type_is_a_domain_error_that_echoes_it(name, value):
     "call",
     [
         lambda: ChenParams(None, 1),
+        lambda: ChenParams(True, 1),
         lambda: chen_bundle(ChenParams("x", 1)),
         lambda: sphere_congruence_classify(1.5, 0.5, 13.5, 12.5),
+        lambda: sphere_congruence_classify(2, 1, 14, 13, spin="no"),
         lambda: einstein_congruence("L", (3.0, 1), (3, 505)),
         lambda: einstein_congruence("L", (3, "x"), (3, 1)),
         lambda: einstein_congruence("L", 5, (3, 1)),
@@ -596,8 +613,10 @@ def test_wrong_type_is_a_domain_error_that_echoes_it(name, value):
     ],
     ids=[
         "chen_params",
+        "chen_params_bool",
         "chen_bundle",
         "sphere_congruences",
+        "sphere_congruences_spin",
         "lens_float",
         "lens_text",
         "lens_not_a_pair",

@@ -94,16 +94,18 @@ class TestConstruction:
         with pytest.raises(Exception):
             EschenburgSpace((1, 2), (0, 0, 0))
 
+    def test_unequal_sums(self):
+        # A space is balanced once built, so no consumer checks the sums again.
+        with pytest.raises(UnequalSums) as exc:
+            EschenburgSpace((1, 0, 0), (0, 0, 0))
+        assert str(exc.value) == "sum 1 != 0 for (1, 0, 0), (0, 0, 0)"
+
 
 class TestFreeness:
     def test_examples(self):
         assert is_free(W11) is True
         assert is_free(EschenburgSpace((2, 2, 2), (6, 0, 0))) is False
         assert is_free(EschenburgSpace((1, 2, 5), (8, 0, 0))) is True
-
-    def test_unequal_sums(self):
-        with pytest.raises(UnequalSums):
-            is_free(EschenburgSpace((1, 0, 0), (0, 0, 0)))
 
     @given(balanced_spaces())
     def test_matches_all_assignment_readings(self, space):
@@ -183,10 +185,6 @@ class TestInvariants:
     def test_degenerate(self):
         with pytest.raises(DegenerateOrder):
             invariants(EschenburgSpace((1, 1, 1), (1, 1, 1)))
-
-    def test_unequal_sums(self):
-        with pytest.raises(UnequalSums):
-            invariants(EschenburgSpace((1, 0, 0), (0, 0, 0)))
 
     def test_lk_none_when_r_is_one(self):
         space = EschenburgSpace((2, 0, 0), (1, 1, 0))
@@ -386,6 +384,14 @@ class TestFixtures:
             load_fixtures(path)
         assert exc.value.line_number == 1
 
+    def test_parse_error_wrong_number_of_parts(self, tmp_path):
+        # The mutation fuzz below reaches this message only by chance.
+        path = tmp_path / "bad.txt"
+        path.write_text("1 1 -2 | 0 0 0\n")
+        with pytest.raises(ParseError) as exc:
+            load_fixtures(path)
+        assert str(exc.value) == "line 1: expected 'k1 k2 k3 | l1 l2 l3 | s1 s2 s3'"
+
     def test_parse_error_bad_fraction(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 1 -2 | 0 0 0 | 1/112 35//36 1/18\n")
@@ -430,6 +436,13 @@ class TestFixtures:
         path.write_text("1 1 1 | 1 1 1 | 0 0 0\n")
         with pytest.raises(InconsistentFixture):
             load_fixtures(path)
+
+    def test_unbalanced_space(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 0 0 | 0 0 0 | 0 0 0\n")
+        with pytest.raises(InconsistentFixture) as exc:
+            load_fixtures(path)
+        assert str(exc.value) == "line 1: sum 1 != 0 for (1, 0, 0), (0, 0, 0)"
 
     def test_packaged_default(self):
         fixtures = load_fixtures()
