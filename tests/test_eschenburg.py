@@ -107,6 +107,11 @@ class TestFreeness:
         assert is_free(EschenburgSpace((2, 2, 2), (6, 0, 0))) is False
         assert is_free(EschenburgSpace((1, 2, 5), (8, 0, 0))) is True
 
+    def test_unequal_sums(self):
+        # The constructor refuses the space before is_free can see it.
+        with pytest.raises(UnequalSums):
+            is_free(EschenburgSpace((1, 0, 0), (0, 0, 0)))
+
     @given(balanced_spaces())
     def test_matches_all_assignment_readings(self, space):
         # The 6-permutation reading must coincide with requiring gcd 1 for
@@ -185,6 +190,11 @@ class TestInvariants:
     def test_degenerate(self):
         with pytest.raises(DegenerateOrder):
             invariants(EschenburgSpace((1, 1, 1), (1, 1, 1)))
+
+    def test_unequal_sums(self):
+        # The constructor refuses the space before invariants can see it.
+        with pytest.raises(UnequalSums):
+            invariants(EschenburgSpace((1, 0, 0), (0, 0, 0)))
 
     def test_lk_none_when_r_is_one(self):
         space = EschenburgSpace((2, 0, 0), (1, 1, 0))
