@@ -11,9 +11,10 @@ s1 bucket (s1 up to sign) occurs on both sides, walking each kept
 position of a period through the whole range; then gives each of those
 its triple key (the cleared s2 and s3 join s1, in canonical orientation)
 and keeps the entries whose triple key occurs on both sides.  Only those
-get a full invariant profile, whose s-values are read back from the
-triple key and flip bit (key_s_triple), one Fraction triple per key and
-bit, rather than computed again.  The s1 bucket, the triple key's first
+are built, into index entries that hold p1, the linking classes and pi4
+but no s-values: match_all reads a record's s-values back from the
+triple key and flip bit (key_s_triple), once per bucket and bit, rather
+than computing them again.  The s1 bucket, the triple key's first
 four fields, keys the first stage only; the triple key is the bucket key
 of every index: `profile_key` gives it for a built profile, and
 `build_index` indexes by it too.  It is the orientation-insensitive part
@@ -44,7 +45,7 @@ from typing import Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Opti
 from .bundle_families import (
     Family,
     choose_mn,
-    circle_profile_with,
+    circle_p1_lk_pi4,
     circle_s1,
     circle_s23,
     describe_bundle,
@@ -52,7 +53,7 @@ from .bundle_families import (
     profile as bundle_profile,
     profile_circle,
     profile_sphere,
-    sphere_profile_with,
+    sphere_p1_lk_pi4,
     sphere_s1,
     sphere_s23,
 )
@@ -87,6 +88,7 @@ from .exact_arith import (
 from .profiles import (
     CohomologyType,
     InvariantProfile,
+    Pi4,
     STriple,
     lk_compatible,
     negated_lk,
@@ -189,11 +191,17 @@ def profile_key(profile: InvariantProfile) -> tuple[TripleKey, bool]:
 
 
 class IndexEntry(NamedTuple):
-    """One indexed space: its descriptor, full profile, and orientation bit."""
+    """One indexed space: its descriptor, the invariants its bucket key leaves out, and its orientation bit."""
 
     descriptor: str
-    profile: InvariantProfile
+    p1: ResidueClass
+    lk: Optional[frozenset[ResidueClass]]
+    pi4: Pi4
     flipped: bool
+
+
+# The fields of an IndexEntry before its flip bit, as Source.build gives them.
+EntryFields = tuple[str, ResidueClass, Optional[frozenset[ResidueClass]], Pi4]
 
 
 @dataclass(frozen=True)
@@ -223,7 +231,7 @@ def build_index(profiles: Iterable[tuple[str, InvariantProfile]]) -> AtlasIndex:
     keyed = []
     for descriptor, profile in profiles:
         key, flipped = profile_key(profile)
-        keyed.append((key, IndexEntry(descriptor, profile, flipped)))
+        keyed.append((key, IndexEntry(descriptor, profile.p1, profile.lk, profile.pi4, flipped)))
     return _grouped(keyed)
 
 
@@ -261,9 +269,11 @@ def match_all(
     InconsistentFixture rather than silently dropping the pair; every
     emitted record thus survives re-checking with ks_diffeomorphic.
     Each pair is checked for pi4, then linking classes, then p1.  What
-    depends on one side only is computed once: the evidence and the pi4
-    value that blocks a pair per left entry, a right entry's linking
-    classes in reversed orientation per bucket.
+    depends on one side only is computed once: the evidence (r from the
+    key, the s-values from key_s_triple) per bucket and left bit, so the
+    records of a run share one tuple; the pi4 value that blocks a pair
+    per left entry; a right entry's linking classes in reversed
+    orientation per bucket.
     With `require_pi4_compat` (the default) a proven pi4 = 0 on one side
     and a proven pi4 = Z/2 on the other blocks the pair; passing False
     drops that gate, for surveys over families whose pi4 is the only
@@ -274,63 +284,64 @@ def match_all(
         right_entries = right.buckets.get(key)
         if not right_entries:
             continue
-        # Linking classes of the right entries in reversed orientation,
-        # by position, negated on first use.
+        r = key[1]
+        # The evidence of each left bit, and the linking classes of the
+        # right entries in reversed orientation by position, built on first use.
+        evidences: dict[bool, tuple[int, ModOneValue, ModOneValue, ModOneValue]] = {}
         reversed_lk: dict[int, Optional[frozenset[ResidueClass]]] = {}
         for left_entry in left_entries:
-            profile = left_entry.profile
-            evidence = (profile.r, profile.s1, profile.s2, profile.s3)
-            blocked = pi4_conflict(profile.pi4) if require_pi4_compat else None
+            flipped = left_entry.flipped
+            evidence = evidences.get(flipped)
+            if evidence is None:
+                evidence = evidences[flipped] = (r, *key_s_triple(key, flipped))
+            blocked = pi4_conflict(left_entry.pi4) if require_pi4_compat else None
             for j, right_entry in enumerate(right_entries):
-                other = right_entry.profile
-                if other.pi4 is blocked:
+                if right_entry.pi4 is blocked:
                     continue
-                if left_entry.flipped == right_entry.flipped:
+                if flipped == right_entry.flipped:
                     orientation = Orientation.PRESERVING
-                    other_lk = other.lk
+                    other_lk = right_entry.lk
                 else:
                     orientation = Orientation.REVERSING
                     if j not in reversed_lk:
-                        reversed_lk[j] = negated_lk(other.lk, other.r)
+                        reversed_lk[j] = negated_lk(right_entry.lk, r)
                     other_lk = reversed_lk[j]
-                if not lk_compatible(profile.lk, other_lk):
+                if not lk_compatible(left_entry.lk, other_lk):
                     raise InconsistentFixture(
                         f"s-values match ({orientation.value}) but linking classes differ: "
-                        f"{profile.lk} vs {other_lk}"
+                        f"{left_entry.lk} vs {other_lk}"
                     )
-                if profile.p1 != other.p1:
+                if left_entry.p1 != right_entry.p1:
                     raise InconsistentFixture(
                         f"s-values match ({orientation.value}) but p1 differs: "
-                        f"{profile.p1} vs {other.p1}"
+                        f"{left_entry.p1} vs {right_entry.p1}"
                     )
                 records.append(MatchRecord(left_entry.descriptor, right_entry.descriptor, orientation, evidence))
     return tuple(records)
 
 
 def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -> tuple[MatchRecord, ...]:
-    """match_all of two sources, with profiles built only for possible partners.
+    """match_all of two sources, with entries built only for possible partners.
 
-    Two integer stages choose the entries that get a profile.  First, each
+    Two integer stages choose the entries that get built.  First, each
     side selects (Source.select) its entries whose s1 bucket occurs on
     both sides.  Second, each selected entry gets its triple key and flip
     bit (Source.key), and only the entries whose triple key occurs on both
-    sides get a profile, built (Source.build) from the s-triple that
-    key_s_triple reads back from its key and bit, once per key and bit in
-    one call.  These go, grouped by triple key in source order, to
-    match_all.  The result is that of the eager pipeline, match_all of
-    build_index of every entry of each side with its profile from the
-    family's constructor (sphere_grid, circle_grid, fixture_entries):
+    sides are built (Source.build) into index entries.  These go, grouped
+    by triple key in source order, to match_all.  The result is that of
+    the eager pipeline, match_all of build_index of every entry of each
+    side with its profile from the family's constructor (sphere_grid,
+    circle_grid, fixture_entries):
 
     1. Both pipelines key through _oriented_key.  A source's cleared
        s-values equal those of the eager profile, and reduced they are the
        profile's pairs, so Source.key gives profile_key of that profile:
-       the buckets and bits of build_index.  key_s_triple undoes the
-       canonical orientation on the key's reduced pairs, so it gives back
-       that profile's s-values, which the key only reduced; the build
-       computes p1, lk, pi4 and the descriptor with the code of the
-       eager constructor (sphere_profile_with, circle_profile_with; the
-       catalog's profiles are built with the source).  So every built
-       entry equals the eager one.
+       the buckets and bits of build_index.  The build computes the
+       descriptor, p1, lk and pi4 with the code of the eager constructor
+       (sphere_p1_lk_pi4, circle_p1_lk_pi4; the catalog's profiles are
+       built with the source), so every built entry equals the one that
+       build_index makes of the eager profile.  No entry holds s-values:
+       match_all reads them from the key for both pipelines alike.
     2. An entry's s1 bucket is the first four fields of its triple key.
        For s1 = n/d reduced, both hold the type, r and d; the bucket
        holds min(n, d - n), the key n or (d - n) mod d.  These agree: s1
@@ -348,7 +359,7 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
     4. Source.select yields exactly the entries with a kept s1 bucket, in
        source order, also for a periodic source: entry i has the s1 value
        at position i mod period, and the sphere source proves that period.
-    5. The sources build keys and profiles only for valid parameters
+    5. The sources build keys and entries only for valid parameters
        (fixture profiles are built with the source), which cannot raise,
        so skipping entries hides no error.
     """
@@ -357,17 +368,9 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
         [(p, *source.key(p, s1)) for p, s1 in source.select(shared_s1)] for source in (left, right)
     )
     shared = {key for _, key, _ in left_keyed}.intersection(key for _, key, _ in right_keyed)
-    s_triples: dict[tuple[TripleKey, bool], STriple] = {}
 
     def index(source: Source, keyed: list[tuple[Any, TripleKey, bool]]) -> AtlasIndex:
-        entries = []
-        for p, key, flipped in keyed:
-            if key in shared:
-                s_triple = s_triples.get((key, flipped))
-                if s_triple is None:
-                    s_triple = s_triples[key, flipped] = key_s_triple(key, flipped)
-                entries.append((key, IndexEntry(*source.build(p, s_triple), flipped)))
-        return _grouped(entries)
+        return _grouped((key, IndexEntry(*source.build(p), flipped)) for p, key, flipped in keyed if key in shared)
 
     return match_all(index(left, left_keyed), index(right, right_keyed), require_pi4_compat)
 
@@ -399,16 +402,14 @@ class Source:
     Entry i has parameters `params[i]` and s1 value `s1[i % len(s1)]`: a
     listed source holds one value per entry, a sphere range one period of
     values.  `key(params[i], s1 value)` gives the entry's triple key and
-    flip bit, those of profile_key, and `build(params[i], s_triple)` its
-    (descriptor, profile) index entry, given its s-values modulo 1: those
-    that key_s_triple reads back from the key and bit, which the build
-    does not compute again.
+    flip bit, those of profile_key, and `build(params[i])` its descriptor,
+    p1, linking classes and pi4, the fields of its IndexEntry before the bit.
     """
 
     params: Sequence[Any]
     s1: tuple[S1Value, ...]
     key: Callable[[Any, S1Value], tuple[TripleKey, bool]]
-    build: Callable[[Any, STriple], tuple[str, InvariantProfile]]
+    build: Callable[[Any], EntryFields]
 
     @cached_property
     def _positions(self) -> dict[S1Bucket, list[int]]:
@@ -473,8 +474,9 @@ def parse_space(
     return eschenburg_descriptor(space), fixture_profile(fixture)
 
 
-def _built(entry: tuple[str, InvariantProfile], s_triple: STriple) -> tuple[str, InvariantProfile]:
-    return entry
+def _built(entry: tuple[str, InvariantProfile]) -> EntryFields:
+    descriptor, profile = entry
+    return descriptor, profile.p1, profile.lk, profile.pi4
 
 
 def _fixture_key(entry: tuple[str, InvariantProfile], s1: S1Value) -> tuple[TripleKey, bool]:
@@ -500,8 +502,8 @@ def fixture_entries(
     return [(eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures]
 
 
-def _sphere_entry(r: int, a: int, s_triple: STriple) -> tuple[str, InvariantProfile]:
-    return describe_bundle(Family.SPHERE, a, a - r), sphere_profile_with(a, a - r, s_triple)
+def _sphere_entry(r: int, a: int) -> EntryFields:
+    return describe_bundle(Family.SPHERE, a, a - r), *sphere_p1_lk_pi4(a, a - r)
 
 
 def _sphere_key(r: int, a: int, s1: S1Value) -> tuple[TripleKey, bool]:
@@ -567,10 +569,10 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
     return found
 
 
-def _circle_entry(hit: tuple[int, int, int], s_triple: STriple) -> tuple[str, InvariantProfile]:
+def _circle_entry(hit: tuple[int, int, int]) -> EntryFields:
     a, b, t = hit
     m, n = choose_mn(Family.CIRCLE, a, b)
-    return describe_bundle(Family.CIRCLE, a, b, t), circle_profile_with(t, a, b, m, n, s_triple)
+    return describe_bundle(Family.CIRCLE, a, b, t), *circle_p1_lk_pi4(t, a, b, m, n)
 
 
 def _circle_key(r: int, hit: tuple[int, int, int], s1: S1Value) -> tuple[TripleKey, bool]:
@@ -890,8 +892,8 @@ def _evidence_texts(
 ) -> Iterator[tuple[MatchRecord, tuple[str, str, str, str]]]:
     """Each record with its evidence as text: r, then each s-value's "n/d" passed through `quote`.
 
-    match_all gives all records of one left entry the same evidence
-    tuple, so a run of records that share it is formatted once.
+    match_all gives all records of one bucket and left flip bit the same
+    evidence tuple, so a run of records that share it is formatted once.
     """
     evidence = texts = None
     for record in records:

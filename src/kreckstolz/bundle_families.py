@@ -25,9 +25,9 @@ suite as an independent oracle.  The s-values of the two families that
 the search sources list are also public as integer pairs (sphere_s1,
 sphere_s23, circle_s1, circle_s23), which their profile constructors
 call, so each formula has one copy.  The rest of those two profiles
-(p1, linking class, pi4) is built by sphere_profile_with and
-circle_profile_with from s-values given mod 1, which the search reads
-from its integer keys instead of computing them again.
+(p1, linking class, pi4) comes from sphere_p1_lk_pi4 and
+circle_p1_lk_pi4, functions of the parameters alone: the search builds
+its entries from them and takes the s-values from its integer keys.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
 from .exact_arith import ResidueClass, excerpt, ratio_mod_one, read_int, require_ints, require_text
-from .profiles import CohomologyType, InvariantProfile, Pi4, STriple
+from .profiles import CohomologyType, InvariantProfile, Pi4
 
 __all__ = [
     "BundleSpec",
@@ -91,7 +91,7 @@ class BundleSpec:
             raise DomainError(f"unknown family {excerpt(self.family)}")
         require_ints(a=self.a, b=self.b)
         if self.family in _CIRCLE_FAMILIES:
-            if not isinstance(self.t, int):
+            if not isinstance(self.t, int) or isinstance(self.t, bool):
                 raise DomainError(f"family {self.family.value} requires the Euler parameter t")
         elif self.t is not None:
             raise DomainError(f"family {self.family.value} takes no Euler parameter")
@@ -188,19 +188,15 @@ def profile_sphere(a: int, b: int) -> InvariantProfile:
     require_ints(a=a, b=b)
     s1 = ratio_mod_one(*sphere_s1(a, b))
     s2, s3 = sphere_s23(a, b)
-    return sphere_profile_with(a, b, (s1, ratio_mod_one(*s2), ratio_mod_one(*s3)))
+    p1, lk, pi4 = sphere_p1_lk_pi4(a, b)
+    return InvariantProfile(CohomologyType.E, p1.modulus, s1, ratio_mod_one(*s2), ratio_mod_one(*s3), p1, lk, pi4)
 
 
-def sphere_profile_with(a: int, b: int, s_triple: STriple) -> InvariantProfile:
-    """The profile of the non-spin 3-sphere bundle (a, b), given its s-values mod 1.
-
-    `s_triple` must be the s-triple of sphere_s1 and sphere_s23, reduced
-    mod 1; it is not checked here.
-    """
+def sphere_p1_lk_pi4(a: int, b: int) -> tuple[ResidueClass, Optional[frozenset[ResidueClass]], Pi4]:
+    """p1, the linking classes and pi4 of the non-spin 3-sphere bundle (a, b)."""
     d = _sphere_order(a, b)
     r = abs(d)
-    p1 = ResidueClass((2 * a + 2 * b + 4) % r, r)
-    return InvariantProfile(CohomologyType.E, r, *s_triple, p1, _lk_set(1 if d > 0 else -1, r), _pi4_sphere(r))
+    return ResidueClass((2 * a + 2 * b + 4) % r, r), _lk_set(1 if d > 0 else -1, r), _pi4_sphere(r)
 
 
 def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
@@ -316,15 +312,14 @@ def _circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantProfile:
     """profile_circle with the auxiliary pair given; (m, n) must satisfy am - bn = 1 (not checked)."""
     s1 = ratio_mod_one(*circle_s1(t, a, b))
     s2, s3 = circle_s23(t, a, b, m, n)
-    return circle_profile_with(t, a, b, m, n, (s1, ratio_mod_one(*s2), ratio_mod_one(*s3)))
+    p1, lk, pi4 = circle_p1_lk_pi4(t, a, b, m, n)
+    return InvariantProfile(CohomologyType.E, p1.modulus, s1, ratio_mod_one(*s2), ratio_mod_one(*s3), p1, lk, pi4)
 
 
-def circle_profile_with(t: int, a: int, b: int, m: int, n: int, s_triple: STriple) -> InvariantProfile:
-    """The profile of the circle bundle (t, a, b), given (m, n) and its s-values mod 1.
-
-    (m, n) must satisfy am - bn = 1 and `s_triple` must be the s-triple
-    of circle_s1 and circle_s23, reduced mod 1; neither is checked here.
-    """
+def circle_p1_lk_pi4(
+    t: int, a: int, b: int, m: int, n: int
+) -> tuple[ResidueClass, Optional[frozenset[ResidueClass]], Pi4]:
+    """p1, the linking classes and pi4 of the circle bundle (t, a, b); am - bn = 1 (not checked)."""
     s = _circle_order(t, a, b)
     r = abs(s)
     sgn = 1 if s > 0 else -1
@@ -341,8 +336,7 @@ def circle_profile_with(t: int, a: int, b: int, m: int, n: int, s_triple: STripl
         pi4 = Pi4.ZERO
     else:
         pi4 = Pi4.UNKNOWN
-    p1 = ResidueClass((4 * (1 - t) * A * A) % r, r)
-    return InvariantProfile(CohomologyType.E, r, *s_triple, p1, _lk_set(sgn * lk_bracket, r), pi4)
+    return ResidueClass((4 * (1 - t) * A * A) % r, r), _lk_set(sgn * lk_bracket, r), pi4
 
 
 def profile_spin_circle(t: int, a: int, b: int) -> InvariantProfile:

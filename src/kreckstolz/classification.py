@@ -301,7 +301,7 @@ class EdiffeoProblem:
         if not isinstance(self.r, int) or isinstance(self.r, bool) or self.r < 1:
             raise DomainError(f"order must be a positive integer, got {excerpt(self.r)}")
         for i, weight, value in ((1, 224, self.s1), (2, 24, self.s2), (3, 6, self.s3)):
-            if not isinstance(value, (int, Fraction)):
+            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
                 raise DomainError(f"s{i} must be an int or a Fraction, got {excerpt(value)}")
             scaled = weight * self.r * value
             if scaled.denominator != 1:

@@ -68,7 +68,7 @@ class EschenburgSpace:
                 triple = tuple(value)
             except TypeError:  # not iterable
                 raise DomainError(f"{name} must be a triple of integers, got {excerpt(value)}") from None
-            if len(triple) != 3 or not all(isinstance(v, int) for v in triple):
+            if len(triple) != 3 or not all(type(v) is int for v in triple):
                 raise DomainError(f"{name} must be a triple of integers, got {excerpt(triple)}")
             object.__setattr__(self, name, triple)
         if sum(self.k) != sum(self.l):

@@ -30,6 +30,7 @@ from kreckstolz import (
     DomainError,
     EdiffeoProblem,
     EschenburgSpace,
+    Family,
     chen_bundle,
     circle_source,
     ediffeo_solve,
@@ -610,6 +611,9 @@ def test_wrong_type_is_a_domain_error_that_echoes_it(name, value):
         lambda: sphere_source(3, 0.5, 4),
         lambda: circle_source(3.0, 5),
         lambda: enumerate_positively_curved(3.5),
+        lambda: EschenburgSpace((True, True, -2), (0, 0, 0)),
+        lambda: EdiffeoProblem(3, True, 0, 0),
+        lambda: BundleSpec(Family.CIRCLE, 1, 2, t=True),
     ],
     ids=[
         "chen_params",
@@ -624,6 +628,9 @@ def test_wrong_type_is_a_domain_error_that_echoes_it(name, value):
         "sphere_source_start",
         "circle_source",
         "enumerate",
+        "eschenburg_bool",
+        "ediffeo_bool",
+        "circle_t_bool",
     ],
 )
 def test_integer_parameters_of_another_type_are_domain_errors(call):
