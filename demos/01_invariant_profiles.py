@@ -1,7 +1,7 @@
 """Invariant profiles across the five families.
 
 Every space handled by the library is summarized by the same record: its
-cohomology type (non-spin "E" or spin "Ebar"), the order r of H^4, the
+cohomology type (spin "E" or non-spin "Ebar"), the order r of H^4, the
 three classifying rationals s1, s2, s3 modulo 1, the first Pontryagin
 class modulo r, the linking class(es), and what is known about pi4.
 This script computes one profile per family and prints it.
@@ -33,7 +33,7 @@ def show(title, prof):
 # the homogeneous space with the same order-3 invariants.
 show("sphere bundle S_{2,-1}", profile_sphere(2, -1))
 
-# Its spin sibling: same base, total space spin (type Ebar).
+# Its spin sibling: same base, total space not spin (type Ebar).
 show("spin sphere bundle Sbar_{0,1}", profile_spin_sphere(0, 1))
 
 # A circle bundle over a 2-sphere bundle over CP^2.  t = 1 identifies

@@ -777,7 +777,7 @@ def _sphere_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str
         for candidate in Orientation:
             try:
                 solution = ediffeo_solve(problem, candidate)
-            except (DivisibilityFailure, ParityFailure, CongruenceFailure) as exc:
+            except (ParityFailure, CongruenceFailure) as exc:
                 outcomes[candidate] = f"{type(exc).__name__}: {exc}"
                 continue
             if {c.value for c in solution.residues} == target:

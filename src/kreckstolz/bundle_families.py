@@ -2,16 +2,16 @@
 
 Families and parameter conventions:
 
-* sphere: the 3-sphere bundle over the complex projective plane with
-  parameters (a, b); non-spin, |H^4| = |a - b|.
-* spin-sphere: its spin companion, also parametrized by (a, b) with
-  |H^4| = |a - b|.
+* sphere: the non-spin 3-sphere bundle over the complex projective
+  plane with parameters (a, b); |H^4| = |a - b|; spin total space (type E).
+* spin-sphere: its spin companion, also parametrized by (a, b), with
+  |H^4| = |a - b|; total space not spin (type Ebar).
 * circle: the circle bundle with Euler class t over the non-spin
   2-sphere bundle with coprime parameters (a, b); |H^4| =
-  |t(a+b)^2 - ab|.
+  |t(a+b)^2 - ab|; spin total space (type E).
 * spin-circle: the circle bundle with Euler class t over the spin
   2-sphere bundle with coprime parameters (a, b); |H^4| = |a^2 - t b^2|;
-  spin exactly when b is odd.
+  the total space is spin (type E) exactly when b is even.
 
 The circle families need an auxiliary pair (m, n) with am - bn = 1
 (respectively am + bn = 1, m odd whenever b is odd); every profile is
@@ -34,16 +34,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from math import gcd
+from typing import Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, excerpt, ratio_mod_one, read_int, require_ints, require_text
+from .exact_arith import ResidueClass, excerpt, inv_mod, ratio_mod_one, read_int, require_ints, require_text
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 __all__ = [
     "BundleSpec",
     "Family",
-    "MnPair",
     "choose_mn",
     "circle_s1",
     "circle_s23",
@@ -70,11 +70,6 @@ class Family(Enum):
 
 
 _CIRCLE_FAMILIES = (Family.CIRCLE, Family.SPIN_CIRCLE)
-
-
-class MnPair(NamedTuple):
-    m: int
-    n: int
 
 
 @dataclass(frozen=True)
@@ -120,39 +115,29 @@ def parse_bundle_spec(text: str) -> BundleSpec:
     return BundleSpec(family, values[0], values[1])
 
 
-def _bezout(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
-def choose_mn(family: Family, a: int, b: int) -> MnPair:
+def choose_mn(family: Family, a: int, b: int) -> tuple[int, int]:
     """A deterministic admissible (m, n) for a circle family and coprime integers (a, b).
 
-    circle: am - bn = 1. spin-circle: am + bn = 1 with m odd whenever b
-    is odd (one parity correction (m, n) -> (m + b, n - a) suffices; for
-    even b the relation already forces m odd).
+    circle: am - bn = 1, with m the inverse of a mod |b| in (-|b|/2, |b|/2],
+    as small as the extended-Euclid pair; (a, 0) for b = 0, where a = ±1.
+    spin-circle: n negated (am + bn = 1), then m made odd for odd b by
+    (m, n) -> (m + b, n - a); for even b, m is already odd.
     """
     if family not in _CIRCLE_FAMILIES:
         raise DomainError(f"(m, n) only exists for circle families, not {excerpt(getattr(family, 'value', family))}")
-    g, u, v = _bezout(a, b)
-    if g != 1:
+    if gcd(a, b) != 1:
         raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
+    if b == 0:
+        return a, 0
+    m = inv_mod(a, abs(b))
+    if 2 * m > abs(b):
+        m -= abs(b)
+    n = (a * m - 1) // b
     if family is Family.CIRCLE:
-        return MnPair(u, -v)
-    m, n = u, v
+        return m, n
     if b % 2 == 1 and m % 2 == 0:
-        m, n = m + b, n - a
-    return MnPair(m, n)
+        return m + b, -n - a
+    return m, -n
 
 
 def _pi4_sphere(r: int) -> Pi4:
@@ -340,7 +325,7 @@ def circle_p1_lk_pi4(
 
 
 def profile_spin_circle(t: int, a: int, b: int) -> InvariantProfile:
-    """Invariant profile of the circle bundle over the spin 2-sphere bundle; spin (type Ebar) exactly when b is odd."""
+    """Invariant profile of the circle bundle over the spin 2-sphere bundle; not spin (type Ebar) exactly when b is odd."""
     require_ints(t=t, a=a, b=b)
     return _spin_circle_profile(t, a, b, *choose_mn(Family.SPIN_CIRCLE, a, b))
 

@@ -134,38 +134,27 @@ def ks_homeomorphic(
 def kruggel_homotopy(p: InvariantProfile, q: InvariantProfile) -> HomotopyVerdict:
     """Orientation-preserving homotopy equivalence, where it is decided.
 
-    Decided cases: non-spin type, odd order, pi4 proven trivial on both
-    sides (linking classes and 2r·s2 decide); non-spin type, odd order,
-    pi4 proven Z/2 on both sides (linking classes and r·s2 decide); spin
-    type with order divisible by 24 (linking classes and p1 mod 24 decide).
-    Everything else — including any open pi4 and every non-spin pair of
-    even order — is undetermined.  Unequal orders or a proven pi4 conflict
-    are definite obstructions.
+    Decided cases: type E (spin), odd order, pi4 proven trivial on both
+    sides (linking classes and 2r·s2 decide); type E, odd order, pi4
+    proven Z/2 on both sides (linking classes and r·s2 decide); type Ebar
+    (not spin) with order divisible by 24 (linking classes and p1 mod 24
+    decide).  Everything else — including any open pi4 and every type-E
+    pair of even order — is undetermined.  Unequal orders or a proven pi4
+    conflict are definite obstructions.
     """
-    if p.r != q.r:
-        return HomotopyVerdict.NOT_EQUIVALENT
-    if not pi4_compatible(p.pi4, q.pi4):
+    if p.r != q.r or not pi4_compatible(p.pi4, q.pi4):
         return HomotopyVerdict.NOT_EQUIVALENT
     if p.cohomology_type is not q.cohomology_type:
         return HomotopyVerdict.UNDETERMINED
     r = p.r
-    if p.cohomology_type is CohomologyType.E:
-        if p.pi4 is Pi4.ZERO and q.pi4 is Pi4.ZERO and r % 2 == 1:
-            agree = lk_compatible(p.lk, q.lk) and (
-                mod_one(2 * r * p.s2) == mod_one(2 * r * q.s2)
-            )
-        elif p.pi4 is Pi4.Z2 and q.pi4 is Pi4.Z2 and r % 2 == 1:
-            agree = lk_compatible(p.lk, q.lk) and (
-                mod_one(r * p.s2) == mod_one(r * q.s2)
-            )
-        else:
-            return HomotopyVerdict.UNDETERMINED
+    if p.cohomology_type is CohomologyType.EBAR and r % 24 == 0:
+        p_datum, q_datum = p.p1.value % 24, q.p1.value % 24
+    elif p.cohomology_type is CohomologyType.E and p.pi4 is q.pi4 is not Pi4.UNKNOWN and r % 2 == 1:
+        scale = 2 * r if p.pi4 is Pi4.ZERO else r
+        p_datum, q_datum = mod_one(scale * p.s2), mod_one(scale * q.s2)
     else:
-        if r % 24 != 0:
-            return HomotopyVerdict.UNDETERMINED
-        agree = lk_compatible(p.lk, q.lk) and (
-            (p.p1.value - q.p1.value) % 24 == 0
-        )
+        return HomotopyVerdict.UNDETERMINED
+    agree = lk_compatible(p.lk, q.lk) and p_datum == q_datum
     return HomotopyVerdict.EQUIVALENT if agree else HomotopyVerdict.NOT_EQUIVALENT
 
 
@@ -178,7 +167,7 @@ def _require_substitution_applies(p: InvariantProfile, q: InvariantProfile) -> N
     for x in (p, q):
         if x.cohomology_type is CohomologyType.E and x.r % 2 == 0:
             raise DomainError(
-                "replacing s3 by the linking class requires spin type or odd order"
+                "replacing s3 by the linking class requires type Ebar or odd order"
             )
 
 
@@ -188,11 +177,11 @@ def lk_diffeomorphic(
     """Diffeomorphism test by (s1, s2, lk), substituting the linking class
     for s3.
 
-    Defined for spin-type profiles of any order and non-spin profiles of
-    odd order.  This is a consistency companion to ks_diffeomorphic, never
-    the primary decision path: the substituted data determines s3 within
-    each bundle construction but is strictly coarser across constructions
-    (see lk_homeomorphic).
+    Defined for type-Ebar (not spin) profiles of any order and type-E
+    (spin) profiles of odd order.  This is a consistency companion to
+    ks_diffeomorphic, never the primary decision path: the substituted
+    data determines s3 within each bundle construction but is strictly
+    coarser across constructions (see lk_homeomorphic).
     """
     _require_substitution_applies(p, q)
     return _decide(p, q, lambda pr: (pr.s1, pr.s2))
@@ -203,8 +192,8 @@ def lk_homeomorphic(
 ) -> Optional[Orientation]:
     """Homeomorphism test by (28·s1, s2, lk), or by (p1, s2, lk).
 
-    The p1 variant is available only for non-spin profiles of odd order.
-    Caveat: pairs of spaces from different constructions can share
+    The p1 variant is available only for type-E (spin) profiles of odd
+    order.  Caveat: pairs of spaces from different constructions can share
     (28·s1, s2, p1, lk) while their s3 differ by exactly 1/2, so a match
     here is weaker than ks_homeomorphic; within a single sphere-bundle
     family the two tests agree.
@@ -213,7 +202,7 @@ def lk_homeomorphic(
     if use_p1:
         for x in (p, q):
             if x.cohomology_type is not CohomologyType.E:
-                raise DomainError("the p1 substitution applies only to non-spin type")
+                raise DomainError("the p1 substitution applies only to type E")
         if p.r == q.r and p.p1 != q.p1:
             return None
         return _decide(p, q, lambda pr: (pr.s2,))

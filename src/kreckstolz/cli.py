@@ -46,12 +46,7 @@ from .classification import (
     ks_homeomorphic,
     kruggel_homotopy,
 )
-from .errors import (
-    CongruenceFailure,
-    DivisibilityFailure,
-    DomainError,
-    ParityFailure,
-)
+from .errors import CongruenceFailure, DomainError, ParityFailure
 from .eschenburg import enumerate_positively_curved, load_fixtures, order_invariants
 from .exact_arith import excerpt, read_fraction, read_int
 from .profiles import InvariantProfile
@@ -160,7 +155,7 @@ def _cmd_ediffeo(args) -> tuple[int, str]:
     for orientation in wanted:
         try:
             residues = [str(c) for c in ediffeo_solve(problem, orientation).residues]
-        except (DivisibilityFailure, ParityFailure, CongruenceFailure) as exc:
+        except (ParityFailure, CongruenceFailure) as exc:
             solutions[orientation.value] = {"residues": None, "reason": f"{type(exc).__name__}: {exc}"}
         else:
             solutions[orientation.value] = {"residues": residues}

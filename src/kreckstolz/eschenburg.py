@@ -94,7 +94,7 @@ class EschenburgInvariants:
     def profile(self, s1: ModOneValue, s2: ModOneValue, s3: ModOneValue) -> InvariantProfile:
         """The full invariant profile of the space, given its s-values mod 1.
 
-        Eschenburg spaces are non-spin with pi4 = 0; the linking class is
+        Eschenburg spaces are spin (type E) with pi4 = 0; the linking class is
         only known up to sign, so both candidates are listed.
         """
         return InvariantProfile(CohomologyType.E, self.r, s1, s2, s3, self.p1, self.lk_pair, Pi4.ZERO)

@@ -32,7 +32,7 @@ STriple = tuple[ModOneValue, ModOneValue, ModOneValue]
 
 
 class CohomologyType(Enum):
-    """Cohomology type of the manifold: E (non-spin) or Ebar (spin)."""
+    """Cohomology type of the manifold: E (spin) or Ebar (not spin)."""
 
     E = "E"
     EBAR = "Ebar"

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kreckstolz.bundle_families import (
@@ -276,6 +276,28 @@ class TestChooseMn:
             assert a * m + b * n == 1
             if b % 2 == 1:
                 assert m % 2 == 1
+
+    @given(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9))
+    @example(1, 0)
+    @example(-1, 0)
+    @example(7, 1)
+    @example(-8, 1)
+    @example(6, -1)
+    @example(-9, -1)
+    @example(0, 1)
+    @example(0, -1)
+    def test_relation_and_parity_at_scale(self, a, b):
+        if math.gcd(a, b) != 1:
+            for family in (Family.CIRCLE, Family.SPIN_CIRCLE):
+                with pytest.raises(NotCoprime):
+                    choose_mn(family, a, b)
+            return
+        m, n = choose_mn(Family.CIRCLE, a, b)
+        assert a * m - b * n == 1
+        m, n = choose_mn(Family.SPIN_CIRCLE, a, b)
+        assert a * m + b * n == 1
+        if b % 2 == 1:
+            assert m % 2 == 1
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):

@@ -8,6 +8,7 @@ invariant comparisons they must agree with.
 """
 
 import dataclasses
+import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -51,7 +52,7 @@ from kreckstolz.errors import (
 )
 from kreckstolz.eschenburg import fixture_profile, load_fixtures
 from kreckstolz.exact_arith import ResidueClass, mod_one, sqrt_mod
-from kreckstolz.profiles import CohomologyType, Pi4, pi4_compatible, reversed_profile
+from kreckstolz.profiles import CohomologyType, InvariantProfile, Pi4, lk_compatible, pi4_compatible, reversed_profile
 
 # ---------------------------------------------------------------------------
 # Frozen expected values.
@@ -236,6 +237,98 @@ def test_homotopy_case_b_matches_definition_on_grid():
         assert verdict is (
             HomotopyVerdict.EQUIVALENT if expected else HomotopyVerdict.NOT_EQUIVALENT
         )
+
+
+def three_branch_kruggel_homotopy(p, q):
+    """Oracle: kruggel_homotopy as it was written with one branch per decided case."""
+    if p.r != q.r:
+        return HomotopyVerdict.NOT_EQUIVALENT
+    if not pi4_compatible(p.pi4, q.pi4):
+        return HomotopyVerdict.NOT_EQUIVALENT
+    if p.cohomology_type is not q.cohomology_type:
+        return HomotopyVerdict.UNDETERMINED
+    r = p.r
+    if p.cohomology_type is CohomologyType.E:
+        if p.pi4 is Pi4.ZERO and q.pi4 is Pi4.ZERO and r % 2 == 1:
+            agree = lk_compatible(p.lk, q.lk) and (
+                mod_one(2 * r * p.s2) == mod_one(2 * r * q.s2)
+            )
+        elif p.pi4 is Pi4.Z2 and q.pi4 is Pi4.Z2 and r % 2 == 1:
+            agree = lk_compatible(p.lk, q.lk) and (
+                mod_one(r * p.s2) == mod_one(r * q.s2)
+            )
+        else:
+            return HomotopyVerdict.UNDETERMINED
+    else:
+        if r % 24 != 0:
+            return HomotopyVerdict.UNDETERMINED
+        agree = lk_compatible(p.lk, q.lk) and (
+            (p.p1.value - q.p1.value) % 24 == 0
+        )
+    return HomotopyVerdict.EQUIVALENT if agree else HomotopyVerdict.NOT_EQUIVALENT
+
+
+def _homotopy_fields(draw, r):
+    residue = st.integers(0, r - 1).map(lambda v: ResidueClass(v, r))
+    return {
+        "cohomology_type": draw(st.sampled_from(CohomologyType)),
+        "r": r,
+        "s1": Fraction(0),
+        "s2": Fraction(draw(st.integers(0, 48 * r - 1)), 48 * r),
+        "s3": Fraction(0),
+        "p1": draw(residue),
+        "lk": draw(st.none() | st.frozensets(residue, min_size=1, max_size=2)),
+        "pi4": draw(st.sampled_from(Pi4)),
+    }
+
+
+@st.composite
+def homotopy_pairs(draw):
+    """Profile pairs of either type and any pi4; r odd, even, divisible by 24 or not.
+
+    q copies each field of p or draws it afresh, so the decided cases meet
+    both agreeing and disagreeing data; now and then q has another order.
+    """
+    r = draw(st.integers(1, 60) | st.integers(1, 5).map(lambda k: 24 * k))
+    p = _homotopy_fields(draw, r)
+    r_q = draw(st.sampled_from([r, r, r, r + 1]))
+    fresh = _homotopy_fields(draw, r_q)
+    if r_q == r:
+        q = {name: p[name] if draw(st.booleans()) else value for name, value in fresh.items()}
+    else:
+        q = fresh
+    return InvariantProfile(**p), InvariantProfile(**q)
+
+
+@settings(max_examples=500)
+@given(homotopy_pairs())
+def test_homotopy_agrees_with_three_branch_oracle(pair):
+    p, q = pair
+    assert kruggel_homotopy(p, q) is three_branch_kruggel_homotopy(p, q)
+
+
+def test_homotopy_agrees_with_three_branch_oracle_on_family_profiles():
+    profiles = [profile_sphere(a, b) for a in range(-30, 31) for b in (0, 1, -1) if a != b]
+    profiles += [profile_spin_sphere(a, b) for a in range(-30, 31) for b in (0, 1, -1) if a != b]
+    profiles += [
+        build(t, a, b)
+        for build in (profile_circle, profile_spin_circle)
+        for t in range(-2, 3)
+        for a in range(-6, 7)
+        for b in range(-6, 7)
+        if math.gcd(a, b) == 1 and (t * (a + b) ** 2 - a * b if build is profile_circle else a * a - t * b * b)
+    ]
+    by_order = {}
+    for p in profiles:
+        by_order.setdefault(p.r, []).extend([p, reversed_profile(p)])
+    verdicts = set()
+    for group in by_order.values():
+        for p in group:
+            for q in group:
+                verdict = kruggel_homotopy(p, q)
+                assert verdict is three_branch_kruggel_homotopy(p, q)
+                verdicts.add(verdict)
+    assert verdicts == set(HomotopyVerdict)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +812,7 @@ def test_lk_substitution_rejects_inapplicable_type():
     # Spin type is applicable for every order, but not with the p1 substitution.
     even_spin = profile_spin_sphere(3, 1)
     assert lk_diffeomorphic(even_spin, even_spin) is Orientation.PRESERVING
-    with pytest.raises(DomainError, match="the p1 substitution applies only to non-spin type"):
+    with pytest.raises(DomainError, match="the p1 substitution applies only to type E"):
         lk_homeomorphic(even_spin, even_spin, use_p1=True)
 
 
