@@ -125,6 +125,7 @@ def choose_mn(family: Family, a: int, b: int) -> tuple[int, int]:
     """
     if family not in _CIRCLE_FAMILIES:
         raise DomainError(f"(m, n) only exists for circle families, not {excerpt(getattr(family, 'value', family))}")
+    require_ints(a=a, b=b)
     if gcd(a, b) != 1:
         raise NotCoprime(f"parameters ({a}, {b}) must be coprime")
     if b == 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from itertools import chain, permutations
+from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
@@ -110,6 +110,11 @@ class EschenburgFixture:
     s3: ModOneValue
 
 
+def _require_space(space: object) -> None:
+    if not isinstance(space, EschenburgSpace):
+        raise DomainError(f"space must be an EschenburgSpace, got {excerpt(space)}")
+
+
 def _sigma(t: Triple) -> tuple[int, int, int]:
     a, b, c = t
     return (a + b + c, a * b + a * c + b * c, a * b * c)
@@ -123,6 +128,7 @@ def is_free(space: EschenburgSpace) -> bool:
     constraint this is equivalent to every pair of differences taken at
     distinct indices being coprime.
     """
+    _require_space(space)
     return all(
         math.gcd(
             space.k[0] - space.l[p[0]],
@@ -141,6 +147,7 @@ def is_positively_curved(space: EschenburgSpace) -> bool:
     l-entry lies outside [min(k), max(k)]. For equal-sum triples this
     global form is equivalent to the per-index form of the condition.
     """
+    _require_space(space)
     lo_l, hi_l = min(space.l), max(space.l)
     lo_k, hi_k = min(space.k), max(space.k)
     return all(not lo_l <= v <= hi_l for v in space.k) or all(
@@ -154,6 +161,7 @@ def order_invariants(space: EschenburgSpace) -> tuple[int, int, ResidueClass]:
     These come from the parameters by arithmetic alone; unlike
     invariants(), nothing here tests freeness or curvature.
     """
+    _require_space(space)
     sig_k = _sigma(space.k)
     sig_l = _sigma(space.l)
     r_signed = sig_k[1] - sig_l[1]
@@ -194,6 +202,7 @@ def normalize(space: EschenburgSpace) -> EschenburgSpace:
     and takes the lexicographically smallest of the four sign/swap
     variants.
     """
+    _require_space(space)
     candidates = []
     for kk, ll in ((space.k, space.l), (space.l, space.k)):
         for sign in (1, -1):
@@ -210,124 +219,65 @@ def normalize(space: EschenburgSpace) -> EschenburgSpace:
     return EschenburgSpace(k_best, l_best)
 
 
-def _outside(total: int, w: int, lo: int, hi: int) -> tuple[range, ...]:
-    """The integers x in [lo, hi] with (2*x - total)^2 > w, as ranges."""
-    if w < 0:
-        return (range(lo, hi + 1),)
-    g = math.isqrt(w)  # an integer m has m^2 > w exactly when |m| > g
-    return (
-        range(lo, min(hi, (total - g - 1) // 2) + 1),
-        range(max(lo, (total + g) // 2 + 1), hi + 1),
-    )
-
-
-def _k1_ranges(l1: int, l2: int, r_max: int, bound: int) -> tuple[range, ...]:
-    """The k1 worth scanning against l = (l1, l2, 0), l1 >= l2 >= 0.
-
-    Write S = l1 + l2, rest = S - k1 = k2 + k3, u = k2 - k3 = 2*k2 - rest
-    and t = 3*k1 - S, so that 0 <= u <= t. Then 4*(sigma2(k) - sigma2(l))
-    = c - u^2 with c = rest^2 + 4*k1*rest - 4*l1*l2 = (4*D - t^2)/3,
-    D = l1^2 - l1*l2 + l2^2, and r < r_max reads c - 4*r_max < u^2 <
-    c + 4*r_max. Some u in [0, t] fits only if D - 3*r_max < t^2 <
-    4*D + 12*r_max: this is the window in k1.
-
-    Positive curvature splits at l1 (see _k2_ranges), and
-    rest^2 - c = 4*(k1 - l1)*(k1 - l2) narrows each side. Below l1 it
-    needs k3 > 0, i.e. u < rest, so c - 4*r_max < rest^2: that is
-    (l1 - k1)*(k1 - l2) < r_max, or (2*k1 - S)^2 > (l1 - l2)^2 - 4*r_max.
-    Above l1 it needs k3 < 0, i.e. u > rest, so for rest >= 0 also
-    rest^2 < c + 4*r_max: (2*k1 - S)^2 < (l1 - l2)^2 + 4*r_max.
-    k1 = l1 never qualifies, so no range holds it.
-    """
-    total = l1 + l2
-    d = l1 * l1 - l1 * l2 + l2 * l2
-    t_lo = math.isqrt(d - 3 * r_max) + 1 if d >= 3 * r_max else 0
-    lo = -(-(total + t_lo) // 3)
-    hi = min(bound, (total + math.isqrt(4 * d + 12 * r_max - 1)) // 3)
-    gap = (l1 - l2) ** 2
-    # rest >= 0 up to k1 = S; beyond it the window in t alone bounds k1.
-    top = (total + math.isqrt(gap + 4 * r_max - 1)) // 2
-    return _outside(total, gap - 4 * r_max, lo, min(hi, l1 - 1)) + (
-        range(max(lo, l1 + 1), min(hi, top) + 1),
-        range(max(lo, total + 1, top + 1), hi + 1),
-    )
-
-
-def _k2_ranges(l1: int, l2: int, k1: int, lo: int, hi: int) -> tuple[range, ...]:
-    """The k2 in [lo, hi] for which (k1, k2, k3) against (l1, l2, 0) can be
-    positively curved, with l1 >= l2 >= 0, k1 != l1 and k1 >= k2 >= k3 =
-    S - k1 - k2.
-
-    Here 0 = min(l) <= k1, because k1 >= S/3 >= 0.
-    k1 > l1: l1 lies in [k3, k1] unless k3 > l1, which would put the sum
-      of k above 3*l1 >= S; so every k-entry must avoid [0, l1]: k3 < 0
-      (k2 > rest) and k2 < 0 or k2 > l1.
-    k1 < l1: k1 lies in [0, l1], so every l-entry must avoid [k3, k1]:
-      0 forces k3 > 0 (k2 < rest), and l2 forces k3 > l2 when l2 <= k1.
-    (k1 = l1: l1 lies in [k3, k1] and k1 in [0, l1], so nothing qualifies.)
-    """
-    rest = l1 + l2 - k1
-    if k1 > l1:
-        return (
-            range(max(lo, rest + 1), min(hi, -1) + 1),
-            range(max(lo, rest + 1, l1 + 1), hi + 1),
-        )
-    return (range(lo, min(hi, rest - 1 - (l2 if l2 <= k1 else 0)) + 1),)
-
-
 def _representatives(r_max: int) -> Iterator[tuple[EschenburgSpace, int]]:
-    """Every free, positively curved (k, l) with 1 <= r < r_max in the scan box, with r.
+    """Every free, positively curved class with 1 <= r < r_max once, as its normalize() form, with r.
 
-    The box holds l = (l1, l2, 0) and k = (k1, k2, k3) with l1 >= l2 >= 0,
-    k1 >= k2 >= k3 and every entry at most 3*r_max in absolute value.
-    Only the l2, k1 and k2 that can pass the order and curvature filters
-    are visited; the filters themselves still decide every candidate.
+    The scan walks the branch k1 >= k2 > l1 >= l2 >= 0 = l3 (form A). With
+    l = (l1, l2, 0) and k = (l1 + x, l1 + y, l2 - l1 - x - y), x >= y >= 1,
+        r = l1*(l1 - l2) + (2*l1 - l2)*(x + y) + x*x + x*y + y*y.
+    Why one A form per class suffices:
+    1. Sort each triple descending and shift so min(l) = 0 (a box form);
+       then k1 >= (l1 + l2)/3 >= 0. A curved box form has k1 > l1 with
+       k3 < 0 and k2 < 0 (form B) or k2 > l1 (form A), or k1 < l1 with
+       k3 > 0 (form C); k1 = l1 never qualifies. For k1 > l1, l1 lies in
+       [k3, k1] unless k3 > l1, which would put the sum of k above
+       3*l1 >= l1 + l2; so every k-entry must avoid [0, l1]. For k1 < l1,
+       k1 lies in [0, l1], so every l-entry must avoid [k3, k1], and 0
+       forces k3 > 0.
+    2. A class has four box forms: itself, its negation, its k <-> l swap
+       and the swap of its negation. Negating and shifting by l1 maps B to
+       A and A to B. Swapping and shifting by k3 maps C to a form with
+       k1 > l1, and a form with k1 > l1 and k3 < 0 to one with k1 < l1.
+       So every class has an A form, and only one: the other three forms
+       of an A form lie in B and C.
+    3. The A form is normalize()'s choice: its smallest k-entry is
+       l2 - l1 - x - y, the negated form's is -x, and both swapped forms
+       have positive k-entries; l1 - l2 + y >= 1 makes the first smallest.
+    4. Every entry of an A form is at most l1 + x + y in absolute value,
+       and r >= l1*(x + y) + x + y >= l1 + x + y; so the form lies in the
+       box of side 3*r_max of the enumeration.
+    r grows with x and with y, so its least value for given (l1, l2) is
+    at x = y = 1: (l1 + 1)*(l1 + 3) - (l1 + 2)*l2, which falls as l2
+    grows, to 2*l1 + 3 at l2 = l1. These bound the four loops. The
+    curvature and freeness tests still decide every candidate.
     """
-    bound = 3 * r_max
-    for l1 in range(bound + 1):
-        # Every candidate has r > l2*(l1 - l2), by the branches of _k2_ranges:
-        # k2 > l1: with x = k1 - l1, y = k2 - l1 >= 1,
-        #   r = l1*(l1 - l2) + (2*l1 - l2)*(x + y) + x*x + x*y + y*y;
-        # k2 < 0: k1 > S and sigma2(k) <= -(k1 - S)*(3*k1 + S)/4 < 0, so r > l1*l2;
-        # k1 < l1: k lies strictly inside one of the gaps (0, l2), (l2, l1).
-        #   Shifting it to (0, w) and using that entries >= 1 with sum s
-        #   have squares summing to at most (s - 2)^2 + 2 gives
-        #   r = (|l|^2 - |k|^2)/2 >= l2*(l1 - l2) + 3.
-        # So l2*(l1 - l2) < r_max, i.e. (2*l2 - l1)^2 > l1^2 - 4*r_max.
-        for l2 in chain.from_iterable(_outside(l1, l1 * l1 - 4 * r_max, 0, l1)):
-            sig2_l = l1 * l2
-            for k1 in chain.from_iterable(_k1_ranges(l1, l2, r_max, bound)):
-                rest = l1 + l2 - k1
-                # r < r_max as an interval of u = 2*k2 - rest >= 0 (see _k1_ranges).
-                c = rest * rest + 4 * k1 * rest - 4 * sig2_l
-                low = c - 4 * r_max + 1
-                u_lo = math.isqrt(low - 1) + 1 if low > 0 else 0
-                u_hi = math.isqrt(c + 4 * r_max - 1)
-                k2_lo = max(-(-(rest + u_lo) // 2), rest - bound)  # k3 <= bound
-                k2_hi = min((rest + u_hi) // 2, k1, rest + bound)  # k3 >= -bound
-                for k2 in chain.from_iterable(_k2_ranges(l1, l2, k1, k2_lo, k2_hi)):
-                    k3 = rest - k2
-                    r = abs(k1 * k2 + k3 * (k1 + k2) - sig2_l)
-                    if r < 1 or r >= r_max:
-                        continue
-                    space = EschenburgSpace((k1, k2, k3), (l1, l2, 0))
+    for l1 in range((r_max - 2) // 2):  # 2*l1 + 3 < r_max
+        for l2 in range(max(0, ((l1 + 1) * (l1 + 3) - r_max) // (l1 + 2) + 1), l1 + 1):
+            base, slope = l1 * (l1 - l2), 2 * l1 - l2
+            y = 1
+            while base + 2 * slope * y + 3 * y * y < r_max:  # r at x = y
+                x = y
+                while (r := base + slope * (x + y) + x * x + x * y + y * y) < r_max:
+                    space = EschenburgSpace((l2 - l1 - x - y, l1 + y, l1 + x), (0, l2, l1))
                     if is_positively_curved(space) and is_free(space):
                         yield space, r
+                    x += 1
+                y += 1
 
 
 def enumerate_positively_curved(r_max: int) -> list[EschenburgSpace]:
-    """All normalized free, positively curved spaces with r < r_max.
+    """All normalized free, positively curved spaces with r < r_max, sorted by (r, k, l).
 
-    Representatives are scanned with min(l) = 0 and all entries bounded
-    by 3*r_max in absolute value (the documented convention of this
-    enumeration), deduplicated by normalize() and sorted by (r, k, l).
+    Each class is listed once, in normalize()'s form; that form has every
+    entry at most r in absolute value, so it lies in the box of side
+    3*r_max with min(l) = 0 (the documented convention of this
+    enumeration).
     """
     require_ints(r_max=r_max)
     if r_max < 1:
         raise DomainError(f"r_max must be positive, got {r_max}")
-    # r is invariant under the symmetries normalize() uses.
-    found = {normalize(space): r for space, r in _representatives(r_max)}
-    return sorted(found, key=lambda s: (found[s], s.k, s.l))
+    found = sorted(_representatives(r_max), key=lambda pair: (pair[1], pair[0].k, pair[0].l))
+    return [space for space, _ in found]
 
 
 def _parse_int_triple(text: str, label: str) -> Triple:

@@ -312,6 +312,14 @@ class TestChooseMn:
         with pytest.raises(DomainError, match=f"^\\(m, n\\) only exists for circle families, not {shown}$"):
             choose_mn(family, 2, 1)
 
+    @pytest.mark.parametrize("bad", ["3", 1.5, None, True])
+    @pytest.mark.parametrize("family", [Family.CIRCLE, Family.SPIN_CIRCLE])
+    def test_non_int_parameters_are_domain_errors(self, family, bad):
+        with pytest.raises(DomainError, match="^parameter a must be an integer$"):
+            choose_mn(family, bad, 2)
+        with pytest.raises(DomainError, match="^parameter b must be an integer$"):
+            choose_mn(family, 1, bad)
+
 
 class TestNoCallerPair:
     """The profile constructors take their pair from choose_mn only."""

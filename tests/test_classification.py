@@ -194,7 +194,7 @@ def test_homotopy_undetermined_cases():
         kruggel_homotopy(profile_sphere(2, -1), profile_sphere(2, -1))
         is HomotopyVerdict.UNDETERMINED
     )
-    # Spin type with order not divisible by 24.
+    # Type Ebar with order not divisible by 24.
     assert (
         kruggel_homotopy(profile_spin_sphere(3, 1), profile_spin_sphere(3, 1))
         is HomotopyVerdict.UNDETERMINED
@@ -718,7 +718,7 @@ def test_solver_agrees_with_sqrt_mod_reference(problem, orientation):
 
 def substitution_batch():
     """Profiles grouped by construction, restricted to where the
-    substitution applies (spin type, or non-spin type with odd order)."""
+    substitution applies (type Ebar, or type E with odd order)."""
     groups = {"sphere": [], "spin_sphere": [], "circle": [], "spin_circle": []}
     for a in range(-6, 9):
         for r in (1, 3, 5, 7):
@@ -805,11 +805,11 @@ def test_lk_substitution_blind_spot_example():
 
 
 def test_lk_substitution_rejects_inapplicable_type():
-    even_nonspin = profile_sphere(3, 1)  # order 2, non-spin
+    even_nonspin = profile_sphere(3, 1)  # order 2, type E
     assert even_nonspin.r % 2 == 0
     with pytest.raises(DomainError):
         lk_diffeomorphic(even_nonspin, even_nonspin)
-    # Spin type is applicable for every order, but not with the p1 substitution.
+    # Type Ebar is applicable for every order, but not with the p1 substitution.
     even_spin = profile_spin_sphere(3, 1)
     assert lk_diffeomorphic(even_spin, even_spin) is Orientation.PRESERVING
     with pytest.raises(DomainError, match="the p1 substitution applies only to type E"):

@@ -29,6 +29,7 @@ from kreckstolz.eschenburg import (
     is_positively_curved,
     load_fixtures,
     normalize,
+    order_invariants,
 )
 from kreckstolz.exact_arith import MAX_INPUT_DIGITS, ResidueClass
 from kreckstolz.profiles import CohomologyType, Pi4
@@ -57,7 +58,7 @@ def box_scan(r_max):
 
     It visits every (l1, l2, k1, k2) in the box of side 3*r_max and
     filters, so it is slow but plainly complete: the oracle for the
-    interval scan of the library.
+    scan of the library.
     """
     if r_max < 1:
         raise DomainError(f"r_max must be positive, got {r_max}")
@@ -99,6 +100,13 @@ class TestConstruction:
         with pytest.raises(UnequalSums) as exc:
             EschenburgSpace((1, 0, 0), (0, 0, 0))
         assert str(exc.value) == "sum 1 != 0 for (1, 0, 0), (0, 0, 0)"
+
+
+@pytest.mark.parametrize("call", [is_free, is_positively_curved, order_invariants, invariants, normalize])
+@pytest.mark.parametrize("value", [5, None, ((1, 1, -2), (0, 0, 0))])
+def test_entry_points_refuse_what_is_not_a_space(call, value):
+    with pytest.raises(DomainError, match="^space must be an EschenburgSpace, got "):
+        call(value)
 
 
 class TestFreeness:
@@ -325,9 +333,9 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("r_max", range(1, 13))
     def test_scan_visits_every_box_point(self, r_max):
-        # Each space has several representatives in the box, so a pruning
-        # error can hide behind another one in the list above; compare the
-        # representatives themselves.
+        # Every class of the box appears exactly once, in its normalized
+        # form, so a pruning error cannot hide behind another form of the
+        # same class; compare the scan's forms themselves.
         bound = 3 * r_max
         expected = set()
         for l1 in range(bound + 1):
@@ -340,8 +348,11 @@ class TestEnumerate:
                         space = EschenburgSpace((k1, k2, k3), (l1, l2, 0))
                         r = abs(sigma(space.k)[1] - sigma(space.l)[1])
                         if 1 <= r < r_max and is_positively_curved(space) and is_free(space):
-                            expected.add((space, r))
-        assert set(_representatives(r_max)) == expected
+                            expected.add((normalize(space), r))
+        found = list(_representatives(r_max))
+        assert len(found) == len(set(found))
+        assert all(normalize(space) == space for space, _ in found)
+        assert set(found) == expected
 
 
 class TestFixtures:
