@@ -21,13 +21,10 @@ constructors take no pair from their caller.
 
 All characteristic numbers are computed over a single cleared
 denominator; the term-by-term rational evaluation lives in the test
-suite as an independent oracle.  The s-values of the two families that
-the search sources list are also public as integer pairs (sphere_s1,
-sphere_s23, circle_s1, circle_s23), which their profile constructors
-call, so each formula has one copy.  The rest of those two profiles
-(p1, linking class, pi4) comes from sphere_p1_lk_pi4 and
-circle_p1_lk_pi4, functions of the parameters alone: the search builds
-its entries from them and takes the s-values from its integer keys.
+suite as an independent oracle.  Every constructor assembles its profile
+in _profile from cleared s-value pairs, p1, the linking classes and pi4;
+the search sources build entries from the same sphere_s1, sphere_s23,
+sphere_p1_lk_pi4 and their circle twins, so each formula has one copy.
 """
 
 from __future__ import annotations
@@ -92,8 +89,15 @@ class BundleSpec:
             raise DomainError(f"family {self.family.value} takes no Euler parameter")
 
 
+def _require_spec(spec: object) -> None:
+    if not isinstance(spec, BundleSpec):
+        raise DomainError(f"spec must be a BundleSpec, got {excerpt(spec)}")
+
+
 def describe_bundle(family: Family, a: int, b: int, t: Optional[int] = None) -> str:
     """Compact text form of a family member, 'family:a,b' or, with t, 'family:t,a,b' (parse_bundle_spec reads it)."""
+    if not isinstance(family, Family):
+        raise DomainError(f"unknown family {excerpt(family)}")
     if t is None:
         return f"{family.value}:{a},{b}"
     return f"{family.value}:{t},{a},{b}"
@@ -169,13 +173,19 @@ def sphere_s23(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (-(a + b + 1), 24 * d), (-(a + b - 2), 6 * d)
 
 
+def _profile(
+    cohomology_type: CohomologyType, s_pairs: tuple[tuple[int, int], ...],
+    p1: ResidueClass, lk: Optional[frozenset[ResidueClass]], pi4: Pi4,
+) -> InvariantProfile:
+    """The profile whose s1, s2, s3 are the cleared pairs (numerator, denominator) mod 1; r is p1's modulus."""
+    s1, s2, s3 = [ratio_mod_one(n, d) for n, d in s_pairs]
+    return InvariantProfile(cohomology_type, p1.modulus, s1, s2, s3, p1, lk, pi4)
+
+
 def profile_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
     require_ints(a=a, b=b)
-    s1 = ratio_mod_one(*sphere_s1(a, b))
-    s2, s3 = sphere_s23(a, b)
-    p1, lk, pi4 = sphere_p1_lk_pi4(a, b)
-    return InvariantProfile(CohomologyType.E, p1.modulus, s1, ratio_mod_one(*s2), ratio_mod_one(*s3), p1, lk, pi4)
+    return _profile(CohomologyType.E, (sphere_s1(a, b), *sphere_s23(a, b)), *sphere_p1_lk_pi4(a, b))
 
 
 def sphere_p1_lk_pi4(a: int, b: int) -> tuple[ResidueClass, Optional[frozenset[ResidueClass]], Pi4]:
@@ -190,18 +200,10 @@ def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     require_ints(a=a, b=b)
     d = _sphere_order(a, b)
     r = abs(d)
-    sgn = 1 if d > 0 else -1
-    s1_num = 3 * (2 * a + 2 * b + 3) ** 2 - 7 * (4 * a + 4 * b + 5) - 12 * r
-    return InvariantProfile(
-        cohomology_type=CohomologyType.EBAR,
-        r=r,
-        s1=ratio_mod_one(s1_num, 2688 * d),
-        s2=ratio_mod_one(-(a + b - 1), 12 * d),
-        s3=ratio_mod_one(-(a + b - 5), 4 * d),
-        p1=ResidueClass((2 * a + 2 * b + 3) % r, r),
-        lk=_lk_set(sgn, r),
-        pi4=Pi4.UNKNOWN,
-    )
+    s1 = 3 * (2 * a + 2 * b + 3) ** 2 - 7 * (4 * a + 4 * b + 5) - 12 * r, 2688 * d
+    s_pairs = s1, (-(a + b - 1), 12 * d), (-(a + b - 5), 4 * d)
+    p1 = ResidueClass((2 * a + 2 * b + 3) % r, r)
+    return _profile(CohomologyType.EBAR, s_pairs, p1, _lk_set(1 if d > 0 else -1, r), Pi4.UNKNOWN)
 
 
 def _circle_order(t: int, a: int, b: int) -> int:
@@ -296,10 +298,7 @@ def profile_circle(t: int, a: int, b: int) -> InvariantProfile:
 
 def _circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantProfile:
     """profile_circle with the auxiliary pair given; (m, n) must satisfy am - bn = 1 (not checked)."""
-    s1 = ratio_mod_one(*circle_s1(t, a, b))
-    s2, s3 = circle_s23(t, a, b, m, n)
-    p1, lk, pi4 = circle_p1_lk_pi4(t, a, b, m, n)
-    return InvariantProfile(CohomologyType.E, p1.modulus, s1, ratio_mod_one(*s2), ratio_mod_one(*s3), p1, lk, pi4)
+    return _profile(CohomologyType.E, (circle_s1(t, a, b), *circle_s23(t, a, b, m, n)), *circle_p1_lk_pi4(t, a, b, m, n))
 
 
 def circle_p1_lk_pi4(
@@ -347,21 +346,19 @@ def _spin_circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantPro
     square = b * (3 + 4 * t) ** 2
     if b % 2 == 0:
         ctype = CohomologyType.E
-        s1 = ratio_mod_one(-4 * s * sw + body * s - square, 896 * s)
-        s2 = ratio_mod_one(-g * s - (4 * n * m * alpha - (3 + 4 * t - 2 * q) * beta), 48 * s)
-        s3 = ratio_mod_one(-g * s - (16 * n * m * alpha - (3 + 4 * t - 8 * q) * beta), 12 * s)
+        s_pairs = (
+            (-4 * s * sw + body * s - square, 896 * s),
+            (-g * s - (4 * n * m * alpha - (3 + 4 * t - 2 * q) * beta), 48 * s),
+            (-g * s - (16 * n * m * alpha - (3 + 4 * t - 8 * q) * beta), 12 * s),
+        )
     else:
         ctype = CohomologyType.EBAR
-        s1 = ratio_mod_one(
-            -12 * s * sw
-            + 3 * body * s
-            - 3 * square
-            - 14 * g * s
-            + 7 * (-2 * n * m * alpha + (6 + 8 * t - q) * beta),
-            2688 * s,
+        s1_num = -12 * s * sw + 3 * body * s - 3 * square - 14 * g * s
+        s_pairs = (
+            (s1_num + 7 * (-2 * n * m * alpha + (6 + 8 * t - q) * beta), 2688 * s),
+            (-g * s - (10 * n * m * alpha - (3 + 4 * t - 5 * q) * beta), 24 * s),
+            (-g * s - (26 * n * m * alpha - (3 + 4 * t - 13 * q) * beta), 8 * s),
         )
-        s2 = ratio_mod_one(-g * s - (10 * n * m * alpha - (3 + 4 * t - 5 * q) * beta), 24 * s)
-        s3 = ratio_mod_one(-g * s - (26 * n * m * alpha - (3 + 4 * t - 13 * q) * beta), 8 * s)
     lk_bracket = (
         b * n**4
         + 6 * b * t * n * n * m * m
@@ -369,20 +366,13 @@ def _spin_circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantPro
         + 4 * a * n**3 * m
         + b * t * t * m**4
     )
-    return InvariantProfile(
-        cohomology_type=ctype,
-        r=r,
-        s1=s1,
-        s2=s2,
-        s3=s3,
-        p1=ResidueClass(((3 + 4 * t) * b * b) % r, r),
-        lk=_lk_set(-sgn * lk_bracket, r),
-        pi4=Pi4.Z2 if t == 0 else Pi4.UNKNOWN,
-    )
+    p1 = ResidueClass(((3 + 4 * t) * b * b) % r, r)
+    return _profile(ctype, s_pairs, p1, _lk_set(-sgn * lk_bracket, r), Pi4.Z2 if t == 0 else Pi4.UNKNOWN)
 
 
 def profile(spec: BundleSpec) -> InvariantProfile:
     """Invariant profile of any bundle spec."""
+    _require_spec(spec)
     if spec.family is Family.SPHERE:
         return profile_sphere(spec.a, spec.b)
     if spec.family is Family.SPIN_SPHERE:
@@ -399,6 +389,7 @@ def natural_partner(spec: BundleSpec) -> Optional[BundleSpec]:
     preserving. spin-circle with b = 1: same space as spin-sphere(t, a^2),
     orientation preserving. Anything else: None.
     """
+    _require_spec(spec)
     if spec.family is Family.CIRCLE and spec.a + spec.b == 1:
         return BundleSpec(Family.SPHERE, -spec.t, spec.a * (spec.a - 1))
     if spec.family is Family.SPIN_CIRCLE and spec.b == 1:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional, Union
 
-from .bundle_families import BundleSpec, Family, profile_sphere
+from .bundle_families import BundleSpec, Family, _require_spec, profile_sphere
 from .errors import (
     CongruenceFailure,
     DivisibilityFailure,
@@ -493,6 +493,7 @@ def torus_reduction(spec: BundleSpec) -> TorusReduction:
     is a perfect square, and to the 2-torus exactly when 4a + 1 and 4b + 1
     (non-spin) or 4a and 4b (spin) are both perfect squares.
     """
+    _require_spec(spec)
     if spec.family is Family.SPHERE:
         p_minus, p_plus = 4 * spec.a + 1, 4 * spec.b + 1
     elif spec.family is Family.SPIN_SPHERE:

@@ -30,6 +30,7 @@ from kreckstolz.bundle_families import (
     _circle_profile,
     _spin_circle_profile,
 )
+from kreckstolz.classification import torus_reduction
 from kreckstolz.errors import DegenerateOrder, DomainError, NotCoprime
 from kreckstolz.exact_arith import ResidueClass, mod_one
 from kreckstolz.profiles import (
@@ -604,6 +605,21 @@ class TestSpecPlumbing:
         with pytest.raises(DomainError) as caught:
             BundleSpec(family, 1, 0)
         assert str(caught.value) == f"unknown family {shown}"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: profile(5), "spec must be a BundleSpec, got 5"),
+            (lambda: natural_partner(5), "spec must be a BundleSpec, got 5"),
+            (lambda: torus_reduction(5), "spec must be a BundleSpec, got 5"),
+            (lambda: describe_bundle("sphere", 1, 2), "unknown family 'sphere'"),
+        ],
+        ids=["profile", "natural_partner", "torus_reduction", "describe_bundle"],
+    )
+    def test_wrong_object_type_is_a_domain_error(self, call, message):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == message
 
     def test_t_required_exactly_for_circle_families(self):
         with pytest.raises(DomainError):

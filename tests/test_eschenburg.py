@@ -328,10 +328,10 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("r_max", range(1, 17))
     def test_matches_box_scan(self, r_max):
-        # The interval scan prunes by proven bounds only: same spaces, same order.
+        # The one-branch scan yields the box's classes: same spaces, same order.
         assert enumerate_positively_curved(r_max) == box_scan(r_max)
 
-    @pytest.mark.parametrize("r_max", range(1, 13))
+    @pytest.mark.parametrize("r_max", range(1, 14))
     def test_scan_visits_every_box_point(self, r_max):
         # Every class of the box appears exactly once, in its normalized
         # form, so a pruning error cannot hide behind another form of the
