@@ -82,6 +82,7 @@ from .exact_arith import (
     ratio_mod_one,
     read_fraction,
     read_int,
+    require_instance,
     require_ints,
     require_text,
 )
@@ -92,8 +93,8 @@ from .profiles import (
     STriple,
     lk_compatible,
     negated_lk,
-    negated_s_triple,
     pi4_conflict,
+    reversed_profile,
 )
 
 __all__ = [
@@ -363,6 +364,8 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
        (fixture profiles are built with the source), which cannot raise,
        so skipping entries hides no error.
     """
+    require_instance(left, Source, "left")
+    require_instance(right, Source, "right")
     shared_s1 = left.buckets() & right.buckets()
     left_keyed, right_keyed = (
         [(p, *source.key(p, s1)) for p, s1 in source.select(shared_s1)] for source in (left, right)
@@ -444,6 +447,7 @@ class Source:
 
 def eschenburg_descriptor(space: EschenburgSpace) -> str:
     """Stable descriptor string for a parameter pair, e.g. 'eschenburg:1,1,-2|0,0,0'."""
+    require_instance(space, EschenburgSpace, "space")
     k = ",".join(str(x) for x in space.k)
     l = ",".join(str(x) for x in space.l)
     return f"eschenburg:{k}|{l}"
@@ -809,7 +813,7 @@ def _circle_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str
     if partner_profile.r != row.r:
         problems.append(f"|t(a+b)^2 - ab| = {partner_profile.r}, row says {row.r}")
     else:
-        signs = (partner_profile.s_triple, negated_s_triple(partner_profile))  # preserving, reversing
+        signs = (partner_profile.s_triple, reversed_profile(partner_profile).s_triple)  # preserving, reversing
         tabulated = tuple(mod_one(s) for s in row.s)
         orientation = next((o for o, s in zip(Orientation, signs) if s == tabulated), None)
         if orientation is None:
@@ -878,6 +882,8 @@ def reproduce_table(
         raise DomainError(f"unknown table {excerpt(which)}: expected 'A' or 'B'")
     if fixtures is None:
         fixtures = load_fixtures()
+    for i, fixture in enumerate(require_instance(fixtures, Sequence, "fixtures")):
+        require_instance(fixture, EschenburgFixture, f"fixtures[{i}]")
     rows = TABLE_A if which == "A" else TABLE_B
     return TableReport(table=which, rows=tuple(_verify_row(row, fixtures) for row in rows))
 

@@ -35,7 +35,9 @@ from math import gcd
 from typing import Optional
 
 from .errors import DegenerateOrder, DomainError, NotCoprime
-from .exact_arith import ResidueClass, excerpt, inv_mod, ratio_mod_one, read_int, require_ints, require_text
+from .exact_arith import (
+    ResidueClass, excerpt, inv_mod, ratio_mod_one, read_int, require_instance, require_ints, require_text
+)
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 __all__ = [
@@ -87,11 +89,6 @@ class BundleSpec:
                 raise DomainError(f"family {self.family.value} requires the Euler parameter t")
         elif self.t is not None:
             raise DomainError(f"family {self.family.value} takes no Euler parameter")
-
-
-def _require_spec(spec: object) -> None:
-    if not isinstance(spec, BundleSpec):
-        raise DomainError(f"spec must be a BundleSpec, got {excerpt(spec)}")
 
 
 def describe_bundle(family: Family, a: int, b: int, t: Optional[int] = None) -> str:
@@ -372,7 +369,7 @@ def _spin_circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantPro
 
 def profile(spec: BundleSpec) -> InvariantProfile:
     """Invariant profile of any bundle spec."""
-    _require_spec(spec)
+    require_instance(spec, BundleSpec, "spec")
     if spec.family is Family.SPHERE:
         return profile_sphere(spec.a, spec.b)
     if spec.family is Family.SPIN_SPHERE:
@@ -389,7 +386,7 @@ def natural_partner(spec: BundleSpec) -> Optional[BundleSpec]:
     preserving. spin-circle with b = 1: same space as spin-sphere(t, a^2),
     orientation preserving. Anything else: None.
     """
-    _require_spec(spec)
+    require_instance(spec, BundleSpec, "spec")
     if spec.family is Family.CIRCLE and spec.a + spec.b == 1:
         return BundleSpec(Family.SPHERE, -spec.t, spec.a * (spec.a - 1))
     if spec.family is Family.SPIN_CIRCLE and spec.b == 1:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional, Union
 
-from .bundle_families import BundleSpec, Family, _require_spec, profile_sphere
+from .bundle_families import BundleSpec, Family, profile_sphere
 from .errors import (
     CongruenceFailure,
     DivisibilityFailure,
@@ -24,12 +24,11 @@ from .errors import (
     ParityFailure,
     WrongFamily,
 )
-from .exact_arith import Rational, ResidueClass, excerpt, mod_one, require_ints
+from .exact_arith import ResidueClass, excerpt, mod_one, require_instance, require_ints
 from .profiles import (
     CohomologyType,
     InvariantProfile,
     Pi4,
-    STriple,
     lk_compatible,
     pi4_compatible,
     reversed_profile,
@@ -76,9 +75,9 @@ class HomotopyVerdict(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _homeo_triple(p: InvariantProfile) -> STriple:
-    """The homeomorphism invariants: (28·s1, s2, s3) modulo 1."""
-    return (mod_one(28 * p.s1), p.s2, p.s3)
+def _require_profiles(p: object, q: object) -> None:
+    require_instance(p, InvariantProfile, "p")
+    require_instance(q, InvariantProfile, "q")
 
 
 def _decide(
@@ -116,6 +115,7 @@ def ks_diffeomorphic(
     proven pi4 conflict rules an identification out; an open pi4 never
     blocks.
     """
+    _require_profiles(p, q)
     return _decide(p, q, lambda pr: pr.s_triple) if pi4_compatible(p.pi4, q.pi4) else None
 
 
@@ -123,7 +123,8 @@ def ks_homeomorphic(
     p: InvariantProfile, q: InvariantProfile
 ) -> Optional[Orientation]:
     """Orientation of a homeomorphism, using (28·s1, s2, s3) modulo 1."""
-    return _decide(p, q, _homeo_triple) if pi4_compatible(p.pi4, q.pi4) else None
+    _require_profiles(p, q)
+    return _decide(p, q, lambda pr: (mod_one(28 * pr.s1), pr.s2, pr.s3)) if pi4_compatible(p.pi4, q.pi4) else None
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,7 @@ def kruggel_homotopy(p: InvariantProfile, q: InvariantProfile) -> HomotopyVerdic
     pair of even order — is undetermined.  Unequal orders or a proven pi4
     conflict are definite obstructions.
     """
+    _require_profiles(p, q)
     if p.r != q.r or not pi4_compatible(p.pi4, q.pi4):
         return HomotopyVerdict.NOT_EQUIVALENT
     if p.cohomology_type is not q.cohomology_type:
@@ -164,6 +166,7 @@ def kruggel_homotopy(p: InvariantProfile, q: InvariantProfile) -> HomotopyVerdic
 
 
 def _require_substitution_applies(p: InvariantProfile, q: InvariantProfile) -> None:
+    _require_profiles(p, q)
     for x in (p, q):
         if x.cohomology_type is CohomologyType.E and x.r % 2 == 0:
             raise DomainError(
@@ -237,8 +240,7 @@ def sphere_congruence_classify(
     pairs (such as a=0, a'=7 at order 1, non-spin) that fail it.
     """
     require_ints(a=a, b=b, a2=a2, b2=b2)
-    if not isinstance(spin, bool):
-        raise DomainError(f"spin must be a bool, got {excerpt(spin)}")
+    require_instance(spin, bool, "spin")
     r = a - b
     if r != a2 - b2 or r < 1:
         raise MismatchedOrder(
@@ -279,9 +281,9 @@ class EdiffeoProblem:
     """
 
     r: int
-    s1: Rational
-    s2: Rational
-    s3: Rational
+    s1: Fraction
+    s2: Fraction
+    s3: Fraction
     e1: int = field(init=False)
     e2: int = field(init=False)
     e3: int = field(init=False)
@@ -343,8 +345,8 @@ def ediffeo_solve(
     ascending order, and testing the first congruence on each finds every
     admissible root.
     """
-    if not isinstance(orientation, Orientation):
-        raise DomainError(f"orientation must be an Orientation, got {excerpt(orientation)}")
+    require_instance(problem, EdiffeoProblem, "problem")
+    require_instance(orientation, Orientation, "orientation")
     if orientation is Orientation.REVERSING:
         base = EdiffeoProblem(problem.r, -problem.s1, -problem.s2, -problem.s3)
     else:
@@ -415,6 +417,7 @@ def chen_bundle(params: ChenParams) -> BundleSpec:
     bundle with 4a = (q1+q2)^2 and 4b = (q1-q2)^2.  In both cases the
     order is a - b = q1·q2 and the structure group reduces to a 2-torus.
     """
+    require_instance(params, ChenParams, "params")
     total, diff = params.q1 + params.q2, params.q1 - params.q2
     if total % 2:
         return BundleSpec(Family.SPHERE, (total**2 - 1) // 4, (diff**2 - 1) // 4)
@@ -493,7 +496,7 @@ def torus_reduction(spec: BundleSpec) -> TorusReduction:
     is a perfect square, and to the 2-torus exactly when 4a + 1 and 4b + 1
     (non-spin) or 4a and 4b (spin) are both perfect squares.
     """
-    _require_spec(spec)
+    require_instance(spec, BundleSpec, "spec")
     if spec.family is Family.SPHERE:
         p_minus, p_plus = 4 * spec.a + 1, 4 * spec.b + 1
     elif spec.family is Family.SPIN_SPHERE:

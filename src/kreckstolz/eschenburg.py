@@ -28,7 +28,9 @@ from .errors import (
     ParseError,
     UnequalSums,
 )
-from .exact_arith import ModOneValue, ResidueClass, excerpt, inv_mod, mod_one, read_fraction, read_int, require_ints
+from .exact_arith import (
+    ModOneValue, ResidueClass, excerpt, inv_mod, mod_one, read_fraction, read_int, require_instance, require_ints
+)
 from .profiles import CohomologyType, InvariantProfile, Pi4
 
 __all__ = [
@@ -110,11 +112,6 @@ class EschenburgFixture:
     s3: ModOneValue
 
 
-def _require_space(space: object) -> None:
-    if not isinstance(space, EschenburgSpace):
-        raise DomainError(f"space must be an EschenburgSpace, got {excerpt(space)}")
-
-
 def _sigma(t: Triple) -> tuple[int, int, int]:
     a, b, c = t
     return (a + b + c, a * b + a * c + b * c, a * b * c)
@@ -128,7 +125,7 @@ def is_free(space: EschenburgSpace) -> bool:
     constraint this is equivalent to every pair of differences taken at
     distinct indices being coprime.
     """
-    _require_space(space)
+    require_instance(space, EschenburgSpace, "space")
     return all(
         math.gcd(
             space.k[0] - space.l[p[0]],
@@ -147,7 +144,7 @@ def is_positively_curved(space: EschenburgSpace) -> bool:
     l-entry lies outside [min(k), max(k)]. For equal-sum triples this
     global form is equivalent to the per-index form of the condition.
     """
-    _require_space(space)
+    require_instance(space, EschenburgSpace, "space")
     lo_l, hi_l = min(space.l), max(space.l)
     lo_k, hi_k = min(space.k), max(space.k)
     return all(not lo_l <= v <= hi_l for v in space.k) or all(
@@ -161,7 +158,7 @@ def order_invariants(space: EschenburgSpace) -> tuple[int, int, ResidueClass]:
     These come from the parameters by arithmetic alone; unlike
     invariants(), nothing here tests freeness or curvature.
     """
-    _require_space(space)
+    require_instance(space, EschenburgSpace, "space")
     sig_k = _sigma(space.k)
     sig_l = _sigma(space.l)
     r_signed = sig_k[1] - sig_l[1]
@@ -202,7 +199,7 @@ def normalize(space: EschenburgSpace) -> EschenburgSpace:
     and takes the lexicographically smallest of the four sign/swap
     variants.
     """
-    _require_space(space)
+    require_instance(space, EschenburgSpace, "space")
     candidates = []
     for kk, ll in ((space.k, space.l), (space.l, space.k)):
         for sign in (1, -1):
@@ -381,4 +378,5 @@ def find_fixture(
 
 def fixture_profile(fixture: EschenburgFixture) -> InvariantProfile:
     """The full invariant profile of a fixture space (see EschenburgInvariants.profile)."""
+    require_instance(fixture, EschenburgFixture, "fixture")
     return invariants(fixture.space).profile(fixture.s1, fixture.s2, fixture.s3)

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, TypeVar, Union
 
 from .errors import DomainError, ModuliNotCoprime, NotCoprime
 
@@ -28,10 +28,10 @@ __all__ = [
     "sqrt_mod",
 ]
 
-# Exact rational number; alias documents intent in signatures.
-Rational = Fraction
-# A Rational canonically reduced to the interval [0, 1), i.e. an element of Q/Z.
+# A Fraction canonically reduced to the interval [0, 1), i.e. an element of Q/Z.
 ModOneValue = Fraction
+
+_T = TypeVar("_T")
 
 _TRIAL_DIVISION_BOUND = 10**6
 # Miller-Rabin witnesses: the primes up to 41 decide primality of every
@@ -82,6 +82,14 @@ def require_text(value: object, what: str) -> str:
     """`value` itself if it is a str, else a DomainError saying that `what` must be text."""
     if not isinstance(value, str):
         raise DomainError(f"{what} must be text, got {excerpt(value)}")
+    return value
+
+
+def require_instance(value: object, kind: type[_T], name: str) -> _T:
+    """`value` itself if it is a `kind`, else a DomainError naming `name` and the kind; ints use require_ints."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0].lower() in "aeiou" else "a"
+        raise DomainError(f"{name} must be {article} {kind.__name__}, got {excerpt(value)}")
     return value
 
 
@@ -139,7 +147,7 @@ def ratio_mod_one(n: int, d: int) -> ModOneValue:
     return Fraction(n % d, d)
 
 
-def mod_one(q: Union[Rational, int]) -> ModOneValue:
+def mod_one(q: Union[Fraction, int]) -> ModOneValue:
     """Reduce a rational number modulo 1 into [0, 1)."""
     return ratio_mod_one(q.numerator, q.denominator)
 

@@ -13,17 +13,15 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError
-from .exact_arith import ModOneValue, ResidueClass, ratio_mod_one
+from .exact_arith import ModOneValue, ResidueClass, ratio_mod_one, require_instance
 
 __all__ = [
     "CohomologyType",
     "InvariantProfile",
     "Pi4",
     "lk_compatible",
-    "negated_s_triple",
     "pi4_compatible",
     "reversed_profile",
-    "same_invariants",
 ]
 
 
@@ -87,10 +85,11 @@ def reversed_profile(profile: InvariantProfile) -> InvariantProfile:
     The s-values and the linking classes change sign; the cohomology
     type, r, p1 mod r and pi4 are orientation independent.
     """
+    require_instance(profile, InvariantProfile, "profile")
     return InvariantProfile(
         profile.cohomology_type,
         profile.r,
-        *negated_s_triple(profile),
+        *map(_negated, profile.s_triple),
         profile.p1,
         negated_lk(profile.lk, profile.r),
         profile.pi4,
@@ -128,28 +127,6 @@ def lk_compatible(a: Optional[frozenset[ResidueClass]], b: Optional[frozenset[Re
     if a is None or b is None:
         return a is None and b is None
     return bool(a & b)
-
-
-def same_invariants(p: InvariantProfile, q: InvariantProfile) -> bool:
-    """Equality of all classifying data, with pi4 compared by compatibility.
-
-    Used by the identification laws whose two sides may carry different
-    partial knowledge of pi4 (a proven value on one side, open on the
-    other) while every honest invariant must agree exactly.
-    """
-    return (
-        p.cohomology_type == q.cohomology_type
-        and p.r == q.r
-        and p.s_triple == q.s_triple
-        and p.p1 == q.p1
-        and lk_compatible(p.lk, q.lk)
-        and pi4_compatible(p.pi4, q.pi4)
-    )
-
-
-def negated_s_triple(p: InvariantProfile) -> STriple:
-    """The s-triple of the orientation reversal, reduced modulo 1."""
-    return (_negated(p.s1), _negated(p.s2), _negated(p.s3))
 
 
 def _negated(s: ModOneValue) -> ModOneValue:

@@ -70,7 +70,6 @@ from kreckstolz.profiles import (
     InvariantProfile,
     Pi4,
     lk_compatible,
-    negated_s_triple,
     pi4_compatible,
     reversed_profile,
 )
@@ -146,7 +145,6 @@ def profile_with(s_triple, r=5):
 def test_negation_agrees_with_fraction_mod_one(s_triple):
     p = profile_with(s_triple)
     negated = tuple((-s) % 1 for s in s_triple)
-    assert negated_s_triple(p) == negated
     q = reversed_profile(p)
     assert q.s_triple == negated
     assert q.lk == frozenset({ResidueClass(3, 5)})
@@ -440,7 +438,7 @@ def test_match_all_agrees_with_reference_loop(match_sources):
 
 def test_match_all_self_negating_triple_is_preserving():
     p = profile_sphere(0, -1)
-    assert negated_s_triple(p) == p.s_triple
+    assert reversed_profile(p).s_triple == p.s_triple
     left, right = [("a", p)], [("b", reversed_profile(p))]
     records = match_all(build_index(left), build_index(right))
     assert [(rec.left, rec.right, rec.orientation) for rec in records] == [("a", "b", PRESERVING)]
@@ -574,7 +572,7 @@ def test_entries_built_from_the_key_equal_the_eager_entries(r, bound):
             key, flipped = source.key(params, source.s1[i % len(source.s1)])
             assert source.build(params) == (descriptor, profile.p1, profile.lk, profile.pi4)
             assert key_s_triple(key, flipped) == profile.s_triple
-            assert key_s_triple(key, not flipped) == negated_s_triple(profile)
+            assert key_s_triple(key, not flipped) == reversed_profile(profile).s_triple
 
 
 def test_fixture_triple_keys_agree_with_profile_key(fixtures):

@@ -30,15 +30,32 @@ from kreckstolz.bundle_families import (
     _circle_profile,
     _spin_circle_profile,
 )
-from kreckstolz.classification import torus_reduction
+from kreckstolz.atlas_search import eschenburg_descriptor, find_matches, reproduce_table, sphere_source
+from kreckstolz.classification import (
+    EdiffeoProblem,
+    Orientation,
+    chen_bundle,
+    ediffeo_solve,
+    kruggel_homotopy,
+    ks_diffeomorphic,
+    ks_homeomorphic,
+    lk_diffeomorphic,
+    lk_homeomorphic,
+    sphere_congruence_classify,
+    torus_reduction,
+)
 from kreckstolz.errors import DegenerateOrder, DomainError, NotCoprime
+from kreckstolz.eschenburg import fixture_profile
 from kreckstolz.exact_arith import ResidueClass, mod_one
 from kreckstolz.profiles import (
     CohomologyType,
     Pi4,
     reversed_profile,
-    same_invariants,
 )
+
+
+def same_invariants(p, q):
+    return ks_diffeomorphic(p, q) is Orientation.PRESERVING and p.p1 == q.p1
 
 # ---------------------------------------------------------------------------
 # Oracle: naive term-by-term evaluation of the published closed forms.
@@ -613,8 +630,34 @@ class TestSpecPlumbing:
             (lambda: natural_partner(5), "spec must be a BundleSpec, got 5"),
             (lambda: torus_reduction(5), "spec must be a BundleSpec, got 5"),
             (lambda: describe_bundle("sphere", 1, 2), "unknown family 'sphere'"),
+            (lambda: ks_diffeomorphic(5, 5), "p must be an InvariantProfile, got 5"),
+            (lambda: ks_diffeomorphic(profile_sphere(2, 1), 5), "q must be an InvariantProfile, got 5"),
+            (lambda: ks_homeomorphic(5, 5), "p must be an InvariantProfile, got 5"),
+            (lambda: lk_diffeomorphic(5, 5), "p must be an InvariantProfile, got 5"),
+            (lambda: lk_homeomorphic(5, 5), "p must be an InvariantProfile, got 5"),
+            (lambda: kruggel_homotopy(5, 5), "p must be an InvariantProfile, got 5"),
+            (lambda: reversed_profile(5), "profile must be an InvariantProfile, got 5"),
+            (lambda: find_matches(5, 5), "left must be a Source, got 5"),
+            (lambda: find_matches(sphere_source(1, 0, 2), 5), "right must be a Source, got 5"),
+            (lambda: reproduce_table("A", 5), "fixtures must be a Sequence, got 5"),
+            (lambda: reproduce_table("B", [5]), "fixtures[0] must be an EschenburgFixture, got 5"),
+            (lambda: chen_bundle(5), "params must be a ChenParams, got 5"),
+            (lambda: fixture_profile(5), "fixture must be an EschenburgFixture, got 5"),
+            (lambda: eschenburg_descriptor(5), "space must be an EschenburgSpace, got 5"),
+            (lambda: ediffeo_solve(5), "problem must be an EdiffeoProblem, got 5"),
+            (
+                lambda: ediffeo_solve(EdiffeoProblem(1, 0, 0, 0), "reversing"),
+                "orientation must be an Orientation, got 'reversing'",
+            ),
+            (lambda: sphere_congruence_classify(2, 1, 14, 13, spin="no"), "spin must be a bool, got 'no'"),
         ],
-        ids=["profile", "natural_partner", "torus_reduction", "describe_bundle"],
+        ids=[
+            "profile", "natural_partner", "torus_reduction", "describe_bundle", "ks_diffeomorphic",
+            "ks_diffeomorphic_q", "ks_homeomorphic", "lk_diffeomorphic", "lk_homeomorphic", "kruggel_homotopy",
+            "reversed_profile", "find_matches", "find_matches_right", "reproduce_table", "reproduce_table_row",
+            "chen_bundle", "fixture_profile", "eschenburg_descriptor", "ediffeo_solve", "ediffeo_orientation",
+            "sphere_congruence_spin",
+        ],
     )
     def test_wrong_object_type_is_a_domain_error(self, call, message):
         with pytest.raises(DomainError) as caught:

@@ -29,6 +29,7 @@ from kreckstolz.exact_arith import (
     ratio_mod_one,
     read_fraction,
     read_int,
+    require_instance,
     sqrt_mod,
 )
 
@@ -394,3 +395,25 @@ class TestExcerpt:
     )
     def test_shows_at_most_40_characters_of_any_value(self, value, shown):
         assert excerpt(value) == shown
+
+
+class TestRequireInstance:
+    def test_returns_a_value_of_the_kind(self):
+        value = ResidueClass(1, 3)
+        assert require_instance(value, ResidueClass, "c") is value
+        assert require_instance(True, int, "n") is True
+
+    @pytest.mark.parametrize(
+        "value, kind, message",
+        [
+            (5, ResidueClass, "c must be a ResidueClass, got 5"),
+            ("no", bool, "c must be a bool, got 'no'"),
+            (None, int, "c must be an int, got None"),
+            ("x" * 41, Factorization, f"c must be a Factorization, got {'x' * 40!r}..."),
+        ],
+        ids=["class", "bool", "article_an", "long_str"],
+    )
+    def test_names_the_parameter_and_the_kind(self, value, kind, message):
+        with pytest.raises(DomainError) as caught:
+            require_instance(value, kind, "c")
+        assert str(caught.value) == message

@@ -11,6 +11,8 @@ reason only `exact_arith.py` may call `Fraction(`: rational text is read by
 `exact_arith.read_fraction`, and every other rational is built there from
 integers.  Nor may any other module use the `!r` conversion in an f-string: input text is echoed
 through `exact_arith.excerpt`, which shows at most 40 characters of it.
+No module imports a `_`-prefixed name from another: what a module shares
+is public.
 The checks read tokens, or for `!r` the syntax tree, so comments and
 docstrings may still mention such things.
 """
@@ -104,6 +106,19 @@ def repr_conversions(path: Path) -> list[str]:
     nodes = ast.walk(ast.parse(path.read_bytes(), str(path)))
     lines = [n.lineno for n in nodes if isinstance(n, ast.FormattedValue) and n.conversion == ord("r")]
     return [f"{line}: !r" for line in sorted(lines)]
+
+
+def private_imports(path: Path) -> list[str]:
+    """'line: name' for each `_`-prefixed name a file imports from a module of the package."""
+    nodes = ast.walk(ast.parse(path.read_bytes(), str(path)))
+    found = [
+        (node.lineno, alias.name)
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("kreckstolz"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    return [f"{line}: {name}" for line, name in sorted(found)]
 
 
 def test_the_guard_reads_every_module():
@@ -217,3 +232,25 @@ def test_the_repr_guard_catches_f_string_fields_only(tmp_path):
         "    return a + b + f'{x}' f'{x!r:>10}' + f'{f\"{x!r}\"}'\n"
     )
     assert repr_conversions(path) == ["3: !r", "5: !r", "5: !r"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_from_another(path):
+    assert private_imports(path) == []
+
+
+def test_the_private_import_guard_catches_package_imports_only(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        '"""from .errors import _x in a docstring"""\n'
+        "from __future__ import annotations\n"
+        "from .bundle_families import BundleSpec, _require_spec\n"
+        "from functools import _lru_cache_wrapper\n"
+        "from .profiles import (\n"
+        "    Pi4,\n"
+        "    _negated as negated,\n"
+        ")\n"
+        "from kreckstolz.eschenburg import _sigma\n"
+        "from . import _private\n"
+    )
+    assert private_imports(path) == ["3: _require_spec", "5: _negated", "9: _sigma", "10: _private"]
