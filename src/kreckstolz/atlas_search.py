@@ -5,22 +5,22 @@ stages that work on integers before any profile is built.  A source
 lists its entries by parameters, each with its s1 value: the cohomology
 type, the order r and s1 modulo 1 as a reduced pair, from the family's
 cleared s1 formula (for the catalog, from its tabulated s1).  A sphere
-range stores these for one period of a only, since s1 of S_{a,a-r}
-depends only on a mod 56r.  `find_matches` first keeps the entries whose
-s1 bucket (s1 up to sign) occurs on both sides, walking each kept
-position of a period through the whole range; then gives each of those
-its triple key (the cleared s2 and s3 join s1, in canonical orientation)
-and keeps the entries whose triple key occurs on both sides.  Only those
-are built, into index entries that hold p1, the linking classes and pi4
-but no s-values: match_all reads a record's s-values back from the
-triple key and flip bit (key_s_triple), once per bucket and bit, rather
-than computing them again.  The s1 bucket, the triple key's first
-four fields, keys the first stage only; the triple key is the bucket key
-of every index: `profile_key` gives it for a built profile, and
-`build_index` indexes by it too.  It is the orientation-insensitive part
-of the profile, so `match_all`, comparing two indexes bucket by bucket,
-finds matches of both orientations with each lookup.  The filters change
-no output: see `find_matches`.
+range computes these on first use, for one period of a only, since s1
+of S_{a,a-r} depends only on a mod 56r.  `find_matches` first keeps the
+entries whose s1 bucket (s1 up to sign) occurs on both sides, walking
+each kept position of a period through the whole range; then gives each
+of those its triple key (the cleared s2 and s3 join s1, in canonical
+orientation) and keeps the entries whose triple key occurs on both
+sides.  Against the catalog a sphere range takes neither stage:
+`ediffeo_solve` gives the classes of a mod 168r that carry each catalog
+triple.  Only the kept entries are built, into index entries that hold
+p1, the linking classes and pi4 but no s-values: match_all reads a
+record's s-values back from the triple key and flip bit (key_s_triple),
+once per bucket and bit.  The triple key, `profile_key` of a built
+profile, is the bucket key of every index (`build_index` too); it is the
+orientation-insensitive part of the profile, so `match_all`, comparing
+two indexes bucket by bucket, finds matches of both orientations with
+each lookup.  The filters change no output: see `find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -187,6 +187,7 @@ def profile_key(profile: InvariantProfile) -> tuple[TripleKey, bool]:
     s-triple equals its own negation: then the bit is clear in both
     orientations.
     """
+    require_instance(profile, InvariantProfile, "profile")
     pairs = tuple((s.numerator, s.denominator) for s in profile.s_triple)
     return _oriented_key(profile.cohomology_type, profile.r, pairs)
 
@@ -230,7 +231,7 @@ def _grouped(keyed: Iterable[tuple[TripleKey, IndexEntry]]) -> AtlasIndex:
 def build_index(profiles: Iterable[tuple[str, InvariantProfile]]) -> AtlasIndex:
     """Index (descriptor, profile) pairs by their bucket key (see profile_key)."""
     keyed = []
-    for descriptor, profile in profiles:
+    for descriptor, profile in require_instance(profiles, Iterable, "profiles"):
         key, flipped = profile_key(profile)
         keyed.append((key, IndexEntry(descriptor, profile.p1, profile.lk, profile.pi4, flipped)))
     return _grouped(keyed)
@@ -280,6 +281,9 @@ def match_all(
     drops that gate, for surveys over families whose pi4 is the only
     obstruction.
     """
+    require_instance(left, AtlasIndex, "left")
+    require_instance(right, AtlasIndex, "right")
+    require_instance(require_pi4_compat, bool, "require_pi4_compat")
     records: list[MatchRecord] = []
     for key, left_entries in left.buckets.items():
         right_entries = right.buckets.get(key)
@@ -363,19 +367,51 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
     5. The sources build keys and entries only for valid parameters
        (fixture profiles are built with the source), which cannot raise,
        so skipping entries hides no error.
+    6. Against the catalog (fixture_source) a sphere range skips both
+       stages: for each catalog key of type E and order r, ediffeo_solve
+       of key_s_triple(key, False) returns every class of a mod 168r whose
+       bundle carries that triple (preserving: bit clear) or its negation
+       (reversing: bit set), round-tripped, and none if it raises.  As the
+       s-triple of S_{a,a-r} depends on a mod 168r only, the classes walked
+       through the range give, in order of a, the entries and bits that
+       points 2 and 4 keep (a self-negating triple, solved to the same
+       classes both ways, keeps the bit clear).
     """
     require_instance(left, Source, "left")
     require_instance(right, Source, "right")
-    shared_s1 = left.buckets() & right.buckets()
-    left_keyed, right_keyed = (
-        [(p, *source.key(p, s1)) for p, s1 in source.select(shared_s1)] for source in (left, right)
-    )
+    keyed = _solved_keyed(left, right)
+    if keyed is None:
+        shared_s1 = left.buckets() & right.buckets()
+        keyed = [[(p, *source.key(p, s1)) for p, s1 in source.select(shared_s1)] for source in (left, right)]
+    left_keyed, right_keyed = keyed
     shared = {key for _, key, _ in left_keyed}.intersection(key for _, key, _ in right_keyed)
 
     def index(source: Source, keyed: list[tuple[Any, TripleKey, bool]]) -> AtlasIndex:
         return _grouped((key, IndexEntry(*source.build(p), flipped)) for p, key, flipped in keyed if key in shared)
 
     return match_all(index(left, left_keyed), index(right, right_keyed), require_pi4_compat)
+
+
+def _solved_keyed(left: Source, right: Source) -> Optional[list[list[tuple[Any, TripleKey, bool]]]]:
+    """(params, key, bit) of the catalog's entries and of a sphere range's solved entries (find_matches,
+    point 6); None unless one side is a fixture_source (key _fixture_key), the other a sphere_source."""
+    catalog, sphere = (left, right) if left.key is _fixture_key else (right, left)
+    if catalog.key is not _fixture_key or not isinstance(sphere.s1, _SpherePeriod):
+        return None
+    r, start, classes = sphere.s1.r, sphere.s1.a_values.start, {}
+    keyed = [(p, *catalog.key(p, s1)) for p, s1 in zip(catalog.params, catalog.s1)]
+    for key in dict.fromkeys(key for _, key, _ in keyed if key[:2] == (CohomologyType.E, r)):
+        for flipped, orientation in zip((False, True), Orientation):
+            try:
+                solution = ediffeo_solve(EdiffeoProblem(r, *key_s_triple(key, False)), orientation)
+            except (DivisibilityFailure, ParityFailure, CongruenceFailure):
+                continue
+            for c in solution.residues:  # a self-negating triple keeps the bit clear
+                classes.setdefault((c.value - start) % (168 * r), (key, flipped))
+    offsets, count, period = sorted(classes), len(sphere.params), 168 * r
+    walk = range(0, count, period) if offsets else ()  # no class: no walk through a long range
+    solved = [(sphere.params[i + o], *classes[o]) for i in walk for o in offsets if i + o < count]
+    return [keyed, solved] if catalog is left else [solved, keyed]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +446,7 @@ class Source:
     """
 
     params: Sequence[Any]
-    s1: tuple[S1Value, ...]
+    s1: Sequence[S1Value]
     key: Callable[[Any, S1Value], tuple[TripleKey, bool]]
     build: Callable[[Any], EntryFields]
 
@@ -445,6 +481,26 @@ class Source:
                 yield self.params[base + i], self.s1[i]
 
 
+class _SpherePeriod(Sequence):
+    """A sphere_source's s1 period, computed on first use; _solved_keyed reads its r and first a too."""
+
+    def __init__(self, r: int, a_values: range) -> None:
+        self.r, self.a_values = r, a_values
+
+    def __len__(self) -> int:
+        return len(self.a_values)
+
+    def __getitem__(self, i):
+        return self._values[i]
+
+    def __iter__(self) -> Iterator[S1Value]:
+        return iter(self._values)
+
+    @cached_property
+    def _values(self) -> tuple[S1Value, ...]:
+        return tuple(_s1_value(CohomologyType.E, self.r, *sphere_s1(a, a - self.r)) for a in self.a_values)
+
+
 def eschenburg_descriptor(space: EschenburgSpace) -> str:
     """Stable descriptor string for a parameter pair, e.g. 'eschenburg:1,1,-2|0,0,0'."""
     require_instance(space, EschenburgSpace, "space")
@@ -467,6 +523,7 @@ def parse_space(
     order is used.  `load_fixtures` is called for an Eschenburg descriptor
     and for nothing else.  Malformed text raises DomainError.
     """
+    require_instance(load_fixtures, Callable, "load_fixtures")
     if not require_text(text, "a space descriptor").startswith("eschenburg:"):
         spec = parse_bundle_spec(text)
         return describe_bundle(spec.family, spec.a, spec.b, spec.t), bundle_profile(spec)
@@ -503,6 +560,7 @@ def fixture_entries(
     fixtures: Iterable[EschenburgFixture],
 ) -> list[tuple[str, InvariantProfile]]:
     """Index entries for fixture spaces, profiles built from their s-values."""
+    require_instance(fixtures, Iterable, "fixtures")
     return [(eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures]
 
 
@@ -530,7 +588,7 @@ def sphere_source(r: int, start: int, stop: int) -> Source:
     if stop - start > sys.maxsize:
         raise DomainError(f"sphere range [{start}, {stop}) holds {stop - start} values, more than {sys.maxsize}")
     a_values = range(start, stop)
-    s1 = tuple(_s1_value(CohomologyType.E, r, *sphere_s1(a, a - r)) for a in a_values[: 56 * r])
+    s1 = _SpherePeriod(r, a_values[: 56 * r])
     return Source(a_values, s1, partial(_sphere_key, r), partial(_sphere_entry, r))
 
 
@@ -902,7 +960,7 @@ def _evidence_texts(
     evidence tuple, so a run of records that share it is formatted once.
     """
     evidence = texts = None
-    for record in records:
+    for record in require_instance(records, Iterable, "records"):
         if record.evidence is not evidence:
             evidence = record.evidence
             r, *s_triple = evidence
@@ -955,6 +1013,7 @@ def render_matches_text(records: Iterable[MatchRecord]) -> str:
 
 def render_table_text(report: TableReport) -> str:
     """Human-readable per-row verification report for a catalog table."""
+    require_instance(report, TableReport, "report")
     lines = [f"catalog table {report.table}"]
     for result in report.rows:
         row = result.row

@@ -202,7 +202,7 @@ def lk_homeomorphic(
     family the two tests agree.
     """
     _require_substitution_applies(p, q)
-    if use_p1:
+    if require_instance(use_p1, bool, "use_p1"):
         for x in (p, q):
             if x.cohomology_type is not CohomologyType.E:
                 raise DomainError("the p1 substitution applies only to type E")

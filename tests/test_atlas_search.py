@@ -61,7 +61,7 @@ from kreckstolz.bundle_families import (
     profile_spin_sphere,
     sphere_s1,
 )
-from kreckstolz.classification import Orientation, ks_diffeomorphic
+from kreckstolz.classification import Orientation, ediffeo_solve, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
 from kreckstolz.eschenburg import EschenburgFixture, EschenburgSpace, fixture_profile, invariants, load_fixtures
 from kreckstolz.exact_arith import ResidueClass, mod_one
@@ -664,10 +664,10 @@ def test_find_matches_builds_profiles_only_for_shared_triple_buckets(fixtures, m
     # The catalog lists the order-41 space in both orientations.
     assert len(records) == 4
     assert {rec.right for rec in records} == {"sphere:2285,2244", "sphere:5237,5196"}
-    # s1 has period 56r in a: one period of s1 values serves the whole
-    # range.  About 48 entries share the catalog's s1 up to sign, but only
-    # the two that share its whole s-triple are built.
-    assert len(calls) <= 56 * 41
+    # Against the catalog the sphere side is solved (ediffeo_solve), so no
+    # s1 value is computed, and only the two entries that share the
+    # catalog's whole s-triple are built.
+    assert calls == []
     assert built == [2285, 5237]
 
 
@@ -682,10 +682,110 @@ def test_find_matches_on_a_far_sphere_range_walks_one_s1_period(fixtures, monkey
         if start <= a < stop
     ]
     # Both catalog orientations of the order-41 space, each against every
-    # partner in order of a.  s1 is computed for one period only; the rest
-    # of the range costs a step per kept entry, not per value of a.
+    # partner in order of a.  The solved classes are walked through the
+    # range, a step per partner: no s1 value is computed.
     assert [rec.right for rec in records] == expected * 2
-    assert len(calls) <= 56 * 41
+    assert calls == []
+
+
+def counted_ediffeo_solve(monkeypatch):
+    """The list of problems that atlas_search passes to ediffeo_solve from now on."""
+    problems = []
+    monkeypatch.setattr(atlas_search, "ediffeo_solve", lambda p, o: problems.append(p) or ediffeo_solve(p, o))
+    return problems
+
+
+def test_find_matches_sphere_against_circles_on_a_far_range_walks_one_s1_period(monkeypatch):
+    calls, problems = counted_sphere_s1(monkeypatch), counted_ediffeo_solve(monkeypatch)
+    r, period = 17, 168 * 17
+    base = 10**15 - 10**15 % period
+    circles = circle_source(r, 120)
+    near = find_matches(sphere_source(r, 0, 3 * period), circles)
+    # A sphere range against circles keeps both stages: s1 is computed for
+    # one period only, and nothing is solved.  S_{a,a-r}'s s-triple, p1 and
+    # linking classes depend on a mod 168r, so a far range repeats the near one.
+    del calls[:]
+    far = find_matches(sphere_source(r, base, base + 3 * period), circles)
+    assert len(near) > 0 and len(calls) <= 56 * r and problems == []
+    shifted = [
+        dataclasses.replace(rec, left=describe_bundle(Family.SPHERE, a + base, a + base - r))
+        for rec in near
+        for a in [int(rec.left.split(":")[1].split(",")[0])]
+    ]
+    assert far == tuple(shifted)
+
+
+def test_find_matches_solves_order_19513_against_the_catalog(fixtures, monkeypatch):
+    calls, problems = counted_sphere_s1(monkeypatch), counted_ediffeo_solve(monkeypatch)
+    r = 19513
+    records = find_matches(fixture_source(fixtures), sphere_source(r, 0, 168 * r))
+    # Criterion 4: the catalog's order-19513 triple is carried, reversed, by
+    # exactly the classes 273181 and 2614741 mod 168r.
+    assert [(rec.left, rec.right, rec.orientation) for rec in records] == [
+        ("eschenburg:56,103,-159|0,0,0", "sphere:273181,253668", REVERSING),
+        ("eschenburg:56,103,-159|0,0,0", "sphere:2614741,2595228", REVERSING),
+    ]
+    # One catalog key of this order, solved in each orientation; no s1.
+    assert len(problems) == 2 and calls == []
+
+
+def test_find_matches_walks_solved_classes_through_a_half_open_range(fixtures):
+    catalog = fixture_source(fixtures)
+    # The order-41 classes are 2285 and 5237 mod 168r: a range holds a
+    # class exactly when start <= a < stop.
+    assert {rec.right for rec in find_matches(catalog, sphere_source(41, 2285, 2286))} == {"sphere:2285,2244"}
+    assert find_matches(sphere_source(41, 2286, 5237), catalog) == ()
+
+
+def test_find_matches_walks_no_long_range_without_solved_classes(fixtures, monkeypatch):
+    problems = counted_ediffeo_solve(monkeypatch)
+    catalog = fixture_source(fixtures)
+    # The catalog has no order-2 key, and its order-17 key solves in
+    # neither orientation: with no class to walk, a range of 10^18 values
+    # costs nothing.
+    assert find_matches(catalog, sphere_source(2, 0, 10**18)) == ()
+    assert problems == []
+    assert find_matches(sphere_source(17, -(10**18), 10**18), catalog) == ()
+    assert len(problems) == 2
+
+
+def test_find_matches_keeps_the_bit_clear_for_a_self_negating_triple():
+    # An order-1 space given the s-values (0, 0, 1/2) of S_{0,-1}: the
+    # triple is its own negation, so both orientations solve to the same
+    # classes, and every match preserves orientation.
+    fx = EschenburgFixture(EschenburgSpace((0, 0, 2), (0, 1, 1)), *profile_sphere(0, -1).s_triple)
+    catalog, eager_catalog = fixture_source([fx]), build_index(fixture_entries([fx]))
+    sphere, eager = sphere_source(1, -200, 200), build_index(sphere_grid(1, -200, 200))
+    records = find_matches(catalog, sphere)
+    assert records == match_all(eager_catalog, eager)
+    assert find_matches(sphere, catalog) == match_all(eager, eager_catalog)
+    assert records and {rec.orientation for rec in records} == {PRESERVING}
+
+
+@pytest.fixture(scope="module")
+def catalogs(prefilter_sources):
+    """The catalog and its [lk] and [p1] corruptions, each as a source and as an eager index."""
+    names = ("fixtures", "fixtures [lk]", "fixtures [p1]")
+    return [(prefilter_sources[name][0], build_index(prefilter_sources[name][1])) for name in names]
+
+
+# No deadline: an example builds up to 2·168r eager sphere profiles and
+# takes up to a few seconds, past Hypothesis' default 200 ms, and it then
+# fails as DeadlineExceeded or FlakyFailure although every example drawn passes.
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_find_matches_against_the_catalog_agrees_with_eager_pipeline(catalogs, data):
+    # The eager side builds every profile of the range, so orders stay at
+    # most 300 (the order-19513 range is checked above).
+    orders = sorted({key[1] for _, index in catalogs for key in index.buckets if key[0] is CohomologyType.E})
+    r = data.draw(st.sampled_from([r for r in orders if r <= 300]))
+    start = data.draw(st.integers(-4 * 168 * r, 4 * 168 * r))
+    stop = start + data.draw(st.integers(0, 2 * 168 * r))
+    sphere, eager = sphere_source(r, start, stop), build_index(sphere_grid(r, start, stop))
+    for source, index in catalogs:
+        for pi4 in (True, False):
+            got = match_outcome(find_matches, source, sphere, pi4), match_outcome(find_matches, sphere, source, pi4)
+            assert got == (match_outcome(match_all, index, eager, pi4), match_outcome(match_all, eager, index, pi4))
 
 
 def test_find_matches_builds_sphere_entries_from_one_s_triple_per_key(monkeypatch):

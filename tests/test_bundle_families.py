@@ -30,7 +30,23 @@ from kreckstolz.bundle_families import (
     _circle_profile,
     _spin_circle_profile,
 )
-from kreckstolz.atlas_search import eschenburg_descriptor, find_matches, reproduce_table, sphere_source
+from kreckstolz.atlas_search import (
+    AtlasIndex,
+    build_index,
+    eschenburg_descriptor,
+    find_matches,
+    fixture_entries,
+    fixture_source,
+    match_all,
+    parse_space,
+    profile_key,
+    render_matches_json,
+    render_matches_text,
+    render_matches_tsv,
+    render_table_text,
+    reproduce_table,
+    sphere_source,
+)
 from kreckstolz.classification import (
     EdiffeoProblem,
     Orientation,
@@ -650,13 +666,42 @@ class TestSpecPlumbing:
                 "orientation must be an Orientation, got 'reversing'",
             ),
             (lambda: sphere_congruence_classify(2, 1, 14, 13, spin="no"), "spin must be a bool, got 'no'"),
+            (
+                lambda: lk_homeomorphic(profile_spin_sphere(5, 2), profile_spin_sphere(5, 2), use_p1="no"),
+                "use_p1 must be a bool, got 'no'",
+            ),
+            (
+                lambda: find_matches(sphere_source(1, 0, 2), sphere_source(1, 0, 2), require_pi4_compat="no"),
+                "require_pi4_compat must be a bool, got 'no'",
+            ),
+            (lambda: build_index(5), "profiles must be an Iterable, got 5"),
+            (lambda: fixture_entries(5), "fixtures must be an Iterable, got 5"),
+            (lambda: fixture_source(5), "fixtures must be an Iterable, got 5"),
+            (lambda: match_all(5, 5), "left must be an AtlasIndex, got 5"),
+            (lambda: match_all(AtlasIndex({}), 5), "right must be an AtlasIndex, got 5"),
+            (
+                lambda: match_all(AtlasIndex({}), AtlasIndex({}), "no"),
+                "require_pi4_compat must be a bool, got 'no'",
+            ),
+            (lambda: render_matches_text(5), "records must be an Iterable, got 5"),
+            (lambda: render_matches_tsv(5), "records must be an Iterable, got 5"),
+            (lambda: render_matches_json(5), "records must be an Iterable, got 5"),
+            (lambda: render_table_text(5), "report must be a TableReport, got 5"),
+            (lambda: profile_key(5), "profile must be an InvariantProfile, got 5"),
+            (
+                lambda: parse_space("eschenburg:1,1,-2|0,0,0", 5),
+                "load_fixtures must be a Callable, got 5",
+            ),
         ],
         ids=[
             "profile", "natural_partner", "torus_reduction", "describe_bundle", "ks_diffeomorphic",
             "ks_diffeomorphic_q", "ks_homeomorphic", "lk_diffeomorphic", "lk_homeomorphic", "kruggel_homotopy",
             "reversed_profile", "find_matches", "find_matches_right", "reproduce_table", "reproduce_table_row",
             "chen_bundle", "fixture_profile", "eschenburg_descriptor", "ediffeo_solve", "ediffeo_orientation",
-            "sphere_congruence_spin",
+            "sphere_congruence_spin", "lk_homeomorphic_use_p1", "find_matches_pi4", "build_index",
+            "fixture_entries", "fixture_source", "match_all", "match_all_right", "match_all_pi4",
+            "render_matches_text", "render_matches_tsv", "render_matches_json", "render_table_text", "profile_key",
+            "parse_space_load_fixtures",
         ],
     )
     def test_wrong_object_type_is_a_domain_error(self, call, message):

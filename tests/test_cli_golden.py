@@ -33,6 +33,10 @@ CASES = {
     "ediffeo_r19513": (("ediffeo",) + R19513, 0),
     "ediffeo_r19513_reversing": (("ediffeo",) + R19513 + ("--orientation", "reversing"), 0),
     "match_sphere_period_r41": (("match", "--left", "fixtures", "--right", "sphere:r=41,start=0,stop=6888"), 0),
+    "match_sphere_fixtures_r41": (
+        ("match", "--left", "sphere:r=41,start=-7000,stop=7000", "--right", "fixtures"),
+        0,
+    ),
     "match_empty": (("match", "--left", "fixtures", "--right", "sphere:r=3,start=0,stop=2", "--ignore-pi4"), 0),
     "match_fixtures_circle_r17": (("match", "--left", "fixtures", "--right", "circle:r=17,bound=700"), 0),
     "match_circle_sphere_r17": (
