@@ -91,8 +91,6 @@ from .profiles import (
     InvariantProfile,
     Pi4,
     STriple,
-    lk_compatible,
-    negated_lk,
     pi4_conflict,
     reversed_profile,
 )
@@ -156,7 +154,11 @@ def _oriented_key(cohomology_type: CohomologyType, r: int, pairs: Sequence[tuple
     The negation (d - n)/d of n/d shares d, so the two compare as 2n with d
     (a tie when n = 0 or 2n = d); the first value that does not tie decides.
     """
-    flipped = next((2 * n > d for n, d in pairs if n and 2 * n != d), False)
+    flipped = False
+    for n, d in pairs:
+        if n and 2 * n != d:
+            flipped = 2 * n > d
+            break
     if flipped:
         pairs = tuple(((d - n) % d, d) for n, d in pairs)
     (n1, d1), (n2, d2), (n3, d3) = pairs
@@ -196,14 +198,14 @@ class IndexEntry(NamedTuple):
     """One indexed space: its descriptor, the invariants its bucket key leaves out, and its orientation bit."""
 
     descriptor: str
-    p1: ResidueClass
-    lk: Optional[frozenset[ResidueClass]]
+    p1: int  # a residue mod the key's r
+    lk: Optional[tuple[int, ...]]  # residues mod r in the profile's frozenset order; None if r = 1
     pi4: Pi4
     flipped: bool
 
 
 # The fields of an IndexEntry before its flip bit, as Source.build gives them.
-EntryFields = tuple[str, ResidueClass, Optional[frozenset[ResidueClass]], Pi4]
+EntryFields = tuple[str, int, Optional[tuple[int, ...]], Pi4]
 
 
 @dataclass(frozen=True)
@@ -228,12 +230,19 @@ def _grouped(keyed: Iterable[tuple[TripleKey, IndexEntry]]) -> AtlasIndex:
     return AtlasIndex({key: tuple(entries) for key, entries in buckets.items()})
 
 
+def _entry_fields(entry: tuple[str, InvariantProfile]) -> EntryFields:
+    """The IndexEntry fields before the flip bit of a (descriptor, profile) pair: p1 and lk as residues mod r."""
+    descriptor, profile = entry
+    lk = None if profile.lk is None else tuple(c.value for c in profile.lk)
+    return descriptor, profile.p1.value, lk, profile.pi4
+
+
 def build_index(profiles: Iterable[tuple[str, InvariantProfile]]) -> AtlasIndex:
     """Index (descriptor, profile) pairs by their bucket key (see profile_key)."""
     keyed = []
-    for descriptor, profile in require_instance(profiles, Iterable, "profiles"):
-        key, flipped = profile_key(profile)
-        keyed.append((key, IndexEntry(descriptor, profile.p1, profile.lk, profile.pi4, flipped)))
+    for entry in require_instance(profiles, Iterable, "profiles"):
+        key, flipped = profile_key(entry[1])
+        keyed.append((key, IndexEntry(*_entry_fields(entry), flipped)))
     return _grouped(keyed)
 
 
@@ -270,12 +279,14 @@ def match_all(
     spaces, so a conflict there means corrupted input data and raises
     InconsistentFixture rather than silently dropping the pair; every
     emitted record thus survives re-checking with ks_diffeomorphic.
-    Each pair is checked for pi4, then linking classes, then p1.  What
-    depends on one side only is computed once: the evidence (r from the
-    key, the s-values from key_s_triple) per bucket and left bit, so the
-    records of a run share one tuple; the pi4 value that blocks a pair
-    per left entry; a right entry's linking classes in reversed
-    orientation per bucket.
+    Each pair is checked for pi4, then linking classes, then p1.  The
+    outcome of a pair depends only on the groups of its two entries, the
+    entries of a bucket that share (p1, lk, pi4, bit); so each pair of
+    groups is checked once, at its first pair in visiting order, and the
+    records, their order and the first InconsistentFixture are those of
+    checking every pair.  The evidence (r from the key, the s-values from
+    key_s_triple) is built once per bucket and left bit, so the records of
+    a run share one tuple.
     With `require_pi4_compat` (the default) a proven pi4 = 0 on one side
     and a proven pi4 = Z/2 on the other blocks the pair; passing False
     drops that gate, for surveys over families whose pi4 is the only
@@ -290,39 +301,48 @@ def match_all(
         if not right_entries:
             continue
         r = key[1]
-        # The evidence of each left bit, and the linking classes of the
-        # right entries in reversed orientation by position, built on first use.
-        evidences: dict[bool, tuple[int, ModOneValue, ModOneValue, ModOneValue]] = {}
-        reversed_lk: dict[int, Optional[frozenset[ResidueClass]]] = {}
+        right_groups = [entry[1:] for entry in right_entries]
+        evidences: dict[bool, tuple[int, ModOneValue, ModOneValue, ModOneValue]] = {}  # per left bit
+        partners: dict[tuple, list[tuple[str, Orientation]]] = {}  # per left group: right descriptor, orientation
         for left_entry in left_entries:
-            flipped = left_entry.flipped
-            evidence = evidences.get(flipped)
-            if evidence is None:
-                evidence = evidences[flipped] = (r, *key_s_triple(key, flipped))
-            blocked = pi4_conflict(left_entry.pi4) if require_pi4_compat else None
-            for j, right_entry in enumerate(right_entries):
-                if right_entry.pi4 is blocked:
-                    continue
-                if flipped == right_entry.flipped:
-                    orientation = Orientation.PRESERVING
-                    other_lk = right_entry.lk
-                else:
-                    orientation = Orientation.REVERSING
-                    if j not in reversed_lk:
-                        reversed_lk[j] = negated_lk(right_entry.lk, r)
-                    other_lk = reversed_lk[j]
-                if not lk_compatible(left_entry.lk, other_lk):
-                    raise InconsistentFixture(
-                        f"s-values match ({orientation.value}) but linking classes differ: "
-                        f"{left_entry.lk} vs {other_lk}"
-                    )
-                if left_entry.p1 != right_entry.p1:
-                    raise InconsistentFixture(
-                        f"s-values match ({orientation.value}) but p1 differs: "
-                        f"{left_entry.p1} vs {right_entry.p1}"
-                    )
-                records.append(MatchRecord(left_entry.descriptor, right_entry.descriptor, orientation, evidence))
+            group, flipped = left_entry[1:], left_entry.flipped
+            pairs = partners.get(group)
+            if pairs is None:
+                verdicts = {g: _orientation(r, group, g, require_pi4_compat) for g in dict.fromkeys(right_groups)}
+                pairs = [(e.descriptor, o) for e, g in zip(right_entries, right_groups) if (o := verdicts[g])]
+                partners[group] = pairs
+            evidence = evidences.get(flipped) or evidences.setdefault(flipped, (r, *key_s_triple(key, flipped)))
+            records += [MatchRecord(left_entry.descriptor, other, o, evidence) for other, o in pairs]
     return tuple(records)
+
+
+def _orientation(r: int, left: tuple, right: tuple, require_pi4_compat: bool) -> Optional[Orientation]:
+    """The orientation of a pair of entries with these (p1, lk, pi4, bit) fields, or None if pi4 blocks it.
+
+    A conflict in lk or p1 raises match_all's InconsistentFixture.
+    """
+    p1, lk, pi4, flipped = left
+    other_p1, other_lk, other_pi4, other_flipped = right
+    if require_pi4_compat and other_pi4 is pi4_conflict(pi4):
+        return None
+    orientation = Orientation.PRESERVING if flipped == other_flipped else Orientation.REVERSING
+    if orientation is Orientation.REVERSING and other_lk is not None:  # in the order negated_lk builds it
+        other_lk = tuple(c.value for c in frozenset(ResidueClass(-v % r, r) for v in other_lk))
+    if (lk is None) != (other_lk is None) or lk is not None and set(lk).isdisjoint(other_lk):
+        raise InconsistentFixture(
+            f"s-values match ({orientation.value}) but linking classes differ: "
+            f"{_lk_text(lk, r)} vs {_lk_text(other_lk, r)}"
+        )
+    if p1 != other_p1:
+        raise InconsistentFixture(
+            f"s-values match ({orientation.value}) but p1 differs: {p1} mod {r} vs {other_p1} mod {r}"
+        )
+    return orientation
+
+
+def _lk_text(lk: Optional[tuple[int, ...]], r: int) -> str:
+    """Linking classes as their frozenset of ResidueClass prints, iterating in the order of the tuple."""
+    return "None" if lk is None else "frozenset({%s})" % ", ".join(repr(ResidueClass(v, r)) for v in lk)
 
 
 def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -> tuple[MatchRecord, ...]:
@@ -343,9 +363,10 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
        profile's pairs, so Source.key gives profile_key of that profile:
        the buckets and bits of build_index.  The build computes the
        descriptor, p1, lk and pi4 with the code of the eager constructor
-       (sphere_p1_lk_pi4, circle_p1_lk_pi4; the catalog's profiles are
-       built with the source), so every built entry equals the one that
-       build_index makes of the eager profile.  No entry holds s-values:
+       (sphere_p1_lk_pi4, circle_p1_lk_pi4, whose integers the constructor
+       wraps; the catalog's profiles are built with the source), so every
+       built entry equals the one that build_index makes of the eager
+       profile through _entry_fields.  No entry holds s-values:
        match_all reads them from the key for both pipelines alike.
     2. An entry's s1 bucket is the first four fields of its triple key.
        For s1 = n/d reduced, both hold the type, r and d; the bucket
@@ -535,11 +556,6 @@ def parse_space(
     return eschenburg_descriptor(space), fixture_profile(fixture)
 
 
-def _built(entry: tuple[str, InvariantProfile]) -> EntryFields:
-    descriptor, profile = entry
-    return descriptor, profile.p1, profile.lk, profile.pi4
-
-
 def _fixture_key(entry: tuple[str, InvariantProfile], s1: S1Value) -> tuple[TripleKey, bool]:
     return profile_key(entry[1])
 
@@ -553,7 +569,7 @@ def fixture_source(fixtures: Iterable[EschenburgFixture]) -> Source:
     """
     entries = tuple(fixture_entries(fixtures))
     s1 = tuple(_s1_value(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator) for _, p in entries)
-    return Source(entries, s1, _fixture_key, _built)
+    return Source(entries, s1, _fixture_key, _entry_fields)
 
 
 def fixture_entries(

@@ -22,9 +22,10 @@ constructors take no pair from their caller.
 All characteristic numbers are computed over a single cleared
 denominator; the term-by-term rational evaluation lives in the test
 suite as an independent oracle.  Every constructor assembles its profile
-in _profile from cleared s-value pairs, p1, the linking classes and pi4;
-the search sources build entries from the same sphere_s1, sphere_s23,
-sphere_p1_lk_pi4 and their circle twins, so each formula has one copy.
+in _profile from cleared s-value pairs and from p1, the linking classes
+and pi4 as integer residues mod r; the search sources build entries from
+the same sphere_s1, sphere_s23, sphere_p1_lk_pi4 and their circle twins,
+so each formula has one copy.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ def _pi4_sphere(r: int) -> Pi4:
     return Pi4.Z2 if r % 2 == 0 else Pi4.UNKNOWN
 
 
-def _lk_set(value: int, r: int) -> Optional[frozenset[ResidueClass]]:
-    return None if r == 1 else frozenset({ResidueClass(value % r, r)})
+def _lk(value: int, r: int) -> Optional[tuple[int, ...]]:
+    """The linking class of a bundle as a tuple of residues mod r; None when r = 1."""
+    return None if r == 1 else (value % r,)
 
 
 def _sphere_order(a: int, b: int) -> int:
@@ -171,25 +173,26 @@ def sphere_s23(a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _profile(
-    cohomology_type: CohomologyType, s_pairs: tuple[tuple[int, int], ...],
-    p1: ResidueClass, lk: Optional[frozenset[ResidueClass]], pi4: Pi4,
+    cohomology_type: CohomologyType, r: int, s_pairs: tuple[tuple[int, int], ...],
+    p1: int, lk: Optional[tuple[int, ...]], pi4: Pi4,
 ) -> InvariantProfile:
-    """The profile whose s1, s2, s3 are the cleared pairs (numerator, denominator) mod 1; r is p1's modulus."""
+    """The profile with s1, s2, s3 the cleared pairs (numerator, denominator) mod 1, and p1, lk residues mod r."""
     s1, s2, s3 = [ratio_mod_one(n, d) for n, d in s_pairs]
-    return InvariantProfile(cohomology_type, p1.modulus, s1, s2, s3, p1, lk, pi4)
+    lk_classes = None if lk is None else frozenset(ResidueClass(v, r) for v in lk)
+    return InvariantProfile(cohomology_type, r, s1, s2, s3, ResidueClass(p1, r), lk_classes, pi4)
 
 
 def profile_sphere(a: int, b: int) -> InvariantProfile:
     """Invariant profile of the non-spin 3-sphere bundle with parameters (a, b)."""
     require_ints(a=a, b=b)
-    return _profile(CohomologyType.E, (sphere_s1(a, b), *sphere_s23(a, b)), *sphere_p1_lk_pi4(a, b))
+    return _profile(CohomologyType.E, abs(a - b), (sphere_s1(a, b), *sphere_s23(a, b)), *sphere_p1_lk_pi4(a, b))
 
 
-def sphere_p1_lk_pi4(a: int, b: int) -> tuple[ResidueClass, Optional[frozenset[ResidueClass]], Pi4]:
-    """p1, the linking classes and pi4 of the non-spin 3-sphere bundle (a, b)."""
+def sphere_p1_lk_pi4(a: int, b: int) -> tuple[int, Optional[tuple[int, ...]], Pi4]:
+    """p1, the linking classes (residues mod r) and pi4 of the non-spin 3-sphere bundle (a, b)."""
     d = _sphere_order(a, b)
     r = abs(d)
-    return ResidueClass((2 * a + 2 * b + 4) % r, r), _lk_set(1 if d > 0 else -1, r), _pi4_sphere(r)
+    return (2 * a + 2 * b + 4) % r, _lk(1 if d > 0 else -1, r), _pi4_sphere(r)
 
 
 def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
@@ -199,8 +202,7 @@ def profile_spin_sphere(a: int, b: int) -> InvariantProfile:
     r = abs(d)
     s1 = 3 * (2 * a + 2 * b + 3) ** 2 - 7 * (4 * a + 4 * b + 5) - 12 * r, 2688 * d
     s_pairs = s1, (-(a + b - 1), 12 * d), (-(a + b - 5), 4 * d)
-    p1 = ResidueClass((2 * a + 2 * b + 3) % r, r)
-    return _profile(CohomologyType.EBAR, s_pairs, p1, _lk_set(1 if d > 0 else -1, r), Pi4.UNKNOWN)
+    return _profile(CohomologyType.EBAR, r, s_pairs, (2 * a + 2 * b + 3) % r, _lk(1 if d > 0 else -1, r), Pi4.UNKNOWN)
 
 
 def _circle_order(t: int, a: int, b: int) -> int:
@@ -295,13 +297,14 @@ def profile_circle(t: int, a: int, b: int) -> InvariantProfile:
 
 def _circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantProfile:
     """profile_circle with the auxiliary pair given; (m, n) must satisfy am - bn = 1 (not checked)."""
-    return _profile(CohomologyType.E, (circle_s1(t, a, b), *circle_s23(t, a, b, m, n)), *circle_p1_lk_pi4(t, a, b, m, n))
+    s_pairs = circle_s1(t, a, b), *circle_s23(t, a, b, m, n)
+    return _profile(CohomologyType.E, abs(_circle_order(t, a, b)), s_pairs, *circle_p1_lk_pi4(t, a, b, m, n))
 
 
 def circle_p1_lk_pi4(
     t: int, a: int, b: int, m: int, n: int
-) -> tuple[ResidueClass, Optional[frozenset[ResidueClass]], Pi4]:
-    """p1, the linking classes and pi4 of the circle bundle (t, a, b); am - bn = 1 (not checked)."""
+) -> tuple[int, Optional[tuple[int, ...]], Pi4]:
+    """p1, the linking classes (residues mod r) and pi4 of the circle bundle (t, a, b); am - bn = 1 (not checked)."""
     s = _circle_order(t, a, b)
     r = abs(s)
     sgn = 1 if s > 0 else -1
@@ -318,7 +321,7 @@ def circle_p1_lk_pi4(
         pi4 = Pi4.ZERO
     else:
         pi4 = Pi4.UNKNOWN
-    return ResidueClass((4 * (1 - t) * A * A) % r, r), _lk_set(sgn * lk_bracket, r), pi4
+    return (4 * (1 - t) * A * A) % r, _lk(sgn * lk_bracket, r), pi4
 
 
 def profile_spin_circle(t: int, a: int, b: int) -> InvariantProfile:
@@ -363,8 +366,8 @@ def _spin_circle_profile(t: int, a: int, b: int, m: int, n: int) -> InvariantPro
         + 4 * a * n**3 * m
         + b * t * t * m**4
     )
-    p1 = ResidueClass(((3 + 4 * t) * b * b) % r, r)
-    return _profile(ctype, s_pairs, p1, _lk_set(-sgn * lk_bracket, r), Pi4.Z2 if t == 0 else Pi4.UNKNOWN)
+    p1 = ((3 + 4 * t) * b * b) % r
+    return _profile(ctype, r, s_pairs, p1, _lk(-sgn * lk_bracket, r), Pi4.Z2 if t == 0 else Pi4.UNKNOWN)
 
 
 def profile(spec: BundleSpec) -> InvariantProfile:

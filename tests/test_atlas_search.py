@@ -30,6 +30,7 @@ from kreckstolz.atlas_search import (
     AtlasIndex,
     MatchRecord,
     _circle_key,
+    _entry_fields,
     _s1_value,
     _sign_blind,
     build_index,
@@ -54,11 +55,15 @@ from kreckstolz.atlas_search import (
 from kreckstolz.bundle_families import (
     BundleSpec,
     Family,
+    choose_mn,
+    circle_p1_lk_pi4,
     circle_s1,
     describe_bundle,
+    profile,
     profile_circle,
     profile_sphere,
     profile_spin_sphere,
+    sphere_p1_lk_pi4,
     sphere_s1,
 )
 from kreckstolz.classification import Orientation, ediffeo_solve, ks_diffeomorphic
@@ -467,6 +472,42 @@ def test_match_all_rejects_incoherent_reversing_pair(corrupt, message):
     assert match_outcome(reference_match_all, left, right, True) == ("inconsistent", message)
 
 
+def _catalog_lk_text(*values):
+    return "frozenset({%s})" % ", ".join(f"ResidueClass(value={v}, modulus=25)" for v in values)
+
+
+@pytest.mark.parametrize(
+    "reverse, message",
+    [
+        (
+            False,
+            "s-values match (preserving) but linking classes differ: "
+            f"{_catalog_lk_text(7, 18)} vs {_catalog_lk_text(8, 19)}",
+        ),
+        (
+            True,
+            "s-values match (reversing) but linking classes differ: "
+            f"{_catalog_lk_text(7, 18)} vs {_catalog_lk_text(6, 17)}",
+        ),
+    ],
+    ids=["preserving", "reversing"],
+)
+def test_match_all_rejects_incoherent_catalog_linking_pair(fixtures, reverse, message):
+    # The r = 25 catalog line has the sign-ambiguous pair {7, 18}, whose
+    # frozenset iterates 7 first although one built from 7, 18 in that
+    # order iterates 18 first: entries keep the classes in the profile's
+    # iteration order, and the message prints them so.
+    p = fixture_profile(eschenburg.find_fixture(fixtures, (1, 2, -9), (-6, 0, 0)))
+    assert [c.value for c in p.lk] == [7, 18]
+    assert [c.value for c in frozenset(ResidueClass(v, 25) for v in (7, 18))] == [18, 7]
+    q = _shift_lk(reversed_profile(p) if reverse else p)
+    left, right = [("a", p)], [("b", q)]
+    with pytest.raises(InconsistentFixture) as excinfo:
+        match_all(build_index(left), build_index(right))
+    assert str(excinfo.value) == message
+    assert match_outcome(reference_match_all, left, right, True) == ("inconsistent", message)
+
+
 # ---------------------------------------------------------------------------
 # The s1 prefilter of find_matches.
 # ---------------------------------------------------------------------------
@@ -564,15 +605,40 @@ def test_source_triple_keys_agree_with_profile_key(r, bound):
 @given(st.integers(1, 50), st.integers(0, 12))
 def test_entries_built_from_the_key_equal_the_eager_entries(r, bound):
     # find_matches builds an entry's descriptor, p1, linking classes and
-    # pi4 from its parameters, and match_all reads its s-values back from
-    # its key and flip bit: with the entry's own bit those of
-    # profile_sphere or profile_circle, with the other bit their negation.
+    # pi4 from its parameters, the fields that build_index converts from
+    # the eager profile (p1 and lk as residues mod r), and match_all reads
+    # its s-values back from its key and flip bit: with the entry's own bit
+    # those of profile_sphere or profile_circle, with the other bit their
+    # negation.
     for source, eager in sources_with_eager_entries(r, bound):
         for i, (params, (descriptor, profile)) in enumerate(zip(source.params, eager)):
             key, flipped = source.key(params, source.s1[i % len(source.s1)])
-            assert source.build(params) == (descriptor, profile.p1, profile.lk, profile.pi4)
+            assert source.build(params) == _entry_fields((descriptor, profile))
             assert key_s_triple(key, flipped) == profile.s_triple
             assert key_s_triple(key, not flipped) == reversed_profile(profile).s_triple
+
+
+@given(st.sampled_from(Family), st.integers(-50, 50), st.integers(-300, 300), st.integers(-300, 300))
+def test_integer_entry_fields_wrap_to_the_profile_fields(family, t, a, b):
+    # Entries hold p1 and the linking classes as residues mod r; wrapped
+    # into ResidueClass and frozenset they are the profile's fields, in all
+    # four families, and for the sphere and circle families they are what
+    # sphere_p1_lk_pi4 and circle_p1_lk_pi4 return.
+    if family in (Family.CIRCLE, Family.SPIN_CIRCLE):
+        order = t * (a + b) ** 2 - a * b if family is Family.CIRCLE else a * a - t * b * b
+        assume(gcd(a, b) == 1 and order != 0)
+        spec = BundleSpec(family, a, b, t)
+    else:
+        assume(a != b)
+        spec = BundleSpec(family, a, b)
+    p = profile(spec)
+    _, p1, lk, pi4 = _entry_fields(("x", p))
+    assert ResidueClass(p1, p.r) == p.p1 and pi4 is p.pi4
+    assert (None if lk is None else frozenset(ResidueClass(v, p.r) for v in lk)) == p.lk
+    if family is Family.SPHERE:
+        assert sphere_p1_lk_pi4(a, b) == (p1, lk, pi4)
+    if family is Family.CIRCLE:
+        assert circle_p1_lk_pi4(t, a, b, *choose_mn(family, a, b)) == (p1, lk, pi4)
 
 
 def test_fixture_triple_keys_agree_with_profile_key(fixtures):
@@ -671,7 +737,7 @@ def test_find_matches_builds_profiles_only_for_shared_triple_buckets(fixtures, m
     assert built == [2285, 5237]
 
 
-def test_find_matches_on_a_far_sphere_range_walks_one_s1_period(fixtures, monkeypatch):
+def test_find_matches_on_a_far_sphere_range_computes_no_s1_value(fixtures, monkeypatch):
     calls = counted_sphere_s1(monkeypatch)
     start, stop, period = 10**15, 10**15 + 10**7, 168 * 41
     records = find_matches(fixture_source(fixtures), sphere_source(41, start, stop))

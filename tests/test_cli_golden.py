@@ -4,9 +4,12 @@ Every subcommand is run through `cli.run` in each output format, and its
 stdout and exit status are compared with the files under tests/golden/
 (named `<case>.<format>`).  A change to any rendered byte fails here.
 
-To re-record after a deliberate output change:
+To record the named cases after a deliberate output change, or a new case:
 
-    PYTHONPATH=src python tests/test_cli_golden.py --record
+    PYTHONPATH=src python tests/test_cli_golden.py --record [CASE ...]
+
+With no case named, every case is re-recorded.  An unknown case name is
+refused before anything is written.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ CASES = {
         ("match", "--left", "circle:r=17,bound=8", "--right", "sphere:r=17,start=-100,stop=100"),
         0,
     ),
+    "match_sphere_next_period_r3": (
+        ("match", "--left", "sphere:r=3,start=0,stop=60", "--right", "sphere:r=3,start=504,stop=564"),
+        0,
+    ),
     "tables_A": (("tables", "A"), 0),
     "tables_B": (("tables", "B"), 0),
     "enumerate_r12": (("enumerate", "--r-max", "12"), 0),
@@ -67,9 +74,13 @@ def test_cli_output_matches_golden(case, fmt, capsys):
     assert out == _golden_path(case, fmt).read_text(encoding="utf-8")
 
 
-def _record() -> None:
+def _record(cases: list[str]) -> None:
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case, (_, expected) in sorted(CASES.items()):
+    for case in sorted(set(cases) or CASES):
+        expected = CASES[case][1]
         for fmt in FORMATS:
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
@@ -80,6 +91,6 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record")
-    _record()
+    if sys.argv[1:2] != ["--record"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_cli_golden.py --record [CASE ...]")
+    _record(sys.argv[2:])
