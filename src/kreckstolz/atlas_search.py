@@ -1,26 +1,27 @@
 """Invariant-keyed search over families of spaces, plus catalog verification.
 
-Diffeomorphic pairs between two collections of spaces are found in
-stages that work on integers before any profile is built.  A source
-lists its entries by parameters, each with its s1 value: the cohomology
-type, the order r and s1 modulo 1 as a reduced pair, from the family's
-cleared s1 formula (for the catalog, from its tabulated s1).  A sphere
-range computes these on first use, for one period of a only, since s1
-of S_{a,a-r} depends only on a mod 56r.  `find_matches` first keeps the
-entries whose s1 bucket (s1 up to sign) occurs on both sides, walking
-each kept position of a period through the whole range; then gives each
-of those its triple key (the cleared s2 and s3 join s1, in canonical
-orientation) and keeps the entries whose triple key occurs on both
-sides.  Against the catalog a sphere range takes neither stage:
-`ediffeo_solve` gives the classes of a mod 168r that carry each catalog
-triple.  Only the kept entries are built, into index entries that hold
-p1, the linking classes and pi4 but no s-values: match_all reads a
-record's s-values back from the triple key and flip bit (key_s_triple),
-once per bucket and bit.  The triple key, `profile_key` of a built
-profile, is the bucket key of every index (`build_index` too); it is the
-orientation-insensitive part of the profile, so `match_all`, comparing
-two indexes bucket by bucket, finds matches of both orientations with
-each lookup.  The filters change no output: see `find_matches`.
+Diffeomorphic pairs between two collections of spaces are found on
+integers before any profile is built.  Each entry of a source has an s1
+value, computed on first use: the cohomology type, the order r and s1
+modulo 1 as a reduced pair, from the family's cleared s1 formula (for
+the catalog, its tabulated s1).  A listed source (the catalog, a circle
+grid) holds one s1 value per entry; a solvable source (a sphere range)
+holds one period, as s1 of S_{a,a-r} depends only on a mod 56r, and a
+solver: `ediffeo_solve` gives the classes of a mod 168r that carry a
+triple.  `find_matches` solves a solvable side against a listed side
+when 56 times the listed entries of type E and order r is at most the
+s1 period: a key costs the solver 28 lifts in each of 2 orientations, a
+period position one s1 value.  Otherwise it keeps the entries whose s1
+bucket (s1 up to sign) occurs on both sides, walking each kept position
+of a period through the whole range, and of those the entries whose
+triple key (the cleared s2 and s3 join s1, in canonical orientation)
+occurs on both sides.  Only kept entries are built, into index entries
+that hold p1, the linking classes and pi4: match_all reads the s-values
+back from the key and flip bit (key_s_triple).  The triple key,
+`profile_key` of a built profile, keys every index (`build_index` too);
+it is orientation-insensitive, so `match_all` finds matches of both
+orientations with each lookup.  The filters change no output: see
+`find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, isqrt
-from typing import Any, Callable, Iterable, Iterator, KeysView, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bundle_families import (
     Family,
@@ -388,22 +389,32 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
     5. The sources build keys and entries only for valid parameters
        (fixture profiles are built with the source), which cannot raise,
        so skipping entries hides no error.
-    6. Against the catalog (fixture_source) a sphere range skips both
-       stages: for each catalog key of type E and order r, ediffeo_solve
-       of key_s_triple(key, False) returns every class of a mod 168r whose
-       bundle carries that triple (preserving: bit clear) or its negation
-       (reversing: bit set), round-tripped, and none if it raises.  As the
-       s-triple of S_{a,a-r} depends on a mod 168r only, the classes walked
-       through the range give, in order of a, the entries and bits that
-       points 2 and 4 keep (a self-negating triple, solved to the same
-       classes both ways, keeps the bit clear).
+    6. When one side is solvable (order r), the other listed, and 56n is
+       at most the solvable side's s1 period, n the listed entries of type
+       E and order r, both stages are skipped: for each of their keys,
+       ediffeo_solve of key_s_triple(key, False) returns every class of a
+       mod 168r whose bundle carries that triple (preserving: bit clear)
+       or its negation (reversing: bit set), round-tripped, and none if it
+       raises.  As the s-triple of S_{a,a-r} depends on a mod 168r only,
+       the classes walked through the range give, in order of a, the
+       entries and bits that points 2 and 4 keep (a self-negating triple
+       keeps the bit clear); no other listed entry shares a key with the
+       range.  56 weighs the solver's 28 lifts in 2 orientations per key
+       against one s1 value per period position.
     """
     require_instance(left, Source, "left")
     require_instance(right, Source, "right")
-    keyed = _solved_keyed(left, right)
+    keyed = None
+    solvable, listed = (left, right) if left.solve else (right, left)
+    if solvable.solve and not listed.solve:
+        r, solve = solvable.solve
+        own = [(p, s1) for p, s1 in zip(listed.params, listed.s1) if s1[:2] == (CohomologyType.E, r)]
+        if 56 * len(own) <= solvable.period:
+            listed_keyed = [(p, *listed.key(p, s1)) for p, s1 in own]
+            solved = solve(key for _, key, _ in listed_keyed)
+            keyed = [listed_keyed, solved] if listed is left else [solved, listed_keyed]
     if keyed is None:
-        shared_s1 = left.buckets() & right.buckets()
-        keyed = [[(p, *source.key(p, s1)) for p, s1 in source.select(shared_s1)] for source in (left, right)]
+        keyed = [[(p, *s.key(p, s1)) for p, s1 in s.select(other)] for s, other in ((left, right), (right, left))]
     left_keyed, right_keyed = keyed
     shared = {key for _, key, _ in left_keyed}.intersection(key for _, key, _ in right_keyed)
 
@@ -411,28 +422,6 @@ def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -
         return _grouped((key, IndexEntry(*source.build(p), flipped)) for p, key, flipped in keyed if key in shared)
 
     return match_all(index(left, left_keyed), index(right, right_keyed), require_pi4_compat)
-
-
-def _solved_keyed(left: Source, right: Source) -> Optional[list[list[tuple[Any, TripleKey, bool]]]]:
-    """(params, key, bit) of the catalog's entries and of a sphere range's solved entries (find_matches,
-    point 6); None unless one side is a fixture_source (key _fixture_key), the other a sphere_source."""
-    catalog, sphere = (left, right) if left.key is _fixture_key else (right, left)
-    if catalog.key is not _fixture_key or not isinstance(sphere.s1, _SpherePeriod):
-        return None
-    r, start, classes = sphere.s1.r, sphere.s1.a_values.start, {}
-    keyed = [(p, *catalog.key(p, s1)) for p, s1 in zip(catalog.params, catalog.s1)]
-    for key in dict.fromkeys(key for _, key, _ in keyed if key[:2] == (CohomologyType.E, r)):
-        for flipped, orientation in zip((False, True), Orientation):
-            try:
-                solution = ediffeo_solve(EdiffeoProblem(r, *key_s_triple(key, False)), orientation)
-            except (DivisibilityFailure, ParityFailure, CongruenceFailure):
-                continue
-            for c in solution.residues:  # a self-negating triple keeps the bit clear
-                classes.setdefault((c.value - start) % (168 * r), (key, flipped))
-    offsets, count, period = sorted(classes), len(sphere.params), 168 * r
-    walk = range(0, count, period) if offsets else ()  # no class: no walk through a long range
-    solved = [(sphere.params[i + o], *classes[o]) for i in walk for o in offsets if i + o < count]
-    return [keyed, solved] if catalog is left else [solved, keyed]
 
 
 # ---------------------------------------------------------------------------
@@ -457,69 +446,53 @@ def _sign_blind(value: S1Value) -> S1Bucket:
 
 @dataclass(frozen=True)
 class Source:
-    """A collection of spaces whose profiles are built on demand.
+    """A collection of spaces whose profiles are built on demand, listed or solvable.
 
-    Entry i has parameters `params[i]` and s1 value `s1[i % len(s1)]`: a
-    listed source holds one value per entry, a sphere range one period of
-    values.  `key(params[i], s1 value)` gives the entry's triple key and
-    flip bit, those of profile_key, and `build(params[i])` its descriptor,
-    p1, linking classes and pi4, the fields of its IndexEntry before the bit.
+    Entry i has parameters `params[i]` and s1 value `s1[i % period]`; `s1`
+    holds `s1_of` of the first `period` parameters, computed on first use.
+    `key(params[i], s1 value)` gives the entry's triple key and flip bit,
+    those of profile_key, and `build(params[i])` its descriptor, p1,
+    linking classes and pi4, the fields of its IndexEntry before the bit.
+    A listed source has one s1 value per entry.  A solvable source has one
+    period and `solve`: its order r and its solver, from triple keys of type
+    E and order r to (params, key, bit) of its entries that carry them.
     """
 
     params: Sequence[Any]
-    s1: Sequence[S1Value]
+    period: int
+    s1_of: Callable[[Any], S1Value]
     key: Callable[[Any, S1Value], tuple[TripleKey, bool]]
     build: Callable[[Any], EntryFields]
+    solve: Optional[tuple[int, Callable[[Iterable[TripleKey]], list[tuple[Any, TripleKey, bool]]]]] = None
+
+    @cached_property
+    def s1(self) -> tuple[S1Value, ...]:
+        return tuple(map(self.s1_of, self.params[: self.period]))
 
     @cached_property
     def _positions(self) -> dict[S1Bucket, list[int]]:
-        """The positions i < len(s1) of each s1 bucket, ascending."""
+        """The positions i < period of each s1 bucket, ascending."""
         positions = defaultdict(list)
         for i, value in enumerate(self.s1):
             positions[_sign_blind(value)].append(i)
         return positions
 
-    def buckets(self) -> KeysView[S1Bucket]:
-        """The s1 buckets of the entries."""
-        return self._positions.keys()
+    def select(self, other: Source) -> Iterator[tuple[Any, S1Value]]:
+        """(params, s1 value) of the entries whose s1 bucket `other` has too, in source order.
 
-    def select(self, keep: Iterable[S1Bucket]) -> Iterator[tuple[Any, S1Value]]:
-        """(params, s1 value) of the entries whose s1 bucket is in `keep`, in source order.
-
-        The positions of the kept buckets in the first period are looked
-        up once; the walk then visits them period by period, so a kept
-        position costs one step per period and a dropped one nothing.
+        The kept positions of the first period are looked up once and then
+        walked period by period: one step per kept position and period.
         """
-        positions = self._positions
-        kept = sorted(i for bucket in keep if bucket in positions for i in positions[bucket])
+        shared = other._positions
+        kept = sorted(i for bucket, positions in self._positions.items() if bucket in shared for i in positions)
         if not kept:
             return
         count = len(self.params)
-        for base in range(0, count, len(self.s1)):
+        for base in range(0, count, self.period):
             for i in kept:
                 if base + i >= count:
                     break
                 yield self.params[base + i], self.s1[i]
-
-
-class _SpherePeriod(Sequence):
-    """A sphere_source's s1 period, computed on first use; _solved_keyed reads its r and first a too."""
-
-    def __init__(self, r: int, a_values: range) -> None:
-        self.r, self.a_values = r, a_values
-
-    def __len__(self) -> int:
-        return len(self.a_values)
-
-    def __getitem__(self, i):
-        return self._values[i]
-
-    def __iter__(self) -> Iterator[S1Value]:
-        return iter(self._values)
-
-    @cached_property
-    def _values(self) -> tuple[S1Value, ...]:
-        return tuple(_s1_value(CohomologyType.E, self.r, *sphere_s1(a, a - self.r)) for a in self.a_values)
 
 
 def eschenburg_descriptor(space: EschenburgSpace) -> str:
@@ -556,20 +529,24 @@ def parse_space(
     return eschenburg_descriptor(space), fixture_profile(fixture)
 
 
+def _fixture_s1(entry: tuple[str, InvariantProfile]) -> S1Value:
+    p = entry[1]
+    return _s1_value(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator)
+
+
 def _fixture_key(entry: tuple[str, InvariantProfile], s1: S1Value) -> tuple[TripleKey, bool]:
     return profile_key(entry[1])
 
 
 def fixture_source(fixtures: Iterable[EschenburgFixture]) -> Source:
-    """The fixture spaces, profiles built from their s-values.
+    """The fixture spaces, profiles built from their s-values, as a listed source.
 
     A catalog is small, so its profiles are built here, at once, and an
     invalid hand-made fixture raises here rather than only when it could
     match.
     """
     entries = tuple(fixture_entries(fixtures))
-    s1 = tuple(_s1_value(p.cohomology_type, p.r, p.s1.numerator, p.s1.denominator) for _, p in entries)
-    return Source(entries, s1, _fixture_key, _entry_fields)
+    return Source(entries, len(entries), _fixture_s1, _fixture_key, _entry_fields)
 
 
 def fixture_entries(
@@ -584,13 +561,33 @@ def _sphere_entry(r: int, a: int) -> EntryFields:
     return describe_bundle(Family.SPHERE, a, a - r), *sphere_p1_lk_pi4(a, a - r)
 
 
+def _sphere_s1(r: int, a: int) -> S1Value:
+    return _s1_value(CohomologyType.E, r, *sphere_s1(a, a - r))
+
+
 def _sphere_key(r: int, a: int, s1: S1Value) -> tuple[TripleKey, bool]:
     s2, s3 = sphere_s23(a, a - r)
     return _oriented_key(CohomologyType.E, r, (s1[2:], _reduced(*s2), _reduced(*s3)))
 
 
+def _solve_sphere(r: int, a_values: range, keys: Iterable[TripleKey]) -> list[tuple[int, TripleKey, bool]]:
+    """(a, key, bit), in order of a, of the S_{a,a-r} in the range that carry these keys (find_matches, point 6)."""
+    classes, period = {}, 168 * r
+    for key in dict.fromkeys(keys):
+        for flipped, orientation in zip((False, True), Orientation):
+            try:
+                solution = ediffeo_solve(EdiffeoProblem(r, *key_s_triple(key, False)), orientation)
+            except (DivisibilityFailure, ParityFailure, CongruenceFailure):
+                continue
+            for c in solution.residues:  # a self-negating triple keeps the bit clear
+                classes.setdefault((c.value - a_values.start) % period, (key, flipped))
+    offsets, count = sorted(classes), len(a_values)
+    walk = range(0, count, period) if offsets else ()  # no class: no walk through a long range
+    return [(a_values[i + o], *classes[o]) for i in walk for o in offsets if i + o < count]
+
+
 def sphere_source(r: int, start: int, stop: int) -> Source:
-    """The non-spin sphere bundles S_{a, a-r} with a in [start, stop).
+    """The non-spin sphere bundles S_{a, a-r} with a in [start, stop), as a solvable source.
 
     s1 is computed for the first min(stop - start, 56r) values of a only,
     one period: with x = 2a - r + 2, sphere_s1 gives s1 = (x^2 - r)/(224r),
@@ -604,8 +601,8 @@ def sphere_source(r: int, start: int, stop: int) -> Source:
     if stop - start > sys.maxsize:
         raise DomainError(f"sphere range [{start}, {stop}) holds {stop - start} values, more than {sys.maxsize}")
     a_values = range(start, stop)
-    s1 = _SpherePeriod(r, a_values[: 56 * r])
-    return Source(a_values, s1, partial(_sphere_key, r), partial(_sphere_entry, r))
+    return Source(a_values, min(56 * r, len(a_values)), partial(_sphere_s1, r), partial(_sphere_key, r),
+                  partial(_sphere_entry, r), (r, partial(_solve_sphere, r, a_values)))
 
 
 def sphere_grid(r: int, start: int, stop: int) -> list[tuple[str, InvariantProfile]]:
@@ -645,6 +642,11 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
             if q * q == disc:
                 found.update(a for a in ((s - q) // 2, (s + q) // 2) if lo <= a <= hi)
     return found
+
+
+def _circle_s1(r: int, hit: tuple[int, int, int]) -> S1Value:
+    a, b, t = hit
+    return _s1_value(CohomologyType.E, r, *circle_s1(t, a, b))
 
 
 def _circle_entry(hit: tuple[int, int, int]) -> EntryFields:
@@ -689,8 +691,7 @@ def circle_source(r: int, bound: int) -> Source:
                 if shifted % square == 0 and gcd(a, b) == 1:
                     hits.append((a, b, shifted // square))
     hits.sort()  # by (a, b, t); ab - r = t (a+b)^2 has the smaller t
-    s1 = tuple(_s1_value(CohomologyType.E, r, *circle_s1(t, a, b)) for a, b, t in hits)
-    return Source(tuple(hits), s1, partial(_circle_key, r), _circle_entry)
+    return Source(tuple(hits), len(hits), partial(_circle_s1, r), partial(_circle_key, r), _circle_entry)
 
 
 def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:

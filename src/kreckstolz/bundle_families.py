@@ -96,9 +96,8 @@ def describe_bundle(family: Family, a: int, b: int, t: Optional[int] = None) -> 
     """Compact text form of a family member, 'family:a,b' or, with t, 'family:t,a,b' (parse_bundle_spec reads it)."""
     if not isinstance(family, Family):
         raise DomainError(f"unknown family {excerpt(family)}")
-    if t is None:
-        return f"{family.value}:{a},{b}"
-    return f"{family.value}:{t},{a},{b}"
+    name = family._value_  # the member's value as a plain attribute; .value is a Python-level property
+    return f"{name}:{a},{b}" if t is None else f"{name}:{t},{a},{b}"
 
 
 def parse_bundle_spec(text: str) -> BundleSpec:

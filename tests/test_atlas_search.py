@@ -20,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kreckstolz import atlas_search, eschenburg
@@ -852,6 +852,60 @@ def test_find_matches_against_the_catalog_agrees_with_eager_pipeline(catalogs, d
         for pi4 in (True, False):
             got = match_outcome(find_matches, source, sphere, pi4), match_outcome(find_matches, sphere, source, pi4)
             assert got == (match_outcome(match_all, index, eager, pi4), match_outcome(match_all, eager, index, pi4))
+
+
+def test_find_matches_solves_when_56_per_listed_entry_fit_in_the_s1_period(fixtures, monkeypatch):
+    calls, problems = counted_sphere_s1(monkeypatch), counted_ediffeo_solve(monkeypatch)
+    catalog, eager_catalog = fixture_source(fixtures), build_index(fixture_entries(fixtures))
+    # The catalog holds two entries of order 41 (one space, both
+    # orientations), so a range of 56 * 2 values is solved and one value
+    # fewer runs the two stages.  Both ranges hold the class 2285.
+    start = 2285 - 50
+    for stop, s1_values, solved in ((start + 112, 0, True), (start + 111, 111, False)):
+        del calls[:], problems[:]
+        records = find_matches(catalog, sphere_source(41, start, stop))
+        assert records and records == match_all(eager_catalog, build_index(sphere_grid(41, start, stop)))
+        assert len(calls) == s1_values and bool(problems) is solved
+
+
+def test_find_matches_walks_a_last_s1_period_cut_short():
+    # Two sphere ranges take the two stages.  Ranges of 420 = 2.5 * 168
+    # values end inside their last s1 period, where Source.select stops
+    # at the first kept position past the end.
+    left, right = (3, 0, 420), (3, 504, 924)
+    eager = [build_index(sphere_grid(*bounds)) for bounds in (left, right)]
+    assert find_matches(sphere_source(*left), sphere_source(*right)) == match_all(*eager) != ()
+
+
+@pytest.fixture(scope="module")
+def small_circle_grids():
+    """(r, bound) of the nonempty circle grids with at most r entries, r <= 60 and bound <= 5."""
+    return [(r, bound) for r in range(1, 61) for bound in range(6) if 0 < len(circle_source(r, bound).params) <= r]
+
+
+# No deadline: an example builds up to 56r + 168r eager sphere profiles and
+# takes up to a second, past Hypothesis' default 200 ms.  monkeypatch is
+# function-scoped: each example installs its own counters, and all are
+# undone after the last example.
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_find_matches_solves_a_sphere_range_against_a_small_circle_grid(small_circle_grids, monkeypatch, data):
+    # A circle grid is a listed source like the catalog: with at most r
+    # entries, 56 per entry fit in a range of 56r values, so the range is
+    # solved, on either side, and agrees with the eager pipeline.
+    calls, problems = counted_sphere_s1(monkeypatch), counted_ediffeo_solve(monkeypatch)
+    r, bound = data.draw(st.sampled_from(small_circle_grids))
+    circles = circle_source(r, bound)
+    start = data.draw(st.integers(-4 * 168 * r, 4 * 168 * r))
+    stop = start + 56 * len(circles.params) + data.draw(st.integers(0, 168 * r))
+    sphere, eager = sphere_source(r, start, stop), build_index(sphere_grid(r, start, stop))
+    eager_circles = build_index(circle_grid(r, bound))
+    for pi4 in (True, False):
+        del calls[:], problems[:]
+        got = match_outcome(find_matches, circles, sphere, pi4), match_outcome(find_matches, sphere, circles, pi4)
+        want = match_outcome(match_all, eager_circles, eager, pi4), match_outcome(match_all, eager, eager_circles, pi4)
+        assert got == want
+        assert calls == [] and problems
 
 
 def test_find_matches_builds_sphere_entries_from_one_s_triple_per_key(monkeypatch):

@@ -46,6 +46,10 @@ CASES = {
         ("match", "--left", "circle:r=17,bound=8", "--right", "sphere:r=17,start=-100,stop=100"),
         0,
     ),
+    "match_circle_sphere_solved_r17": (
+        ("match", "--left", "circle:r=17,bound=1", "--right", "sphere:r=17,start=0,stop=2856"),
+        0,
+    ),
     "match_sphere_next_period_r3": (
         ("match", "--left", "sphere:r=3,start=0,stop=60", "--right", "sphere:r=3,start=504,stop=564"),
         0,
