@@ -40,6 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from math import gcd, isqrt
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -615,25 +616,35 @@ def _circle_candidates(r: int, s: int, bound: int) -> Iterable[int]:
     """The a that circle_grid tests on the diagonal a + b = s != 0.
 
     With |a|, |b| <= bound, a runs over [lo, hi], and a hit needs
-    ab = t*s^2 + o for an integer t and o = r or -r.  Walking a costs
-    hi - lo + 1 steps.  Walking t costs about (bound - |s|/2)^2 / s^2
-    steps, far fewer once |s| grows: ab = a*(s - a) lies between its
-    value at the ends of [lo, hi] and s^2 // 4 (taken at a = s/2, inside
-    [lo, hi]), which bounds t; and for each t, a is a root of
-    a^2 - s*a + (t*s^2 + o) = 0, an integer exactly when the discriminant
-    s^2 - 4*(t*s^2 + o) >= 0 is a square q^2 (then q = s mod 2, as q^2 =
-    s^2 mod 4, and a = (s - q)/2 or (s + q)/2).  The cheaper walk is taken.
+    ab = t*s^2 + o for an integer t and o = r or -r, so a*(s - a) = +-r
+    mod s^2.  Modulo m = |s| this reads -a^2 = +-r: a hit's a lies in a
+    class c mod m with c^2 = r or c^2 = -r (mod m).  Walking those
+    classes costs m steps to find the roots c, then about
+    roots * (hi - lo) / m steps; at m = 1 it is the plain walk of every a.
+    Walking t costs about (bound - m/2)^2 / s^2 steps, far fewer once m
+    grows: ab = a*(s - a) lies between its value at the ends of [lo, hi]
+    and s^2 // 4 (taken at a = s/2, inside [lo, hi]), which bounds t; and
+    for each t, a is a root of a^2 - s*a + (t*s^2 + o) = 0, an integer
+    exactly when the discriminant s^2 - 4*(t*s^2 + o) >= 0 is a square q^2
+    (then q = s mod 2, as q^2 = s^2 mod 4, and a = (s - q)/2 or
+    (s + q)/2).  The cheaper walk is taken by counted steps: the roots are
+    sought only when m is below the t-walk's count, and their classes are
+    walked when roots * ((hi - lo) // m + 1) is at most that count.
 
-    Either walk yields only a in [lo, hi] (the t-walk keeps no other root),
-    so |a| <= bound, and b = s - a has |b| <= bound too: a >= s - bound
-    gives b <= bound, and a <= s + bound gives b >= -bound.  circle_source
-    therefore tests no bound itself.
+    Either walk yields each a at most once (the classes are distinct, the
+    t-walk collects a set) and only a in [lo, hi] (the t-walk keeps no
+    other root), so |a| <= bound, and b = s - a has |b| <= bound too:
+    a >= s - bound gives b <= bound, and a <= s + bound gives b >= -bound.
+    circle_source therefore tests no bound itself.
     """
     lo, hi = max(-bound, s - bound), min(bound, s + bound)
-    square = s * s
+    square, m = s * s, abs(s)
     ab_min, ab_max = lo * (s - lo), square // 4
-    if hi - lo + 1 <= 2 * ((ab_max - ab_min + 2 * r) // square + 1):
-        return range(lo, hi + 1)
+    t_steps = 2 * ((ab_max - ab_min + 2 * r) // square + 1)
+    if m < t_steps:
+        roots = [c for c in range(m) if (c * c - r) % m == 0 or (c * c + r) % m == 0]
+        if len(roots) * ((hi - lo) // m + 1) <= t_steps:
+            return chain.from_iterable(range(lo + (c - lo) % m, hi + 1, m) for c in roots)
     found = set()
     for offset in (r, -r):
         for t in range(-((offset - ab_min) // square), (ab_max - offset) // square + 1):
@@ -670,8 +681,11 @@ def circle_source(r: int, bound: int) -> Source:
     however large.  Entries come ordered by a, then b, then t with
     ab - r = t (a+b)^2 before ab + r = t (a+b)^2.  Each diagonal a + b = s
     is searched output-sensitively (see _circle_candidates, which also
-    keeps every candidate within the bound), and every candidate passes the
-    same divisibility and coprimality tests.
+    keeps every candidate within the bound): a hit has a^2 = r or -r
+    (mod |s|), as a(s - a) = +-r (mod s^2), so the diagonal is walked
+    through the classes of a mod |s| with that property, or through t
+    when that counts fewer steps.  Every candidate passes the same
+    divisibility and coprimality tests, so the walk changes no entry.
     The parameters of an entry are (a, b, t).
     """
     require_ints(r=r, bound=bound)

@@ -20,7 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from kreckstolz import atlas_search, eschenburg
@@ -29,6 +29,7 @@ from kreckstolz.atlas_search import (
     TABLE_B,
     AtlasIndex,
     MatchRecord,
+    _circle_candidates,
     _circle_key,
     _entry_fields,
     _s1_value,
@@ -979,9 +980,9 @@ def test_circle_grid_contents():
     assert entries == circle_grid(17, 40)
 
 
-def reference_circle_grid(r, bound):
-    """The (2*bound + 1)^2 scan circle_grid once ran, kept as its oracle."""
-    entries = []
+def reference_circle_params(r, bound):
+    """The (a, b, t) of the (2*bound + 1)^2 scan circle_grid once ran, kept as its oracle."""
+    params = []
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
             s = a + b
@@ -991,9 +992,13 @@ def reference_circle_grid(r, bound):
             ab = a * b
             for shifted in (ab - r, ab + r):
                 if shifted % square == 0 and gcd(a, b) == 1:
-                    t = shifted // square
-                    entries.append((describe_bundle(Family.CIRCLE, a, b, t), profile_circle(t, a, b)))
-    return entries
+                    params.append((a, b, shifted // square))
+    return params
+
+
+def reference_circle_grid(r, bound):
+    return [(describe_bundle(Family.CIRCLE, a, b, t), profile_circle(t, a, b))
+            for a, b, t in reference_circle_params(r, bound)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 17, 25])
@@ -1001,6 +1006,41 @@ def test_circle_grid_matches_full_scan(r):
     # r = 1 and r = 2 have diagonals where both ab - r and ab + r are hits.
     for bound in range(61):
         assert circle_grid(r, bound) == reference_circle_grid(r, bound), bound
+
+
+# r = 1, 9, 36, 60 and 120 have many square roots of +-r modulo small |s|,
+# so their diagonals walk several residue classes of a.
+@example(r=1, bound=40)
+@example(r=9, bound=40)
+@example(r=36, bound=40)
+@example(r=60, bound=40)
+@example(r=120, bound=40)
+@settings(deadline=None)
+@given(r=st.integers(1, 500), bound=st.integers(0, 40))
+def test_circle_source_params_match_full_scan(r, bound):
+    assert list(circle_source(r, bound).params) == reference_circle_params(r, bound)
+
+
+@settings(deadline=None)
+@given(r=st.integers(1, 2000), bound=st.integers(1, 120), data=st.data())
+def test_circle_candidates_hold_every_hit_of_their_diagonal_once(r, bound, data):
+    s = data.draw(st.integers(1, 2 * bound)) * data.draw(st.sampled_from((1, -1)))
+    lo, hi = max(-bound, s - bound), min(bound, s + bound)
+    candidates = list(_circle_candidates(r, s, bound))
+    assert all(lo <= a <= hi for a in candidates)
+    assert len(set(candidates)) == len(candidates)
+    square = s * s
+    hits = {a for a in range(lo, hi + 1) if (a * (s - a) - r) % square == 0 or (a * (s - a) + r) % square == 0}
+    assert hits <= set(candidates)
+
+
+@pytest.mark.parametrize("r, bound, hits", [(17, 700, 8774), (25, 625, 7510), (41, 615, 8226)])
+def test_circle_walk_examines_at_most_four_candidates_per_hit(r, bound, hits):
+    # The grids of the benchmark's catalog-vs-circle requests.  Walking
+    # every a of each short diagonal examines 7.1-8.2 candidates per hit.
+    assert len(circle_source(r, bound).params) == hits
+    examined = sum(len(list(_circle_candidates(r, s, bound))) for s in range(-2 * bound, 2 * bound + 1) if s)
+    assert examined <= 4 * hits
 
 
 def test_circle_grid_rejects_nonpositive_order():

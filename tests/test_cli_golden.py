@@ -46,6 +46,10 @@ CASES = {
         ("match", "--left", "circle:r=17,bound=8", "--right", "sphere:r=17,start=-100,stop=100"),
         0,
     ),
+    "match_circle_sphere_r13": (
+        ("match", "--left", "circle:r=13,bound=10", "--right", "sphere:r=13,start=0,stop=2184"),
+        0,
+    ),
     "match_circle_sphere_solved_r17": (
         ("match", "--left", "circle:r=17,bound=1", "--right", "sphere:r=17,start=0,stop=2856"),
         0,
