@@ -17,11 +17,15 @@ of a period through the whole range, and of those the entries whose
 triple key (the cleared s2 and s3 join s1, in canonical orientation)
 occurs on both sides.  Only kept entries are built, into index entries
 that hold p1, the linking classes and pi4: match_all reads the s-values
-back from the key and flip bit (key_s_triple).  The triple key,
-`profile_key` of a built profile, keys every index (`build_index` too);
-it is orientation-insensitive, so `match_all` finds matches of both
-orientations with each lookup.  The filters change no output: see
-`find_matches`.
+back from the key and flip bit (key_s_triple).  A value that repeats
+is computed once where it repeats: a sphere range computes s2 and s3
+once per class of a mod 12r and p1, lk and pi4 once per class mod r, a
+circle grid chooses (m, n) once per (a, b) for key and build, and
+match_all builds one Fraction per distinct s-value of a call.  The
+triple key, `profile_key` of a built profile, keys every index
+(`build_index` too); it is orientation-insensitive, so `match_all` finds
+matches of both orientations with each lookup.  The filters change no
+output: see `find_matches`.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -39,7 +43,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain
 from math import gcd, isqrt
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -167,18 +171,22 @@ def _oriented_key(cohomology_type: CohomologyType, r: int, pairs: Sequence[tuple
     return (cohomology_type, r, n1, d1, n2, d2, n3, d3), flipped
 
 
-def key_s_triple(key: TripleKey, flipped: bool) -> STriple:
+def key_s_triple(
+    key: TripleKey, flipped: bool, fraction: Callable[[int, int], ModOneValue] = ratio_mod_one
+) -> STriple:
     """The s-triple modulo 1 of a space with this bucket key and flip bit.
 
     The key holds the canonical s-triple as reduced pairs (n, d); a set
-    bit means the space carries its negation, -n/d = ((d - n) mod d)/d.
+    bit means the space carries its negation, -n/d = ((-n) mod d)/d.
     So this undoes the orientation that _oriented_key chose, and profile_key
     of a profile with these s-values gives back the key and the bit.
+    Each value is `fraction` (ratio_mod_one, or match_all's memo of it)
+    of its reduced pair (n, d), 0 <= n < d.
     """
     _, _, n1, d1, n2, d2, n3, d3 = key
     if flipped:
-        n1, n2, n3 = -n1, -n2, -n3
-    return ratio_mod_one(n1, d1), ratio_mod_one(n2, d2), ratio_mod_one(n3, d3)
+        n1, n2, n3 = -n1 % d1, -n2 % d2, -n3 % d3
+    return fraction(n1, d1), fraction(n2, d2), fraction(n3, d3)
 
 
 def profile_key(profile: InvariantProfile) -> tuple[TripleKey, bool]:
@@ -288,7 +296,9 @@ def match_all(
     records, their order and the first InconsistentFixture are those of
     checking every pair.  The evidence (r from the key, the s-values from
     key_s_triple) is built once per bucket and left bit, so the records of
-    a run share one tuple.
+    a run share one tuple, and its s-values are interned per call: a
+    reduced pair (n, d) gets its Fraction from ratio_mod_one at its first
+    occurrence, and every later evidence tuple reuses that object.
     With `require_pi4_compat` (the default) a proven pi4 = 0 on one side
     and a proven pi4 = Z/2 on the other blocks the pair; passing False
     drops that gate, for surveys over families whose pi4 is the only
@@ -298,6 +308,7 @@ def match_all(
     require_instance(right, AtlasIndex, "right")
     require_instance(require_pi4_compat, bool, "require_pi4_compat")
     records: list[MatchRecord] = []
+    fraction = cache(ratio_mod_one)  # one Fraction per s-value of this call
     for key, left_entries in left.buckets.items():
         right_entries = right.buckets.get(key)
         if not right_entries:
@@ -313,7 +324,9 @@ def match_all(
                 verdicts = {g: _orientation(r, group, g, require_pi4_compat) for g in dict.fromkeys(right_groups)}
                 pairs = [(e.descriptor, o) for e, g in zip(right_entries, right_groups) if (o := verdicts[g])]
                 partners[group] = pairs
-            evidence = evidences.get(flipped) or evidences.setdefault(flipped, (r, *key_s_triple(key, flipped)))
+            evidence = evidences.get(flipped) or evidences.setdefault(
+                flipped, (r, *key_s_triple(key, flipped, fraction))
+            )
             records += [MatchRecord(left_entry.descriptor, other, o, evidence) for other, o in pairs]
     return tuple(records)
 
@@ -558,17 +571,16 @@ def fixture_entries(
     return [(eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures]
 
 
-def _sphere_entry(r: int, a: int) -> EntryFields:
-    return describe_bundle(Family.SPHERE, a, a - r), *sphere_p1_lk_pi4(a, a - r)
+def _sphere_entry(r: int, p1_lk_pi4: Callable[[int], tuple], a: int) -> EntryFields:
+    return describe_bundle(Family.SPHERE, a, a - r), *p1_lk_pi4(a % r)
 
 
 def _sphere_s1(r: int, a: int) -> S1Value:
     return _s1_value(CohomologyType.E, r, *sphere_s1(a, a - r))
 
 
-def _sphere_key(r: int, a: int, s1: S1Value) -> tuple[TripleKey, bool]:
-    s2, s3 = sphere_s23(a, a - r)
-    return _oriented_key(CohomologyType.E, r, (s1[2:], _reduced(*s2), _reduced(*s3)))
+def _sphere_key(r: int, s23: Callable[[int], tuple], a: int, s1: S1Value) -> tuple[TripleKey, bool]:
+    return _oriented_key(CohomologyType.E, r, (s1[2:], *s23(a % (12 * r))))
 
 
 def _solve_sphere(r: int, a_values: range, keys: Iterable[TripleKey]) -> list[tuple[int, TripleKey, bool]]:
@@ -593,7 +605,12 @@ def sphere_source(r: int, start: int, stop: int) -> Source:
     s1 is computed for the first min(stop - start, 56r) values of a only,
     one period: with x = 2a - r + 2, sphere_s1 gives s1 = (x^2 - r)/(224r),
     and moving a by 56r adds 224r(x + 56r) to x^2, which leaves s1 mod 1
-    unchanged.  A range of more than sys.maxsize values, which has no
+    unchanged.  The reduced s2 and s3 are computed once per class of a mod
+    12r, at its least residue c >= 0, on first use: s2 = -(2a - r + 1)/(24r)
+    and s3 = -(2a - r - 2)/(6r), and moving a by 12r moves both numerators
+    by 24r, a multiple of both denominators.  p1, lk and pi4 are computed
+    once per class of a mod r, at its least residue, on first use:
+    p1 = (4a - 2r + 4) mod r, and lk and pi4 depend on r only.  A range of more than sys.maxsize values, which has no
     length in Python and would ask for unbounded work, is refused.
     """
     require_ints(r=r, start=start, stop=stop)
@@ -602,8 +619,10 @@ def sphere_source(r: int, start: int, stop: int) -> Source:
     if stop - start > sys.maxsize:
         raise DomainError(f"sphere range [{start}, {stop}) holds {stop - start} values, more than {sys.maxsize}")
     a_values = range(start, stop)
-    return Source(a_values, min(56 * r, len(a_values)), partial(_sphere_s1, r), partial(_sphere_key, r),
-                  partial(_sphere_entry, r), (r, partial(_solve_sphere, r, a_values)))
+    s23 = cache(lambda c: tuple(_reduced(*s) for s in sphere_s23(c, c - r)))
+    p1_lk_pi4 = cache(lambda c: sphere_p1_lk_pi4(c, c - r))
+    return Source(a_values, min(56 * r, len(a_values)), partial(_sphere_s1, r), partial(_sphere_key, r, s23),
+                  partial(_sphere_entry, r, p1_lk_pi4), (r, partial(_solve_sphere, r, a_values)))
 
 
 def sphere_grid(r: int, start: int, stop: int) -> list[tuple[str, InvariantProfile]]:
@@ -660,16 +679,17 @@ def _circle_s1(r: int, hit: tuple[int, int, int]) -> S1Value:
     return _s1_value(CohomologyType.E, r, *circle_s1(t, a, b))
 
 
-def _circle_entry(hit: tuple[int, int, int]) -> EntryFields:
+def _circle_entry(mn: Callable[[int, int], tuple[int, int]], hit: tuple[int, int, int]) -> EntryFields:
     a, b, t = hit
-    m, n = choose_mn(Family.CIRCLE, a, b)
-    return describe_bundle(Family.CIRCLE, a, b, t), *circle_p1_lk_pi4(t, a, b, m, n)
+    return describe_bundle(Family.CIRCLE, a, b, t), *circle_p1_lk_pi4(t, a, b, *mn(a, b))
 
 
-def _circle_key(r: int, hit: tuple[int, int, int], s1: S1Value) -> tuple[TripleKey, bool]:
+def _circle_key(
+    r: int, hit: tuple[int, int, int], s1: S1Value,
+    mn: Callable[[int, int], tuple[int, int]] = partial(choose_mn, Family.CIRCLE),
+) -> tuple[TripleKey, bool]:
     a, b, t = hit
-    m, n = choose_mn(Family.CIRCLE, a, b)
-    s2, s3 = circle_s23(t, a, b, m, n)
+    s2, s3 = circle_s23(t, a, b, *mn(a, b))
     return _oriented_key(CohomologyType.E, r, (s1[2:], _reduced(*s2), _reduced(*s3)))
 
 
@@ -686,7 +706,8 @@ def circle_source(r: int, bound: int) -> Source:
     through the classes of a mod |s| with that property, or through t
     when that counts fewer steps.  Every candidate passes the same
     divisibility and coprimality tests, so the walk changes no entry.
-    The parameters of an entry are (a, b, t).
+    The parameters of an entry are (a, b, t).  Its pair (m, n) is
+    chosen once per (a, b), on first use, for its key and its build.
     """
     require_ints(r=r, bound=bound)
     if r < 1:
@@ -705,7 +726,9 @@ def circle_source(r: int, bound: int) -> Source:
                 if shifted % square == 0 and gcd(a, b) == 1:
                     hits.append((a, b, shifted // square))
     hits.sort()  # by (a, b, t); ab - r = t (a+b)^2 has the smaller t
-    return Source(tuple(hits), len(hits), partial(_circle_s1, r), partial(_circle_key, r), _circle_entry)
+    mn = cache(partial(choose_mn, Family.CIRCLE))
+    return Source(tuple(hits), len(hits), partial(_circle_s1, r), partial(_circle_key, r, mn=mn),
+                  partial(_circle_entry, mn))
 
 
 def circle_grid(r: int, bound: int) -> list[tuple[str, InvariantProfile]]:
@@ -1021,12 +1044,15 @@ def render_matches_json(records: Iterable[MatchRecord]) -> str:
     The text is json.dumps(payload, sort_keys=True, indent=2) + "\n" of
     that list, with r an integer and the s-values as "n/d" strings.  With
     an indent json.dumps runs its encoder in Python; here only the string
-    values pass through json.dumps, into a fixed template.
+    values are encoded, with encode_basestring_ascii (what json.dumps
+    calls for a str under its default ensure_ascii=True), into a fixed
+    template, and each orientation's text once.
     """
-    dumps = json.dumps
+    quote = json.encoder.encode_basestring_ascii
+    orientations = {o: quote(o.value) for o in Orientation}
     objects = [
-        _JSON_RECORD.format(dumps(record.left), dumps(record.orientation.value), r, dumps(record.right), s1, s2, s3)
-        for record, (r, s1, s2, s3) in _evidence_texts(records, dumps)
+        _JSON_RECORD.format(quote(record.left), orientations[record.orientation], r, quote(record.right), s1, s2, s3)
+        for record, (r, s1, s2, s3) in _evidence_texts(records, quote)
     ]
     if not objects:
         return "[]\n"

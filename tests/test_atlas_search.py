@@ -66,6 +66,7 @@ from kreckstolz.bundle_families import (
     profile_spin_sphere,
     sphere_p1_lk_pi4,
     sphere_s1,
+    sphere_s23,
 )
 from kreckstolz.classification import Orientation, ediffeo_solve, ks_diffeomorphic
 from kreckstolz.errors import DomainError, InconsistentFixture, MissingFixture
@@ -570,6 +571,19 @@ def test_sphere_triple_key_agrees_with_profile_key(a, r):
     assert_entry_keys_agree(sphere_source(r, a, a + 1), 0, profile_sphere(a, a - r))
 
 
+# No deadline: an example builds up to 1,440 profiles.
+@settings(deadline=None, max_examples=50)
+@given(st.integers(-10**6, 10**6), st.integers(1, 60), st.integers(1, 10**3))
+def test_sphere_keys_and_entries_agree_with_profiles_across_periods(start, r, extra):
+    # Longer than 12r, so the source reuses its s2, s3 of each class of a
+    # mod 12r and its p1, lk, pi4 of each class mod r.
+    source = sphere_source(r, start, start + 12 * r + extra % (12 * r) + 1)
+    for i, a in enumerate(source.params):
+        p = profile_sphere(a, a - r)
+        assert_entry_keys_agree(source, i, p)
+        assert source.build(a) == _entry_fields((describe_bundle(Family.SPHERE, a, a - r), p))
+
+
 @given(st.integers(-10**4, 10**4), st.integers(-300, 300), st.integers(-300, 300))
 def test_circle_triple_key_agrees_with_profile_key(t, a, b):
     s = t * (a + b) ** 2 - a * b
@@ -914,9 +928,9 @@ def test_find_matches_builds_sphere_entries_from_one_s_triple_per_key(monkeypatc
     monkeypatch.setattr(atlas_search, "profile_sphere", lambda a, b: profiled.append(a) or profile_sphere(a, b))
     s_triples = []
 
-    def counted_key_s_triple(key, flipped):
+    def counted_key_s_triple(key, flipped, *fraction):
         s_triples.append((key, flipped))
-        return key_s_triple(key, flipped)
+        return key_s_triple(key, flipped, *fraction)
 
     monkeypatch.setattr(atlas_search, "key_s_triple", counted_key_s_triple)
     validated = []
@@ -934,6 +948,31 @@ def test_find_matches_builds_sphere_entries_from_one_s_triple_per_key(monkeypatc
     assert validated == []
     assert len(find_matches(sphere_source(r, 0, 168 * r), circle_source(r, 30))) > 0
     assert validated == []
+
+
+def test_find_matches_computes_each_distinct_value_once(monkeypatch):
+    counted = {name: [] for name in ("choose_mn", "sphere_s23", "sphere_p1_lk_pi4")}
+    for name, calls in counted.items():
+        function = getattr(atlas_search, name)
+        monkeypatch.setattr(atlas_search, name, lambda *args, f=function, c=calls: c.append(args) or f(*args))
+    r, period = 17, 168 * 17
+    circles = circle_source(r, 60)
+    keyed = []
+    circles = dataclasses.replace(circles, key=lambda hit, s1, key=circles.key: keyed.append(hit) or key(hit, s1))
+    spheres = [sphere_source(r, start, start + period) for start in (-period, 0)]
+    runs = [find_matches(spheres[0], circles), find_matches(*spheres)]
+    assert all(runs) and keyed
+    # One Bezout step per (a, b) of a keyed circle entry, shared by its key
+    # and its build: (a, b) carries two entries where (a + b)^2 divides 2r.
+    assert sorted(args[1:] for args in counted["choose_mn"]) == sorted({(a, b) for a, b, _ in keyed})
+    # s2, s3 once per class of a mod 12r, p1, lk, pi4 once per class mod
+    # r, in each of the two sphere sources.
+    assert 0 < len(counted["sphere_s23"]) <= 2 * 12 * r
+    assert 0 < len(counted["sphere_p1_lk_pi4"]) <= 2 * r
+    # Each run's evidence holds one Fraction object per distinct s-value.
+    for records in runs:
+        values = [s for rec in records for s in rec.evidence[1:]]
+        assert len({id(s) for s in values}) == len(set(values))
 
 
 def test_parse_source_loads_fixtures_only_for_a_fixture_source(fixtures):
