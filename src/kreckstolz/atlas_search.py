@@ -1,31 +1,13 @@
 """Invariant-keyed search over families of spaces, plus catalog verification.
 
 Diffeomorphic pairs between two collections of spaces are found on
-integers before any profile is built.  Each entry of a source has an s1
-value, computed on first use: the cohomology type, the order r and s1
-modulo 1 as a reduced pair, from the family's cleared s1 formula (for
-the catalog, its tabulated s1).  A listed source (the catalog, a circle
-grid) holds one s1 value per entry; a solvable source (a sphere range)
-holds one period, as s1 of S_{a,a-r} depends only on a mod 56r, and a
-solver: `ediffeo_solve` gives the classes of a mod 168r that carry a
-triple.  `find_matches` solves a solvable side against a listed side
-when 56 times the listed entries of type E and order r is at most the
-s1 period: a key costs the solver 28 lifts in each of 2 orientations, a
-period position one s1 value.  Otherwise it keeps the entries whose s1
-bucket (s1 up to sign) occurs on both sides, walking each kept position
-of a period through the whole range, and of those the entries whose
-triple key (the cleared s2 and s3 join s1, in canonical orientation)
-occurs on both sides.  Only kept entries are built, into index entries
-that hold p1, the linking classes and pi4: match_all reads the s-values
-back from the key and flip bit (key_s_triple).  A value that repeats
-is computed once where it repeats: a sphere range computes s2 and s3
-once per class of a mod 12r and p1, lk and pi4 once per class mod r, a
-circle grid chooses (m, n) once per (a, b) for key and build, and
-match_all builds one Fraction per distinct s-value of a call.  The
-triple key, `profile_key` of a built profile, keys every index
-(`build_index` too); it is orientation-insensitive, so `match_all` finds
-matches of both orientations with each lookup.  The filters change no
-output: see `find_matches`.
+integers before any profile is built.  A `Source` (listed: the catalog,
+a circle grid; solvable: a sphere range) gives each entry its s1 value,
+its triple key (`profile_key`) and its index entry; `find_matches`
+chooses which entries get built, and its points 1-6 prove that this
+changes no output; `match_all` checks each pair of a shared bucket.
+`sphere_source` proves its periods, `_circle_candidates` its walk of
+the circle diagonals.
 
 It also ships the two bundled catalog tables -- sphere-bundle partners
 and circle-bundle partners of positively curved biquotients -- together
@@ -289,16 +271,14 @@ def match_all(
     spaces, so a conflict there means corrupted input data and raises
     InconsistentFixture rather than silently dropping the pair; every
     emitted record thus survives re-checking with ks_diffeomorphic.
-    Each pair is checked for pi4, then linking classes, then p1.  The
-    outcome of a pair depends only on the groups of its two entries, the
-    entries of a bucket that share (p1, lk, pi4, bit); so each pair of
-    groups is checked once, at its first pair in visiting order, and the
-    records, their order and the first InconsistentFixture are those of
-    checking every pair.  The evidence (r from the key, the s-values from
-    key_s_triple) is built once per bucket and left bit, so the records of
-    a run share one tuple, and its s-values are interned per call: a
-    reduced pair (n, d) gets its Fraction from ratio_mod_one at its first
-    occurrence, and every later evidence tuple reuses that object.
+    Each pair is checked for pi4, then linking classes, then p1, in
+    visiting order: left entries in bucket order, each against the right
+    entries of its bucket in order, so the first conflicting pair raises.
+    The evidence (r from the key, the s-values from key_s_triple) is built
+    once per bucket and left bit, so the records of a run share one
+    tuple, and its s-values are interned per call: a reduced pair (n, d)
+    gets its Fraction from ratio_mod_one at its first occurrence, and
+    every later evidence tuple reuses that object.
     With `require_pi4_compat` (the default) a proven pi4 = 0 on one side
     and a proven pi4 = Z/2 on the other blocks the pair; passing False
     drops that gate, for surveys over families whose pi4 is the only
@@ -314,36 +294,33 @@ def match_all(
         if not right_entries:
             continue
         r = key[1]
-        right_groups = [entry[1:] for entry in right_entries]
         evidences: dict[bool, tuple[int, ModOneValue, ModOneValue, ModOneValue]] = {}  # per left bit
-        partners: dict[tuple, list[tuple[str, Orientation]]] = {}  # per left group: right descriptor, orientation
         for left_entry in left_entries:
-            group, flipped = left_entry[1:], left_entry.flipped
-            pairs = partners.get(group)
-            if pairs is None:
-                verdicts = {g: _orientation(r, group, g, require_pi4_compat) for g in dict.fromkeys(right_groups)}
-                pairs = [(e.descriptor, o) for e, g in zip(right_entries, right_groups) if (o := verdicts[g])]
-                partners[group] = pairs
+            flipped = left_entry.flipped
             evidence = evidences.get(flipped) or evidences.setdefault(
                 flipped, (r, *key_s_triple(key, flipped, fraction))
             )
-            records += [MatchRecord(left_entry.descriptor, other, o, evidence) for other, o in pairs]
+            records += [MatchRecord(left_entry.descriptor, other.descriptor, o, evidence) for other in right_entries
+                        if (o := _orientation(r, left_entry, other, require_pi4_compat))]
     return tuple(records)
 
 
-def _orientation(r: int, left: tuple, right: tuple, require_pi4_compat: bool) -> Optional[Orientation]:
-    """The orientation of a pair of entries with these (p1, lk, pi4, bit) fields, or None if pi4 blocks it.
+def _orientation(r: int, left: IndexEntry, right: IndexEntry, require_pi4_compat: bool) -> Optional[Orientation]:
+    """The orientation of a pair of entries of a bucket of order r, or None if pi4 blocks it.
 
     A conflict in lk or p1 raises match_all's InconsistentFixture.
     """
-    p1, lk, pi4, flipped = left
-    other_p1, other_lk, other_pi4, other_flipped = right
+    _, p1, lk, pi4, flipped = left
+    _, other_p1, other_lk, other_pi4, other_flipped = right
     if require_pi4_compat and other_pi4 is pi4_conflict(pi4):
         return None
-    orientation = Orientation.PRESERVING if flipped == other_flipped else Orientation.REVERSING
-    if orientation is Orientation.REVERSING and other_lk is not None:  # in the order negated_lk builds it
-        other_lk = tuple(c.value for c in frozenset(ResidueClass(-v % r, r) for v in other_lk))
-    if (lk is None) != (other_lk is None) or lk is not None and set(lk).isdisjoint(other_lk):
+    reversing = flipped != other_flipped
+    orientation = Orientation.REVERSING if reversing else Orientation.PRESERVING
+    if (lk is None) != (other_lk is None) or lk is not None and set(lk).isdisjoint(
+        [-v % r for v in other_lk] if reversing else other_lk
+    ):
+        if reversing and other_lk is not None:  # in the order negated_lk builds it
+            other_lk = tuple(c.value for c in frozenset(ResidueClass(-v % r, r) for v in other_lk))
         raise InconsistentFixture(
             f"s-values match ({orientation.value}) but linking classes differ: "
             f"{_lk_text(lk, r)} vs {_lk_text(other_lk, r)}"
@@ -610,8 +587,9 @@ def sphere_source(r: int, start: int, stop: int) -> Source:
     and s3 = -(2a - r - 2)/(6r), and moving a by 12r moves both numerators
     by 24r, a multiple of both denominators.  p1, lk and pi4 are computed
     once per class of a mod r, at its least residue, on first use:
-    p1 = (4a - 2r + 4) mod r, and lk and pi4 depend on r only.  A range of more than sys.maxsize values, which has no
-    length in Python and would ask for unbounded work, is refused.
+    p1 = (4a - 2r + 4) mod r, and lk and pi4 depend on r only.  A range
+    of more than sys.maxsize values, which has no length in Python and
+    would ask for unbounded work, is refused.
     """
     require_ints(r=r, start=start, stop=stop)
     if r < 1:
@@ -685,8 +663,7 @@ def _circle_entry(mn: Callable[[int, int], tuple[int, int]], hit: tuple[int, int
 
 
 def _circle_key(
-    r: int, hit: tuple[int, int, int], s1: S1Value,
-    mn: Callable[[int, int], tuple[int, int]] = partial(choose_mn, Family.CIRCLE),
+    r: int, mn: Callable[[int, int], tuple[int, int]], hit: tuple[int, int, int], s1: S1Value
 ) -> tuple[TripleKey, bool]:
     a, b, t = hit
     s2, s3 = circle_s23(t, a, b, *mn(a, b))
@@ -727,7 +704,7 @@ def circle_source(r: int, bound: int) -> Source:
                     hits.append((a, b, shifted // square))
     hits.sort()  # by (a, b, t); ab - r = t (a+b)^2 has the smaller t
     mn = cache(partial(choose_mn, Family.CIRCLE))
-    return Source(tuple(hits), len(hits), partial(_circle_s1, r), partial(_circle_key, r, mn=mn),
+    return Source(tuple(hits), len(hits), partial(_circle_s1, r), partial(_circle_key, r, mn),
                   partial(_circle_entry, mn))
 
 
@@ -880,67 +857,54 @@ def _sphere_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str
     # The residue solver presupposes the standard linking form.
     if inv.s_signed % row.r not in (1 % row.r, (-1) % row.r):
         problems.append("linking form is not standard: sigma3(k) - sigma3(l) is not ±1 mod r")
-    orientation: Optional[Orientation] = None
-    solved: tuple[ResidueClass, ...] = ()
-    anchor, anchor_profile = min(row.residues), None
-    target = {value % (168 * row.r) for value in row.residues}
+    anchor = min(row.residues)
+    partner = describe_bundle(Family.SPHERE, anchor, anchor - row.r)
     try:
         problem = EdiffeoProblem(row.r, *row.s)
     except DivisibilityFailure as exc:
         problems.append(f"{type(exc).__name__}: {exc}")
-    else:
-        outcomes = {}
-        for candidate in Orientation:
-            try:
-                solution = ediffeo_solve(problem, candidate)
-            except (ParityFailure, CongruenceFailure) as exc:
-                outcomes[candidate] = f"{type(exc).__name__}: {exc}"
-                continue
-            if {c.value for c in solution.residues} == target:
-                orientation, solved = candidate, solution.residues
-            else:
-                outcomes[candidate] = "solves to {%s}" % ", ".join(
-                    str(c.value) for c in solution.residues
-                )
-        if orientation is None:
-            problems.append(
-                "tabulated residues reproduced by neither orientation: "
-                + "; ".join(f"{c.value}: {msg}" for c, msg in outcomes.items())
-            )
+        return None, (), partner, None
+    target = {value % (168 * row.r) for value in row.residues}
+    orientation, solved, outcomes = None, (), {}
+    for candidate in Orientation:
+        try:
+            solution = ediffeo_solve(problem, candidate)
+        except (ParityFailure, CongruenceFailure) as exc:
+            outcomes[candidate] = f"{type(exc).__name__}: {exc}"
+            continue
+        if {c.value for c in solution.residues} == target:
+            orientation, solved = candidate, solution.residues
         else:
-            for a in row.residues:
-                bundle = profile_sphere(a, a - row.r)
-                if bundle.p1 != inv.p1:
-                    problems.append(f"p1 mismatch at a={a}: {bundle.p1} vs {inv.p1}")
-                if a == anchor:
-                    anchor_profile = bundle
-    return orientation, solved, describe_bundle(Family.SPHERE, anchor, anchor - row.r), anchor_profile
+            outcomes[candidate] = "solves to {%s}" % ", ".join(str(c.value) for c in solution.residues)
+    if orientation is None:
+        problems.append(
+            "tabulated residues reproduced by neither orientation: "
+            + "; ".join(f"{c.value}: {msg}" for c, msg in outcomes.items())
+        )
+        return None, (), partner, None
+    bundles = [(a, profile_sphere(a, a - row.r)) for a in row.residues]
+    problems += [f"p1 mismatch at a={a}: {bundle.p1} vs {inv.p1}" for a, bundle in bundles if bundle.p1 != inv.p1]
+    return orientation, solved, partner, dict(bundles)[anchor]
 
 
 def _circle_partner(row: TableRow, inv: EschenburgInvariants, problems: list[str]) -> _Partner:
     """Match a circle row's bundle against its s-values up to sign."""
     a, b, t = row.bundle
-    orientation = None
-    partner_profile = profile_circle(t, a, b)
+    partner, partner_profile = describe_bundle(Family.CIRCLE, a, b, t), profile_circle(t, a, b)
     if partner_profile.r != row.r:
         problems.append(f"|t(a+b)^2 - ab| = {partner_profile.r}, row says {row.r}")
-    else:
-        signs = (partner_profile.s_triple, reversed_profile(partner_profile).s_triple)  # preserving, reversing
-        tabulated = tuple(mod_one(s) for s in row.s)
-        orientation = next((o for o, s in zip(Orientation, signs) if s == tabulated), None)
-        if orientation is None:
-            problems.append(
-                f"bundle s-values {partner_profile.s_triple} match neither sign "
-                f"of the tabulated values"
-            )
-        else:
-            if row.starred != (orientation is Orientation.REVERSING):
-                problems.append(
-                    "orientation mark on the row disagrees with the computed identification"
-                )
-            if partner_profile.p1 != inv.p1:
-                problems.append(f"p1 mismatch: {partner_profile.p1} vs {inv.p1}")
-    return orientation, (), describe_bundle(Family.CIRCLE, a, b, t), partner_profile
+        return None, (), partner, None
+    signs = (partner_profile.s_triple, reversed_profile(partner_profile).s_triple)  # preserving, reversing
+    tabulated = tuple(mod_one(s) for s in row.s)
+    orientation = next((o for o, s in zip(Orientation, signs) if s == tabulated), None)
+    if orientation is None:
+        problems.append(f"bundle s-values {partner_profile.s_triple} match neither sign of the tabulated values")
+        return None, (), partner, None
+    if row.starred != (orientation is Orientation.REVERSING):
+        problems.append("orientation mark on the row disagrees with the computed identification")
+    if partner_profile.p1 != inv.p1:
+        problems.append(f"p1 mismatch: {partner_profile.p1} vs {inv.p1}")
+    return orientation, (), partner, partner_profile
 
 
 def _verify_row(row: TableRow, fixtures: Sequence[EschenburgFixture]) -> RowResult:
@@ -1046,12 +1010,12 @@ def render_matches_json(records: Iterable[MatchRecord]) -> str:
     an indent json.dumps runs its encoder in Python; here only the string
     values are encoded, with encode_basestring_ascii (what json.dumps
     calls for a str under its default ensure_ascii=True), into a fixed
-    template, and each orientation's text once.
+    template; the orientation text is read as `_value_`, not through the
+    enum's Python-level `value` property.
     """
     quote = json.encoder.encode_basestring_ascii
-    orientations = {o: quote(o.value) for o in Orientation}
     objects = [
-        _JSON_RECORD.format(quote(record.left), orientations[record.orientation], r, quote(record.right), s1, s2, s3)
+        _JSON_RECORD.format(quote(record.left), quote(record.orientation._value_), r, quote(record.right), s1, s2, s3)
         for record, (r, s1, s2, s3) in _evidence_texts(records, quote)
     ]
     if not objects:

@@ -48,11 +48,6 @@ class Pi4(Enum):
     Z2 = "Z2"
     UNKNOWN = "unknown"
 
-    # Members are singletons that compare by identity, so the identity hash
-    # agrees with equality and skips Enum.__hash__, a call in Python that
-    # every match entry group holding a pi4 value would pay.
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True)
 class InvariantProfile:

@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import json
 from fractions import Fraction as Fr
+from functools import partial
 from math import gcd
 from typing import NamedTuple
 
@@ -588,7 +589,8 @@ def test_sphere_keys_and_entries_agree_with_profiles_across_periods(start, r, ex
 def test_circle_triple_key_agrees_with_profile_key(t, a, b):
     s = t * (a + b) ** 2 - a * b
     assume(gcd(a, b) == 1 and s != 0)
-    got = _circle_key(abs(s), (a, b, t), _s1_value(CohomologyType.E, abs(s), *circle_s1(t, a, b)))
+    mn = partial(choose_mn, Family.CIRCLE)
+    got = _circle_key(abs(s), mn, (a, b, t), _s1_value(CohomologyType.E, abs(s), *circle_s1(t, a, b)))
     assert got == profile_key(profile_circle(t, a, b))
 
 
