@@ -48,8 +48,6 @@ __all__ = [
     "kruggel_homotopy",
     "ks_diffeomorphic",
     "ks_homeomorphic",
-    "lk_diffeomorphic",
-    "lk_homeomorphic",
     "sphere_congruence_classify",
     "torus_reduction",
 ]
@@ -87,12 +85,14 @@ def _decide(
 ) -> Optional[Orientation]:
     """Compare projected invariants and linking classes in both orientations.
 
-    An identification needs equal cohomology type and order.  Preserving
-    is tried first and wins when both hold; the reversal of q is built
-    only when the preserving comparison fails.  The linking classes are
-    compared up to the sign ambiguity a candidate set carries.
+    An identification needs pi4 data that do not conflict and equal
+    cohomology type and order.  Preserving is tried first and wins when
+    both hold; the reversal of q is built only when the preserving
+    comparison fails.  The linking classes are compared up to the sign
+    ambiguity a candidate set carries.
     """
-    if p.cohomology_type is not q.cohomology_type or p.r != q.r:
+    _require_profiles(p, q)
+    if not pi4_compatible(p.pi4, q.pi4) or p.cohomology_type is not q.cohomology_type or p.r != q.r:
         return None
     target = project(p)
     if target == project(q) and lk_compatible(p.lk, q.lk):
@@ -115,16 +115,14 @@ def ks_diffeomorphic(
     proven pi4 conflict rules an identification out; an open pi4 never
     blocks.
     """
-    _require_profiles(p, q)
-    return _decide(p, q, lambda pr: pr.s_triple) if pi4_compatible(p.pi4, q.pi4) else None
+    return _decide(p, q, lambda pr: pr.s_triple)
 
 
 def ks_homeomorphic(
     p: InvariantProfile, q: InvariantProfile
 ) -> Optional[Orientation]:
     """Orientation of a homeomorphism, using (28·s1, s2, s3) modulo 1."""
-    _require_profiles(p, q)
-    return _decide(p, q, lambda pr: (mod_one(28 * pr.s1), pr.s2, pr.s3)) if pi4_compatible(p.pi4, q.pi4) else None
+    return _decide(p, q, lambda pr: (mod_one(28 * pr.s1), pr.s2, pr.s3))
 
 
 # ---------------------------------------------------------------------------
@@ -158,58 +156,6 @@ def kruggel_homotopy(p: InvariantProfile, q: InvariantProfile) -> HomotopyVerdic
         return HomotopyVerdict.UNDETERMINED
     agree = lk_compatible(p.lk, q.lk) and p_datum == q_datum
     return HomotopyVerdict.EQUIVALENT if agree else HomotopyVerdict.NOT_EQUIVALENT
-
-
-# ---------------------------------------------------------------------------
-# The linking-form substitution (s3 replaced by the linking class).
-# ---------------------------------------------------------------------------
-
-
-def _require_substitution_applies(p: InvariantProfile, q: InvariantProfile) -> None:
-    _require_profiles(p, q)
-    for x in (p, q):
-        if x.cohomology_type is CohomologyType.E and x.r % 2 == 0:
-            raise DomainError(
-                "replacing s3 by the linking class requires type Ebar or odd order"
-            )
-
-
-def lk_diffeomorphic(
-    p: InvariantProfile, q: InvariantProfile
-) -> Optional[Orientation]:
-    """Diffeomorphism test by (s1, s2, lk), substituting the linking class
-    for s3.
-
-    Defined for type-Ebar (not spin) profiles of any order and type-E
-    (spin) profiles of odd order.  This is a consistency companion to
-    ks_diffeomorphic, never the primary decision path: the substituted
-    data determines s3 within each bundle construction but is strictly
-    coarser across constructions (see lk_homeomorphic).
-    """
-    _require_substitution_applies(p, q)
-    return _decide(p, q, lambda pr: (pr.s1, pr.s2))
-
-
-def lk_homeomorphic(
-    p: InvariantProfile, q: InvariantProfile, use_p1: bool = False
-) -> Optional[Orientation]:
-    """Homeomorphism test by (28·s1, s2, lk), or by (p1, s2, lk).
-
-    The p1 variant is available only for type-E (spin) profiles of odd
-    order.  Caveat: pairs of spaces from different constructions can share
-    (28·s1, s2, p1, lk) while their s3 differ by exactly 1/2, so a match
-    here is weaker than ks_homeomorphic; within a single sphere-bundle
-    family the two tests agree.
-    """
-    _require_substitution_applies(p, q)
-    if require_instance(use_p1, bool, "use_p1"):
-        for x in (p, q):
-            if x.cohomology_type is not CohomologyType.E:
-                raise DomainError("the p1 substitution applies only to type E")
-        if p.r == q.r and p.p1 != q.p1:
-            return None
-        return _decide(p, q, lambda pr: (pr.s2,))
-    return _decide(p, q, lambda pr: (mod_one(28 * pr.s1), pr.s2))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ from kreckstolz.bundle_families import (
     circle_p1_lk_pi4,
     circle_s1,
     describe_bundle,
+    natural_partner,
     profile,
     profile_circle,
     profile_sphere,
@@ -1152,6 +1153,23 @@ def test_match_recovers_circle_catalog_rows(fixtures):
     right = build_index(grid)
     records = match_all(left, right)
     assert {(rec.left, rec.right, rec.orientation) for rec in records} == CIRCLE_CATALOG_MATCHES
+
+
+@pytest.mark.parametrize("r", [3, 7, 13, 17, 25, 41])
+def test_match_finds_every_natural_partner_of_a_circle_grid(r):
+    # natural_partner identifies a circle bundle with a + b = 1 with the
+    # sphere bundle S_{-t, a(a-1)}, orientation preserving; those of order
+    # r must each be a preserving record of the search over the partners' a.
+    circles, expected = circle_source(r, 30), set()
+    for a, b, t in circles.params:
+        partner = natural_partner(BundleSpec(Family.CIRCLE, a, b, t=t))
+        if partner is not None and partner.a - partner.b == r:
+            expected.add((describe_bundle(Family.CIRCLE, a, b, t), partner.a))
+    assert expected
+    lo, hi = min(a for _, a in expected), max(a for _, a in expected)
+    records = find_matches(circles, sphere_source(r, lo, hi + 1))
+    preserving = {(rec.left, rec.right) for rec in records if rec.orientation is PRESERVING}
+    assert {(left, describe_bundle(Family.SPHERE, a, a - r)) for left, a in expected} <= preserving
 
 
 # ---------------------------------------------------------------------------

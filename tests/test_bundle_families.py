@@ -55,8 +55,6 @@ from kreckstolz.classification import (
     kruggel_homotopy,
     ks_diffeomorphic,
     ks_homeomorphic,
-    lk_diffeomorphic,
-    lk_homeomorphic,
     sphere_congruence_classify,
     torus_reduction,
 )
@@ -68,6 +66,7 @@ from kreckstolz.profiles import (
     Pi4,
     reversed_profile,
 )
+from oracles import lk_diffeomorphic, lk_homeomorphic
 
 
 def same_invariants(p, q):

@@ -37,8 +37,6 @@ from kreckstolz.classification import (
     kruggel_homotopy,
     ks_diffeomorphic,
     ks_homeomorphic,
-    lk_diffeomorphic,
-    lk_homeomorphic,
     sphere_congruence_classify,
     torus_reduction,
 )
@@ -53,6 +51,7 @@ from kreckstolz.errors import (
 from kreckstolz.eschenburg import fixture_profile, load_fixtures
 from kreckstolz.exact_arith import ResidueClass, mod_one, sqrt_mod
 from kreckstolz.profiles import CohomologyType, InvariantProfile, Pi4, lk_compatible, pi4_compatible, reversed_profile
+from oracles import lk_diffeomorphic, lk_homeomorphic
 
 # ---------------------------------------------------------------------------
 # Frozen expected values.

@@ -44,7 +44,7 @@ from kreckstolz import (
     sphere_congruence_classify,
     sphere_source,
 )
-from kreckstolz.cli import run
+from kreckstolz.cli import main, run
 from kreckstolz.exact_arith import MAX_INPUT_DIGITS, read_fraction, read_int
 
 W11_LINE = "1 1 -2 | 0 0 0 | 1/112 -1/36 1/18\n"
@@ -824,3 +824,24 @@ def test_module_entry_point():
         )
         assert done.returncode == code, done.stderr
         assert text in getattr(done, stream)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr_head",
+    [
+        (["invariants", "sphere:2,-1"], 0, ""),
+        (["invariants", "sphere:1,1"], 1, "DegenerateOrder: "),
+        (["invariants", "sphere:2,-1", "--no-such-flag"], 2, "usage: "),
+    ],
+    ids=["success", "domain_error", "usage_error"],
+)
+def test_console_entry_point_exits_with_the_status(argv, code, stderr_head, monkeypatch, capsys):
+    # The installed `kreckstolz` script calls cli.main, which reads sys.argv.
+    monkeypatch.setattr(sys, "argv", ["kreckstolz", *argv])
+    with pytest.raises(SystemExit) as caught:
+        main()
+    assert caught.value.code == code
+    out, err = out_err(capsys)
+    assert err.startswith(stderr_head) and bool(err) == bool(stderr_head)
+    if code == 0:
+        assert out == (Path(__file__).parent / "golden" / "invariants_sphere.text").read_text(encoding="utf-8")
