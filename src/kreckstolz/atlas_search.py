@@ -191,7 +191,7 @@ class IndexEntry(NamedTuple):
 
     descriptor: str
     p1: int  # a residue mod the key's r
-    lk: Optional[tuple[int, ...]]  # residues mod r in the profile's frozenset order; None if r = 1
+    lk: Optional[tuple[int, ...]]  # ascending residues mod r; None if r = 1
     pi4: Pi4
     flipped: bool
 
@@ -225,7 +225,7 @@ def _grouped(keyed: Iterable[tuple[TripleKey, IndexEntry]]) -> AtlasIndex:
 def _entry_fields(entry: tuple[str, InvariantProfile]) -> EntryFields:
     """The IndexEntry fields before the flip bit of a (descriptor, profile) pair: p1 and lk as residues mod r."""
     descriptor, profile = entry
-    lk = None if profile.lk is None else tuple(c.value for c in profile.lk)
+    lk = None if profile.lk is None else tuple(sorted(c.value for c in profile.lk))
     return descriptor, profile.p1.value, lk, profile.pi4
 
 
@@ -316,11 +316,9 @@ def _orientation(r: int, left: IndexEntry, right: IndexEntry, require_pi4_compat
         return None
     reversing = flipped != other_flipped
     orientation = Orientation.REVERSING if reversing else Orientation.PRESERVING
-    if (lk is None) != (other_lk is None) or lk is not None and set(lk).isdisjoint(
-        [-v % r for v in other_lk] if reversing else other_lk
-    ):
-        if reversing and other_lk is not None:  # in the order negated_lk builds it
-            other_lk = tuple(c.value for c in frozenset(ResidueClass(-v % r, r) for v in other_lk))
+    if reversing and other_lk is not None:
+        other_lk = [-v % r for v in other_lk]
+    if (lk is None) != (other_lk is None) or lk is not None and set(lk).isdisjoint(other_lk):
         raise InconsistentFixture(
             f"s-values match ({orientation.value}) but linking classes differ: "
             f"{_lk_text(lk, r)} vs {_lk_text(other_lk, r)}"
@@ -332,9 +330,9 @@ def _orientation(r: int, left: IndexEntry, right: IndexEntry, require_pi4_compat
     return orientation
 
 
-def _lk_text(lk: Optional[tuple[int, ...]], r: int) -> str:
-    """Linking classes as their frozenset of ResidueClass prints, iterating in the order of the tuple."""
-    return "None" if lk is None else "frozenset({%s})" % ", ".join(repr(ResidueClass(v, r)) for v in lk)
+def _lk_text(values: Optional[Iterable[int]], r: int) -> str:
+    """Linking classes as invariants prints them: ascending, each as "v mod r", or "trivial" if there are none."""
+    return ", ".join(f"{v} mod {r}" for v in sorted(values)) if values else "trivial"
 
 
 def find_matches(left: Source, right: Source, require_pi4_compat: bool = True) -> tuple[MatchRecord, ...]:
@@ -516,7 +514,7 @@ def parse_space(
     if not sep:
         raise DomainError(f"cannot parse {excerpt(text)}: expected eschenburg:k1,k2,k3|l1,l2,l3")
     space = EschenburgSpace(*(tuple(read_int(v) for v in part.split(",")) for part in (k_text, l_text)))
-    fixture = find_fixture(load_fixtures(), space.k, space.l)
+    fixture = find_fixture(_fixtures(load_fixtures(), Iterable), space.k, space.l)
     return eschenburg_descriptor(space), fixture_profile(fixture)
 
 
@@ -544,8 +542,15 @@ def fixture_entries(
     fixtures: Iterable[EschenburgFixture],
 ) -> list[tuple[str, InvariantProfile]]:
     """Index entries for fixture spaces, profiles built from their s-values."""
-    require_instance(fixtures, Iterable, "fixtures")
-    return [(eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in fixtures]
+    return [(eschenburg_descriptor(fx.space), fixture_profile(fx)) for fx in _fixtures(fixtures, Iterable)]
+
+
+def _fixtures(fixtures: Iterable[EschenburgFixture], kind: type) -> tuple[EschenburgFixture, ...]:
+    """The fixtures as a tuple; DomainError unless they are a `kind` (Sequence, Iterable) of EschenburgFixture."""
+    fixtures = tuple(require_instance(fixtures, kind, "fixtures"))
+    for i, fixture in enumerate(fixtures):
+        require_instance(fixture, EschenburgFixture, f"fixtures[{i}]")
+    return fixtures
 
 
 def _sphere_entry(r: int, p1_lk_pi4: Callable[[int], tuple], a: int) -> EntryFields:
@@ -956,10 +961,7 @@ def reproduce_table(
     """
     if which not in ("A", "B"):
         raise DomainError(f"unknown table {excerpt(which)}: expected 'A' or 'B'")
-    if fixtures is None:
-        fixtures = load_fixtures()
-    for i, fixture in enumerate(require_instance(fixtures, Sequence, "fixtures")):
-        require_instance(fixture, EschenburgFixture, f"fixtures[{i}]")
+    fixtures = _fixtures(load_fixtures() if fixtures is None else fixtures, Sequence)
     rows = TABLE_A if which == "A" else TABLE_B
     return TableReport(table=which, rows=tuple(_verify_row(row, fixtures) for row in rows))
 

@@ -15,7 +15,6 @@ __all__ = [
     "InconsistentFixture",
     "MismatchedOrder",
     "MissingFixture",
-    "ModuliNotCoprime",
     "NotCoprime",
     "ParityFailure",
     "ParseError",
@@ -30,10 +29,6 @@ class DomainError(ValueError):
 
 class NotCoprime(DomainError):
     """Two integers required to be coprime are not."""
-
-
-class ModuliNotCoprime(DomainError):
-    """Chinese-remainder combination was asked for non-coprime moduli."""
 
 
 class UnequalSums(DomainError):

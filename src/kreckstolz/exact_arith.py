@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, TypeVar, Union
 
-from .errors import DomainError, ModuliNotCoprime, NotCoprime
+from .errors import DomainError, NotCoprime
 
 __all__ = [
     "Factorization",
@@ -285,7 +285,7 @@ def crt_combine(residues: Iterable[ResidueClass]) -> ResidueClass:
     value, modulus = 0, 1
     for r in residues:
         if math.gcd(modulus, r.modulus) != 1:
-            raise ModuliNotCoprime(f"moduli {modulus} and {r.modulus} share a factor")
+            raise NotCoprime(f"moduli {modulus} and {r.modulus} share a factor")
         t = ((r.value - value) * inv_mod(modulus, r.modulus)) % r.modulus
         value += modulus * t
         modulus *= r.modulus

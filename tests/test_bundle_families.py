@@ -29,6 +29,7 @@ from kreckstolz.bundle_families import (
     profile_spin_sphere,
     _circle_profile,
     _spin_circle_profile,
+    _switch,
 )
 from kreckstolz.atlas_search import (
     AtlasIndex,
@@ -38,6 +39,7 @@ from kreckstolz.atlas_search import (
     fixture_entries,
     fixture_source,
     match_all,
+    parse_source,
     parse_space,
     profile_key,
     render_matches_json,
@@ -447,6 +449,12 @@ class TestCircle:
                 if s < 0:
                     assert b + (1 - t) * (a + b) != 0
 
+    def test_switch_refuses_a_vanishing_border_term(self):
+        # The branch the grid above never reaches raises, also under python -O.
+        with pytest.raises(AssertionError) as excinfo:
+            _switch(-1, 0)
+        assert str(excinfo.value) == "impossible: s < 0 forces a nonzero border term"
+
 
 class TestSpinCircle:
     def test_zero_example(self):
@@ -707,6 +715,22 @@ class TestSpecPlumbing:
         with pytest.raises(DomainError) as caught:
             call()
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fixture_entries([5]),
+            lambda: fixture_source([5]),
+            lambda: parse_source("fixtures", lambda: [5]),
+            lambda: parse_space("eschenburg:1,1,-2|0,0,0", lambda: [5]),
+        ],
+        ids=["fixture_entries", "fixture_source", "parse_source", "parse_space"],
+    )
+    def test_a_catalog_element_of_wrong_type_is_a_domain_error(self, call):
+        # Every entry point that takes a catalog checks its elements as reproduce_table does.
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value) == "fixtures[0] must be an EschenburgFixture, got 5"
 
     def test_t_required_exactly_for_circle_families(self):
         with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kreckstolz import classification
 from kreckstolz.bundle_families import (
     BundleSpec,
     Family,
@@ -627,6 +628,16 @@ def test_round_trip_with_lifts():
         for j in range(4):
             a = res.value + 504 * j
             assert profile_sphere(a, a - 3).s_triple == target
+
+
+def test_a_residue_that_does_not_round_trip_is_refused(monkeypatch):
+    # The solver checks each residue against the bundle's own s-values:
+    # a bundle formula off by an orientation fails that check at once.
+    real = classification.profile_sphere
+    monkeypatch.setattr(classification, "profile_sphere", lambda a, b: reversed_profile(real(a, b)))
+    with pytest.raises(AssertionError) as excinfo:
+        ediffeo_solve(EdiffeoProblem(3, Fraction(1, 112), Fraction(-1, 36), Fraction(1, 18)))
+    assert str(excinfo.value) == "residue 2 mod 504 does not round-trip"
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreckstolz.errors import DomainError, ModuliNotCoprime, NotCoprime
+from kreckstolz.errors import DomainError, NotCoprime
 from kreckstolz.exact_arith import (
     DECIMAL_INT,
     MAX_INPUT_DIGITS,
@@ -222,7 +222,7 @@ class TestCrtCombine:
         assert combined == ResidueClass(163, 224)
 
     def test_not_coprime(self):
-        with pytest.raises(ModuliNotCoprime):
+        with pytest.raises(NotCoprime):
             crt_combine([ResidueClass(1, 4), ResidueClass(3, 6)])
 
     def test_empty(self):
